@@ -7,6 +7,8 @@ equilibria per fiber, and time-parameterized paths across regimes that carry
 endowments forward as societal values shift.
 """
 
+__version__ = "0.1.0"
+
 from .duty import (
     Constraint,
     ConstraintSet,
@@ -21,6 +23,7 @@ from .duty import (
 )
 from .economy import (
     Agent,
+    AgentRows,
     ExtendedBundle,
     Fiber,
     FiberEconomy,
@@ -28,6 +31,7 @@ from .economy import (
     UtilitySpec,
     agent_utility,
     demand,
+    demand_rows,
     disposable_income,
     feasible,
     utility_value,
@@ -92,4 +96,3 @@ from .transition import (
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]
-__version__ = "0.1.0"

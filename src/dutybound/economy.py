@@ -20,8 +20,12 @@ Demand maximizes the chosen utility family over the duty-feasible budget
 set. Both families are concave in the bundle, so the exact optimum follows
 from the first-order conditions: every coordinate is a known decreasing
 function of the income multiplier, clipped at its lower bound, and the
-multiplier itself is found by bisection on the budget identity. FORBID
-coordinates are exactly zero and REQUIRE_MIN bounds are met exactly.
+multiplier itself follows in closed form (no status tilt) or by bisection on
+the budget identity. FORBID coordinates are exactly zero and REQUIRE_MIN
+bounds are met exactly.
+
+One kernel, ``demand_rows``, solves every agent of a fiber at once over the
+arrays of ``AgentRows``; ``demand`` is its one-agent view.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -153,9 +158,19 @@ class Fiber:
         forbidden = self.forbidden_goods()
         return tuple(g for g in self.goods if g not in forbidden)
 
-    def lower_bound_vector(self) -> np.ndarray:
+    @cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, str | None]:
+        """Per-dimension arrays for the demand kernel, built once: lower
+        bounds (zero where forbidden), the forbidden mask, the log offsets,
+        and the first dimension both forbidden and required (or None)."""
+        forbidden_ids = self.forbidden_goods()
         bounds = self.constraints.lower_bounds()
-        return np.array([bounds.get(d, 0.0) for d in self.dims])
+        forbidden = np.array([d in forbidden_ids for d in self.dims])
+        lb = np.array([bounds.get(d, 0.0) for d in self.dims])
+        conflict = forbidden & (lb > 0)
+        return (np.where(forbidden, 0.0, lb), forbidden,
+                np.concatenate([np.full(self.n, EPSILON), np.ones(self.l)]),
+                self.dims[int(np.argmax(conflict))] if conflict.any() else None)
 
     def values_of(self, bundle: ExtendedBundle) -> dict[str, float]:
         if bundle.x.size != self.n or bundle.e.size != self.l:
@@ -250,8 +265,47 @@ def agent_utility(agent: Agent, bundle: ExtendedBundle, prices, fiber: Fiber) ->
                          lam=agent.lam, theta=agent.theta)
 
 
+@dataclass(frozen=True)
+class AgentRows:
+    """A fiber's agents packed as arrays, one row per agent, for ``demand_rows``:
+    goods endowments, the log weights (alpha on goods, then lam * beta on
+    duties), the status weight (zero unless VEBLEN) and the reference duty
+    prices. The per-dimension arrays live on the fiber (``Fiber.columns``).
+    """
+
+    fiber: Fiber
+    ids: tuple[str, ...]
+    endowment: np.ndarray
+    weight: np.ndarray
+    theta: np.ndarray
+    p_bar: np.ndarray
+
+    @classmethod
+    def pack(cls, fiber: Fiber, agents: Sequence[Agent]) -> "AgentRows":
+        goods, duties, count = fiber.goods, fiber.duties, len(agents)
+        weight = [np.concatenate([a.utility.alpha_for(goods), a.lam * a.utility.beta_for(duties)])
+                  for a in agents]
+        theta = [a.theta if a.utility.family is UtilityFamily.VEBLEN_PRICE_DEPENDENT else 0.0
+                 for a in agents]
+        return cls(
+            fiber=fiber,
+            ids=tuple(a.id for a in agents),
+            endowment=np.array([a.endowment_for(goods) for a in agents]).reshape(count, fiber.n),
+            weight=np.array(weight),
+            theta=np.array(theta),
+            p_bar=np.array([a.utility.p_bar_for(duties) for a in agents]).reshape(count, fiber.l),
+        )
+
+
 def demand(agent: Agent, prices, fiber: Fiber) -> ExtendedBundle:
-    """Utility-maximizing bundle on the agent's duty-feasible budget set.
+    """Utility-maximizing bundle on the agent's duty-feasible budget set:
+    one row of ``demand_rows``."""
+    coords = demand_rows(AgentRows.pack(fiber, (agent,)), prices)[0]
+    return ExtendedBundle(x=coords[: fiber.n], e=coords[fiber.n:])
+
+
+def demand_rows(rows: AgentRows, prices) -> np.ndarray:
+    """Demand of every packed agent at one price vector, one row per agent.
 
     First-order conditions per coordinate, given the income multiplier mu:
 
@@ -259,149 +313,153 @@ def demand(agent: Agent, prices, fiber: Fiber) -> ExtendedBundle:
         duties:  e_j = lam beta_j / (mu p_j - theta (p_j - pbar_j)) - 1
 
     each clipped below at its REQUIRE_MIN bound (zero by default) and pinned
-    to zero when forbidden. Total spending is strictly decreasing in mu, so
-    the budget identity pins mu by bisection; both utility families spend the
-    whole disposable budget whenever some free dimension has positive weight.
-    Flat problems (all free weights zero) settle on the lexicographically
-    smallest vector, i.e. every coordinate at its bound.
+    to zero when forbidden. Rows without a status tilt take the active-set
+    closed form; the rest, and any row whose closed form fails its KKT check,
+    pin mu by bisection on the budget identity (total spending is strictly
+    decreasing in mu). Both utility families spend the whole disposable
+    budget whenever some free dimension has positive weight. Flat problems
+    (all free weights zero) settle on the lexicographically smallest vector,
+    i.e. every coordinate at its bound.
+
+    Errors name the first agent, in row order, whose feasible set is empty.
     """
-    dims = fiber.n + fiber.l
-    p = _as_price_array(prices, dims)
+    fiber = rows.fiber
+    n = fiber.n
+    lb, forbidden, _, conflict = fiber.columns
+    p = _as_price_array(prices, n + fiber.l)
     if np.any(p <= 0):
         bad = int(np.argmin(p))
         raise NonPositivePrice(fiber.dims[bad], float(p[bad]))
 
-    w = disposable_income(agent, p, fiber)
-    lb = fiber.lower_bound_vector()
-    forbidden = np.array([d in fiber.forbidden_goods() for d in fiber.dims])
-    if np.any(lb[forbidden] > 0):
-        bad = fiber.dims[int(np.flatnonzero(forbidden & (lb > 0))[0])]
-        raise InfeasibleDutySet(agent.id, f"{bad!r} is both forbidden and required")
-    lb = np.where(forbidden, 0.0, lb)
-
+    claim = fiber.constraints.prior_claim_total
+    income = rows.endowment @ np.where(forbidden[:n], 0.0, p[:n])
+    w = income - claim
     fixed_cost = float(p @ lb)
-    if fixed_cost > w * (1 + 1e-12) + 1e-12:
-        raise InfeasibleDutySet(agent.id, f"required minima cost {fixed_cost:g} "
-                                          f"but disposable income is {w:g}")
-    budget_slack = w - fixed_cost
-
-    alpha = agent.utility.alpha_for(fiber.goods)
-    beta = agent.utility.beta_for(fiber.duties)
-    theta = agent.theta if agent.utility.family is UtilityFamily.VEBLEN_PRICE_DEPENDENT else 0.0
-    weight = np.concatenate([alpha, agent.lam * beta])
-    offset = np.concatenate([np.full(fiber.n, EPSILON), np.ones(fiber.l)])
-    # Status-premium tilt on duty prices; zero for goods and for theta = 0.
-    tilt = np.concatenate([np.zeros(fiber.n),
-                           theta * (p[fiber.n:] - agent.utility.p_bar_for(fiber.duties))
-                           if fiber.l else np.zeros(0)])
-
-    if not np.any(tilt):
-        fast = _active_set_solve(p, w, lb, forbidden, weight, offset)
-        if fast is not None:
-            return _bundle_from(fast, fiber)
-
-    big = (w + 1.0) / p + lb  # any value above this overshoots the budget
-
-    def coords_at(mu: float) -> np.ndarray:
-        denom = mu * p - tilt
-        with np.errstate(divide="ignore", over="ignore"):
-            raw = np.where(denom > 1e-300, weight / np.maximum(denom, 1e-300) - offset, big)
-        # zero-weight free coordinates sit at their bound unless the status
-        # tilt alone makes them worth buying
-        raw = np.where((weight == 0) & (denom > 0), lb, raw)
-        out = np.maximum(raw, lb)
-        return np.where(forbidden, 0.0, out)
-
-    def spending(mu: float) -> float:
-        return float(p @ coords_at(mu))
-
-    if budget_slack <= 0:
-        # the bounds exhaust the budget exactly: nothing left to allocate
-        return _bundle_from(coords_at(1e300), fiber)
-    if spending(1e-300) <= w * (1 + 1e-12) + 1e-12:
-        # nothing worth buying beyond the bounds: lexicographically smallest point
-        return _bundle_from(coords_at(1e-300), fiber)
-
-    mu_lo, mu_hi = 1.0, 1.0
-    for _ in range(400):
-        if spending(mu_lo) >= w:
-            break
-        mu_lo /= 8.0
-    else:
-        raise NoConvergence(400)
-    for _ in range(400):
-        if spending(mu_hi) <= w:
-            break
-        mu_hi *= 8.0
-    else:
-        raise NoConvergence(400)
-
-    for _ in range(90):
-        mid = math.sqrt(mu_lo * mu_hi) if mu_lo > 0 else 0.5 * (mu_lo + mu_hi)
-        if spending(mid) >= w:
-            mu_lo = mid
+    empty = (w < 0) | (fixed_cost > w * (1 + 1e-12) + 1e-12) | (conflict is not None)
+    if empty.any():
+        k = int(np.argmax(empty))
+        if w[k] < 0:
+            reason = f"prior claims {claim:g} exceed income {income[k]:g}"
+        elif conflict is not None:
+            reason = f"{conflict!r} is both forbidden and required"
         else:
-            mu_hi = mid
+            reason = f"required minima cost {fixed_cost:g} but disposable income is {w[k]:g}"
+        raise InfeasibleDutySet(rows.ids[k], reason)
 
-    final = coords_at(0.5 * (mu_lo + mu_hi))
-    residual = w - float(p @ final)
-    if residual > 1e-9 * (1 + w):
-        # a pure-status coordinate (zero log weight, positive premium value)
-        # has constant marginal utility, so spending jumps there; the optimum
-        # puts the leftover budget into the best such coordinate
-        ratio = np.where((weight == 0) & (tilt > 0) & ~forbidden, tilt / p, -np.inf)
-        j = int(np.argmax(ratio))
-        if ratio[j] > 0:
-            final = final.copy()
-            final[j] += residual / p[j]
-    return _bundle_from(final, fiber)
+    # status-premium tilt on duty prices; zero for goods and for theta = 0
+    tilt = np.zeros_like(rows.weight)
+    tilt[:, n:] = rows.theta[:, None] * (p[n:] - rows.p_bar)
+    # The closed form runs on every row and is kept only for untilted rows
+    # that pass its KKT check. Rows with no weight left divide zero by zero
+    # there (and are set to their bounds); the bisection's outer probes at
+    # mu = 1e300 and 1e-300 overflow on purpose.
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        coords, ok = _active_set_rows(fiber, p, w, rows.weight)
+        todo = ~ok | tilt.any(axis=1)
+        if todo.any():
+            coords[todo] = _bisect_rows(fiber, p, w[todo], rows.weight[todo], tilt[todo])
+    return coords
 
 
-def _active_set_solve(p, w, lb, forbidden, weight, offset):
-    """Exact KKT solution for the log-additive family (no status tilt).
+def _active_set_rows(fiber: Fiber, p, w, weight):
+    """Exact KKT solution for the log-additive family (no status tilt), per row.
 
     With spending s_k = p_k (q_k + offset_k) the interior condition is
     s_k = weight_k / mu, so mu has a closed form on any candidate active set.
     Clipping a coordinate to its bound only raises mu (the clipped coordinate
     absorbs more budget than it wanted), so violations grow monotonically and
-    the loop settles in at most one round per dimension. Returns None if the
-    KKT check fails, handing over to the bisection fallback.
+    every row settles after at most one round per dimension; a settled row
+    recomputes to itself. Returns the rows and a mask of those that pass the
+    KKT check; the others go to bisection.
     """
-    clipped = forbidden.copy()
-    coords = np.where(forbidden, 0.0, lb)
-    mu = np.inf
-    for _ in range(len(p) + 1):
-        active = ~clipped
-        total_weight = float(weight[active].sum())
-        if total_weight <= 0.0:
-            coords[active] = lb[active]
-            return coords
-        pool = w - float(p[clipped] @ coords[clipped]) \
-            + float(p[active] @ offset[active])
-        if pool <= 0.0:
-            return None
+    lb, forbidden, offset, _ = fiber.columns
+    clipped = np.zeros(weight.shape, dtype=bool) | forbidden
+    ok = np.ones(len(w), dtype=bool)
+    while True:
+        total_weight = np.where(clipped, 0.0, weight).sum(axis=1)
+        pool = w + np.where(clipped, -p * lb, p * offset).sum(axis=1)
+        ok &= (pool > 0.0) | (total_weight <= 0.0)
         mu = total_weight / pool
-        wanted = weight / (mu * p) - offset
-        violating = active & (wanted < lb)
+        wanted = weight / (mu[:, None] * p) - offset
+        violating = ~clipped & (wanted < lb)
         if not violating.any():
-            coords = np.where(active, wanted, coords)
             break
-        clipped = clipped | violating
-        coords = np.where(violating, lb, coords)
-    else:
-        return None
-    # KKT check: every clipped coordinate must genuinely want no more than
-    # its bound at the final multiplier
+        clipped |= violating
+    # rows with no weight left sit at their bounds; for the others, every
+    # clipped coordinate must genuinely want no more than its bound
+    flat = total_weight <= 0.0
     held = clipped & ~forbidden
-    if held.any():
-        wanted = weight[held] / (mu * p[held]) - offset[held]
-        if np.any(wanted > lb[held] + 1e-9 * (1.0 + np.abs(lb[held]))):
-            return None
-    return np.where(forbidden, 0.0, np.maximum(coords, lb))
+    ok &= flat | ~(held & (wanted > lb + 1e-9 * (1.0 + np.abs(lb)))).any(axis=1)
+    return np.where(clipped | flat[:, None], lb, wanted), ok
 
 
-def _bundle_from(coords: np.ndarray, fiber: Fiber) -> ExtendedBundle:
-    return ExtendedBundle(x=coords[: fiber.n].copy(), e=coords[fiber.n:].copy())
+def _bisect_rows(fiber: Fiber, p, w, weight, tilt) -> np.ndarray:
+    """Rows solved by geometric bisection on mu, a bracket per row."""
+    lb, forbidden, offset, _ = fiber.columns
+    big = (w[:, None] + 1.0) / p + lb  # any value above this overshoots the budget
+    unweighted = weight == 0
+    # below this denominator a coordinate buys everything (``big``); a
+    # zero-weight free coordinate sits at its bound for any positive one,
+    # unless the status tilt alone makes it worth buying
+    floor = np.where(unweighted, 0.0, 1e-300)
+
+    def coords_at(mu: np.ndarray) -> np.ndarray:
+        denom = mu[:, None] * p - tilt
+        raw = np.where(denom > floor, weight / np.maximum(denom, 1e-300) - offset, big)
+        return np.where(forbidden, 0.0, np.maximum(raw, lb))
+
+    # the bounds exhaust the budget exactly: nothing left to allocate
+    out = coords_at(np.full(len(w), 1e300))
+    rest = w - float(p @ lb) > 0
+    # nothing worth buying beyond the bounds: lexicographically smallest point
+    lazy = coords_at(np.full(len(w), 1e-300))
+    idle = rest & (lazy @ p <= w * (1 + 1e-12) + 1e-12)
+    out[idle] = lazy[idle]
+    rest &= ~idle
+    if not rest.any():
+        return out
+    w, weight, tilt, big, floor, unweighted = \
+        w[rest], weight[rest], tilt[rest], big[rest], floor[rest], unweighted[rest]
+
+    # spending falls in mu and already exceeds the budget at 1e-300, so
+    # mu_lo stops above zero
+    mu_lo, mu_hi = np.ones(len(w)), np.ones(len(w))
+    for _ in range(400):
+        low = coords_at(mu_lo) @ p < w
+        if not low.any():
+            break
+        mu_lo = np.where(low, mu_lo / 8.0, mu_lo)
+    else:
+        raise NoConvergence(400)
+    for _ in range(400):
+        high = coords_at(mu_hi) @ p > w
+        if not high.any():
+            break
+        mu_hi = np.where(high, mu_hi * 8.0, mu_hi)
+    else:
+        raise NoConvergence(400)
+
+    for _ in range(90):
+        mid = np.sqrt(mu_lo * mu_hi)
+        above = coords_at(mid) @ p >= w
+        lo, hi = np.where(above, mid, mu_lo), np.where(above, mu_hi, mid)
+        # a step that moves neither end would repeat forever
+        if (lo == mu_lo).all() and (hi == mu_hi).all():
+            break
+        mu_lo, mu_hi = lo, hi
+
+    final = coords_at(0.5 * (mu_lo + mu_hi))
+    residual = w - final @ p
+    # a pure-status coordinate (zero log weight, positive premium value) has
+    # constant marginal utility, so spending jumps there; the optimum puts
+    # the leftover budget into the best such coordinate
+    ratio = np.where(unweighted & (tilt > 0) & ~forbidden, tilt / p, -np.inf)
+    best = np.argmax(ratio, axis=1)
+    k = np.flatnonzero((residual > 1e-9 * (1 + w))
+                       & (ratio[np.arange(len(w)), best] > 0))
+    final[k, best[k]] += residual[k] / p[best[k]]
+    out[rest] = final
+    return out
 
 
 @dataclass
@@ -436,7 +494,7 @@ class FiberEconomy:
     def dims(self) -> tuple[str, ...]:
         return self.fiber.dims
 
-    @property
+    @cached_property
     def numeraire_index(self) -> int:
         return self.fiber.goods.index(self.fiber.tradable_goods()[0])
 
@@ -455,8 +513,11 @@ class FiberEconomy:
     def demands(self, prices) -> dict[str, ExtendedBundle]:
         return {a.id: demand(a, prices, self.fiber) for a in self.agents}
 
+    @cached_property
+    def rows(self) -> AgentRows:
+        """The agents packed for ``demand_rows``, built on first use."""
+        return AgentRows.pack(self.fiber, self.agents)
+
+    @cached_property
     def total_endowment(self) -> np.ndarray:
-        total = np.zeros(self.fiber.n)
-        for a in self.agents:
-            total += a.endowment_for(self.fiber.goods)
-        return total
+        return self.rows.endowment.sum(axis=0)

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .economy import ExtendedBundle, FiberEconomy
+from .economy import ExtendedBundle, FiberEconomy, demand_rows
 from .errors import DimensionTooLarge, SingularJacobian
 
 DEFAULT_STEP = 0.1
@@ -101,25 +101,17 @@ def excess_demand(economy: FiberEconomy, prices) -> np.ndarray:
     identically whenever every agent exhausts its budget.
     """
     p = np.asarray(getattr(prices, "values", prices), dtype=float)
-    fiber = economy.fiber
-    n = fiber.n
-    demands = economy.demands(p)
+    rows = economy.rows
+    n = rows.fiber.n
+    _, forbidden, _, _ = rows.fiber.columns
+    coords = demand_rows(rows, p)
 
-    z = np.zeros(len(economy.dims))
-    total_x = np.zeros(n)
-    for a in economy.agents:
-        total_x += demands[a.id].x
-    z[:n] = total_x - economy.total_endowment()
-
-    forbidden = fiber.forbidden_goods()
-    for i, g in enumerate(fiber.goods):
-        if g in forbidden:
-            z[i] = 0.0
-
-    sink = fiber.constraints.prior_claim_total * len(economy.agents)
-    for a in economy.agents:
-        sink += float(p[n:] @ demands[a.id].e)
-    z[economy.numeraire_index] += sink / p[economy.numeraire_index]
+    z = np.zeros(coords.shape[1])
+    z[:n] = np.where(forbidden[:n], 0.0, coords[:, :n].sum(axis=0) - economy.total_endowment)
+    sink = rows.fiber.constraints.prior_claim_total * len(rows.ids) \
+        + float((coords[:, n:] @ p[n:]).sum())
+    num = economy.numeraire_index
+    z[num] += sink / p[num]
     return z
 
 

@@ -19,6 +19,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import __version__
+
 
 def fmt(value) -> str:
     """Canonical cell rendering: 12 significant digits for floats."""
@@ -133,7 +135,7 @@ def write_manifest(outdir: str | Path, command: str, config_path: str | None,
         "config_sha256": sha256_file(config_path) if config_path else None,
         "seed": seed,
         "versions": {
-            "dutybound": _package_version(),
+            "dutybound": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
@@ -144,10 +146,3 @@ def write_manifest(outdir: str | Path, command: str, config_path: str | None,
     path.write_text(json.dumps(manifest, indent=2) + "\n")
     return path
 
-
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-        return version("dutybound")
-    except Exception:
-        return "unknown"

@@ -4,7 +4,8 @@ Everything here is deliberately brute force or closed form, written without
 reference to the library's own algorithms: exhaustive pair/triple loops for
 relation axioms, all-pairs closure checks for set families, the textbook
 aggregate-expenditure-share equilibrium for two-good Cobb-Douglas exchange,
-and grid search over the budget face for demand.
+grid search over the budget face for demand, and a first-order-condition
+check of demand in any number of dimensions.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import itertools
 
 import numpy as np
 
-from dutybound.economy import ExtendedBundle, utility_value
+from dutybound.economy import ExtendedBundle, UtilityFamily, utility_value
+from dutybound.preferences import EPSILON
 
 
 # ---------------------------------------------------------------- relations
@@ -147,3 +149,52 @@ def grid_search_demand(agent, prices, fiber, resolution=1e-3):
             best, best_coords = value, coords.copy()
 
     return ExtendedBundle(x=best_coords[: fiber.n], e=best_coords[fiber.n:]), best
+
+
+def kkt_residual(agent, prices, fiber, bundle):
+    """Largest violation of the first-order conditions of demand at ``bundle``.
+
+    Written from the utility's definition alone,
+
+        U = sum_i alpha_i ln(x_i + eps) + lam sum_j beta_j ln(1 + e_j)
+            [+ theta sum_j e_j (p_j - pbar_j) for VEBLEN],
+
+    which is concave, so a bundle is optimal on the duty-feasible budget set
+    exactly when (1) it spends the disposable budget (tradable income less
+    prior claims), (2) it meets every REQUIRE_MIN bound and holds zero of
+    every FORBID good, and (3) marginal utility per unit of money is equal
+    across the coordinates above their bounds, and no coordinate at its
+    bound has a larger one. Returns the largest relative violation of the
+    three; it is zero at the exact optimum. Works in any dimension.
+    """
+    p = np.asarray(prices, dtype=float)
+    q = np.concatenate([bundle.x, bundle.e])
+    spec = agent.utility
+    forbidden = fiber.forbidden_goods()
+    bounds = fiber.constraints.lower_bounds()
+    income = sum(p[i] * agent.endowment.get(g, 0.0)
+                 for i, g in enumerate(fiber.goods) if g not in forbidden)
+    w = income - fiber.constraints.prior_claim_total
+    violations = [abs(float(p @ q) - w) / (1.0 + abs(w))]
+
+    interior, at_bound = [], []
+    for k, d in enumerate(fiber.dims):
+        if d in forbidden:
+            violations.append(abs(q[k]))
+            continue
+        lb = bounds.get(d, 0.0)
+        violations.append(max(lb - q[k], 0.0))
+        if k < fiber.n:
+            marginal = spec.alpha.get(d, 0.0) / (q[k] + EPSILON)
+        else:
+            marginal = agent.lam * spec.beta.get(d, 0.0) / (1.0 + q[k])
+            if spec.family is UtilityFamily.VEBLEN_PRICE_DEPENDENT:
+                marginal += agent.theta * (p[k] - spec.reference_premium.get(d, 1.0))
+        ratio = marginal / p[k]
+        (interior if q[k] > lb + 1e-9 * (1.0 + lb) else at_bound).append(ratio)
+
+    if interior:
+        mu = min(interior)
+        violations.append((max(interior) - mu) / abs(mu))
+        violations.extend(max(r - mu, 0.0) / abs(mu) for r in at_bound)
+    return max(violations)

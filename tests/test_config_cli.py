@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import dutybound
 from dutybound.cli import main
 from dutybound.config import (
     load_packaged_config,
@@ -250,3 +251,10 @@ class TestDeterminism:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert len(manifest["config_sha256"]) == 64
         assert manifest["seed"] == 1
+
+    def test_manifest_records_package_version(self, tmp_path):
+        # the package need not be installed: the version comes from the source
+        main(["solve", "--config", str(packaged_config_path("exchange")),
+              "--out", str(tmp_path)])
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["versions"]["dutybound"] == dutybound.__version__

@@ -6,6 +6,7 @@ import pytest
 from dutybound.duty import compile_constraints, load_registry
 from dutybound.economy import (
     Agent,
+    AgentRows,
     ExtendedBundle,
     Fiber,
     FiberEconomy,
@@ -13,6 +14,7 @@ from dutybound.economy import (
     UtilitySpec,
     agent_utility,
     demand,
+    demand_rows,
     disposable_income,
     feasible,
     utility_value,
@@ -24,7 +26,7 @@ from dutybound.errors import (
     NonPositivePrice,
 )
 
-from oracles import grid_search_demand
+from oracles import grid_search_demand, kkt_residual
 
 
 def cd_spec(alpha, beta=None):
@@ -253,6 +255,77 @@ class TestDemand:
             mine = agent_utility(agent, bundle, p, fiber)
             assert mine >= oracle_value - 1e-6
             assert abs(bundle.e[0] - oracle_bundle.e[0]) < 1e-2
+
+
+GOODS3 = ("g1", "g2", "g3")
+KKT_REGIMES = {
+    "free": ({}, []),
+    "prior_claim": ({"c": {"class": "perfect", "kind": "PRIOR_CLAIM", "amount": 0.3}}, ["c"]),
+    "require_min": ({"d1": {"class": "imperfect"},
+                     "c": {"class": "perfect", "kind": "REQUIRE_MIN", "target": "d1",
+                           "level": 0.4}}, ["c"]),
+    "forbid": ({"c": {"class": "perfect", "kind": "FORBID", "target": "g3"}}, ["c"]),
+}
+
+
+def random_agent(rng, name="a", veblen=False):
+    """3 goods, 1 duty; a VEBLEN agent has a positive status weight."""
+    family = (UtilityFamily.VEBLEN_PRICE_DEPENDENT if veblen
+              else UtilityFamily.COBB_DOUGLAS_EXTENDED)
+    spec = UtilitySpec(family=family,
+                       alpha=dict(zip(GOODS3, rng.uniform(0.1, 1.0, 3).tolist())),
+                       beta={"d1": float(rng.uniform(0.2, 1.5))},
+                       reference_premium={"d1": 1.0})
+    return Agent(id=name, utility=spec,
+                 endowment=dict(zip(GOODS3, rng.uniform(1.0, 3.0, 3).tolist())),
+                 lam=float(rng.uniform(0.2, 2.0)),
+                 theta=float(rng.uniform(0.5, 2.0)) if veblen else 0.0)
+
+
+def random_prices(rng):
+    """Goods prices, then a duty price on either side of the reference 1.0."""
+    return np.concatenate([rng.uniform(0.3, 3.0, 3), rng.uniform(0.5, 2.0, 1)])
+
+
+class TestDemandKKT:
+    """Demand checked against first-order conditions in four dimensions,
+    beyond the reach of the grid oracle."""
+
+    @pytest.mark.parametrize("regime", list(KKT_REGIMES))
+    def test_demand_meets_first_order_conditions(self, regime):
+        maxims, active = KKT_REGIMES[regime]
+        fiber = fiber_with(maxims, active, goods=GOODS3, duties=("d1",))
+        rng = np.random.default_rng(list(KKT_REGIMES).index(regime))
+        for k in range(60):
+            agent = random_agent(rng, veblen=k % 2 == 1)
+            p = random_prices(rng)
+            assert kkt_residual(agent, p, fiber, demand(agent, p, fiber)) < 1e-9
+
+    def test_oracle_flags_a_misallocated_bundle(self):
+        fiber = fiber_with(*KKT_REGIMES["forbid"], goods=GOODS3, duties=("d1",))
+        rng = np.random.default_rng(3)
+        agent = random_agent(rng, veblen=True)
+        p = random_prices(rng)
+        coords = demand(agent, p, fiber).coords
+        # same spending, moved from good 1 to good 2
+        moved = coords + np.array([-0.05 / p[0], 0.05 / p[1], 0.0, 0.0])
+        assert kkt_residual(agent, p, fiber, ExtendedBundle(x=moved[:3], e=moved[3:])) > 1e-3
+        held = coords + np.array([-0.05 / p[0], 0.0, 0.05 / p[2], 0.0])
+        assert kkt_residual(agent, p, fiber, ExtendedBundle(x=held[:3], e=held[3:])) >= 0.05
+
+
+class TestDemandRows:
+    def test_each_row_is_that_agents_demand(self):
+        rng = np.random.default_rng(5)
+        fiber = fiber_with(*KKT_REGIMES["require_min"], goods=GOODS3, duties=("d1",))
+        agents = [random_agent(rng, name=f"a{k}", veblen=k % 3 == 0) for k in range(12)]
+        rows = AgentRows.pack(fiber, agents)
+        for _ in range(5):
+            p = random_prices(rng)
+            batch = demand_rows(rows, p)
+            for row, agent in zip(batch, agents):
+                np.testing.assert_allclose(row, demand(agent, p, fiber).coords,
+                                           rtol=0.0, atol=1e-12)
 
 
 class TestFiberEconomy:

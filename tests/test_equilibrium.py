@@ -14,7 +14,12 @@ from dutybound.equilibrium import (
     trade_volumes,
     walras_gap,
 )
-from dutybound.errors import DimensionTooLarge, SingularJacobian
+from dutybound.errors import (
+    DimensionTooLarge,
+    InfeasibleDutySet,
+    NonPositivePrice,
+    SingularJacobian,
+)
 
 from oracles import cd_equilibrium_2good
 
@@ -58,6 +63,25 @@ class SyntheticEconomy:
 
 
 class TestExcessDemand:
+    def test_names_first_agent_whose_claim_exceeds_income(self):
+        reg = load_registry({
+            "goods": ["g1", "g2"], "imperfect_duties": [],
+            "maxims": {"debt": {"class": "perfect", "kind": "PRIOR_CLAIM", "amount": 1.0}},
+            "bundles": {"y": {"label": "y", "active": ["debt"]}},
+        })
+        fiber = Fiber(y_id="y", goods=("g1", "g2"), duties=(),
+                      constraints=compile_constraints(reg.bundles["y"], reg))
+        economy = FiberEconomy(fiber=fiber, agents=(
+            cd_agent("rich", 0.5, 3.0, 3.0), cd_agent("poor", 0.5, 0.3, 0.2),
+            cd_agent("poorer", 0.5, 0.1, 0.1)))
+        with pytest.raises(InfeasibleDutySet, match="'poor'") as err:
+            excess_demand(economy, np.array([1.0, 1.0]))
+        assert err.value.agent_id == "poor"
+
+    def test_names_the_nonpositive_price(self):
+        with pytest.raises(NonPositivePrice, match="'g2'"):
+            excess_demand(symmetric_economy(), np.array([1.0, -0.5]))
+
     def test_symmetric_clears_at_unit_prices(self):
         z = excess_demand(symmetric_economy(), np.array([1.0, 1.0]))
         assert np.allclose(z, 0.0, atol=1e-9)

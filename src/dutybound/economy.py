@@ -41,6 +41,7 @@ import numpy as np
 from .duty import ConstraintSet, DutyKind
 from .errors import (
     DimensionMismatch,
+    DutyModelError,
     InfeasibleDutySet,
     NegativeInput,
     NoConvergence,
@@ -208,11 +209,33 @@ class Agent:
                      lam=self.lam, theta=self.theta)
 
 
-def _as_price_array(prices, dims: int) -> np.ndarray:
+def _as_price_array(prices, dims: int, batch: bool = False) -> np.ndarray:
+    """One price vector of length ``dims``; with ``batch``, also an
+    ``(m, dims)`` array of them."""
     p = np.asarray(getattr(prices, "values", prices), dtype=float)
-    if p.shape != (dims,):
-        raise DimensionMismatch(dims, p.size, "price vector")
+    if p.shape != (dims,) and not (batch and p.ndim == 2 and p.shape[1] == dims):
+        raise DimensionMismatch(dims, p.shape[-1] if p.ndim == 2 else p.size, "price vector")
     return p
+
+
+def _spend(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Cost p . q of each row of ``q``, at one price vector or at prices that
+    broadcast against the rows."""
+    return q @ p if p.ndim == 1 else np.einsum("...j,...j->...", q, p)
+
+
+def _income(fiber: Fiber, endowment: np.ndarray, p: np.ndarray):
+    """Income from tradable endowments and what is left of it after the
+    regime's prior claims, per endowment row (forbidden goods are
+    demonetized). A negative remainder means the claims cannot be met;
+    ``_unmet_claims`` says so."""
+    _, forbidden, _, _ = fiber.columns
+    income = _spend(endowment, np.where(forbidden[: fiber.n], 0.0, p[..., : fiber.n]))
+    return income, income - fiber.constraints.prior_claim_total
+
+
+def _unmet_claims(fiber: Fiber, income: float) -> str:
+    return f"prior claims {fiber.constraints.prior_claim_total:g} exceed income {income:g}"
 
 
 def disposable_income(agent: Agent, prices, fiber: Fiber) -> float:
@@ -222,14 +245,10 @@ def disposable_income(agent: Agent, prices, fiber: Fiber) -> float:
     set is empty and this is surfaced, never clipped.
     """
     p = _as_price_array(prices, fiber.n + fiber.l)
-    tradable = set(fiber.tradable_goods())
-    mask = np.array([g in tradable for g in fiber.goods])
-    income = float(np.sum(p[: fiber.n][mask] * agent.endowment_for(fiber.goods)[mask]))
-    w = income - fiber.constraints.prior_claim_total
+    income, w = _income(fiber, agent.endowment_for(fiber.goods), p)
     if w < 0:
-        raise InfeasibleDutySet(agent.id, f"prior claims {fiber.constraints.prior_claim_total:g} "
-                                          f"exceed income {income:g}")
-    return w
+        raise InfeasibleDutySet(agent.id, _unmet_claims(fiber, income))
+    return float(w)
 
 
 def feasible(agent: Agent, prices, fiber: Fiber, candidate: ExtendedBundle) -> bool:
@@ -305,7 +324,8 @@ def demand(agent: Agent, prices, fiber: Fiber) -> ExtendedBundle:
 
 
 def demand_rows(rows: AgentRows, prices) -> np.ndarray:
-    """Demand of every packed agent at one price vector, one row per agent.
+    """Demand of every packed agent, one row per agent: ``(agents, d)`` at one
+    price vector of length d, ``(m, agents, d)`` at an ``(m, d)`` batch of them.
 
     First-order conditions per coordinate, given the income multiplier mu:
 
@@ -321,44 +341,60 @@ def demand_rows(rows: AgentRows, prices) -> np.ndarray:
     (all free weights zero) settle on the lexicographically smallest vector,
     i.e. every coordinate at its bound.
 
-    Errors name the first agent, in row order, whose feasible set is empty.
+    In a batch the agents' arrays broadcast against each price vector, and
+    the error raised is the one a loop over the vectors would raise first.
     """
     fiber = rows.fiber
     n = fiber.n
     lb, forbidden, _, conflict = fiber.columns
-    p = _as_price_array(prices, n + fiber.l)
-    if np.any(p <= 0):
-        bad = int(np.argmin(p))
-        raise NonPositivePrice(fiber.dims[bad], float(p[bad]))
+    p = _as_price_array(prices, n + fiber.l, batch=True)
+    if p.ndim == 2:
+        p = p[:, None, :]  # broadcasts over the agents
 
-    claim = fiber.constraints.prior_claim_total
-    income = rows.endowment @ np.where(forbidden[:n], 0.0, p[:n])
-    w = income - claim
-    fixed_cost = float(p @ lb)
+    income, w = _income(fiber, rows.endowment, p)
+    fixed_cost = p @ lb
     empty = (w < 0) | (fixed_cost > w * (1 + 1e-12) + 1e-12) | (conflict is not None)
-    if empty.any():
-        k = int(np.argmax(empty))
-        if w[k] < 0:
-            reason = f"prior claims {claim:g} exceed income {income[k]:g}"
-        elif conflict is not None:
-            reason = f"{conflict!r} is both forbidden and required"
-        else:
-            reason = f"required minima cost {fixed_cost:g} but disposable income is {w[k]:g}"
-        raise InfeasibleDutySet(rows.ids[k], reason)
+    if np.any(p <= 0) or empty.any():
+        raise _first_error(rows, p, income, w, fixed_cost, empty)
 
     # status-premium tilt on duty prices; zero for goods and for theta = 0
-    tilt = np.zeros_like(rows.weight)
-    tilt[:, n:] = rows.theta[:, None] * (p[n:] - rows.p_bar)
+    tilt = np.zeros(w.shape + lb.shape)
+    tilt[..., n:] = rows.theta[:, None] * (p[..., n:] - rows.p_bar)
     # The closed form runs on every row and is kept only for untilted rows
     # that pass its KKT check. Rows with no weight left divide zero by zero
     # there (and are set to their bounds); the bisection's outer probes at
     # mu = 1e300 and 1e-300 overflow on purpose.
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
         coords, ok = _active_set_rows(fiber, p, w, rows.weight)
-        todo = ~ok | tilt.any(axis=1)
+        todo = ~ok | tilt.any(axis=-1)
         if todo.any():
-            coords[todo] = _bisect_rows(fiber, p, w[todo], rows.weight[todo], tilt[todo])
+            at = np.nonzero(todo)  # the rows' (vector and) agent indices
+            coords[todo] = _bisect_rows(fiber, p if p.ndim == 1 else p[at[0], 0], w[todo],
+                                        rows.weight[at[-1]], tilt[todo])
     return coords
+
+
+def _first_error(rows: AgentRows, p, income, w, fixed_cost, empty) -> DutyModelError:
+    """What a loop over the price vectors would raise first. At the first
+    vector that has a non-positive price or an agent whose feasible set is
+    empty, that is the bad price, or else the first such agent in row order."""
+    fiber, count = rows.fiber, len(rows.ids)
+    _, _, _, conflict = fiber.columns
+    vectors = p.reshape(-1, p.shape[-1])
+    k = int(np.argmax(empty)) if empty.any() else empty.size
+    bad_vectors = np.flatnonzero((vectors[: k // count + 1] <= 0).any(axis=1))
+    if bad_vectors.size:
+        v = vectors[bad_vectors[0]]
+        bad = int(np.argmin(v))
+        return NonPositivePrice(fiber.dims[bad], float(v[bad]))
+    if w.flat[k] < 0:
+        reason = _unmet_claims(fiber, income.flat[k])
+    elif conflict is not None:
+        reason = f"{conflict!r} is both forbidden and required"
+    else:
+        cost = np.broadcast_to(fixed_cost, w.shape).flat[k]
+        reason = f"required minima cost {cost:g} but disposable income is {w.flat[k]:g}"
+    return InfeasibleDutySet(rows.ids[k % count], reason)
 
 
 def _active_set_rows(fiber: Fiber, p, w, weight):
@@ -373,14 +409,14 @@ def _active_set_rows(fiber: Fiber, p, w, weight):
     KKT check; the others go to bisection.
     """
     lb, forbidden, offset, _ = fiber.columns
-    clipped = np.zeros(weight.shape, dtype=bool) | forbidden
-    ok = np.ones(len(w), dtype=bool)
+    clipped = np.zeros(w.shape + lb.shape, dtype=bool) | forbidden
+    ok = np.ones(w.shape, dtype=bool)
     while True:
-        total_weight = np.where(clipped, 0.0, weight).sum(axis=1)
-        pool = w + np.where(clipped, -p * lb, p * offset).sum(axis=1)
+        total_weight = np.where(clipped, 0.0, weight).sum(axis=-1)
+        pool = w + np.where(clipped, -p * lb, p * offset).sum(axis=-1)
         ok &= (pool > 0.0) | (total_weight <= 0.0)
         mu = total_weight / pool
-        wanted = weight / (mu[:, None] * p) - offset
+        wanted = weight / (mu[..., None] * p) - offset
         violating = ~clipped & (wanted < lb)
         if not violating.any():
             break
@@ -389,12 +425,13 @@ def _active_set_rows(fiber: Fiber, p, w, weight):
     # clipped coordinate must genuinely want no more than its bound
     flat = total_weight <= 0.0
     held = clipped & ~forbidden
-    ok &= flat | ~(held & (wanted > lb + 1e-9 * (1.0 + np.abs(lb)))).any(axis=1)
-    return np.where(clipped | flat[:, None], lb, wanted), ok
+    ok &= flat | ~(held & (wanted > lb + 1e-9 * (1.0 + np.abs(lb)))).any(axis=-1)
+    return np.where(clipped | flat[..., None], lb, wanted), ok
 
 
 def _bisect_rows(fiber: Fiber, p, w, weight, tilt) -> np.ndarray:
-    """Rows solved by geometric bisection on mu, a bracket per row."""
+    """Rows solved by geometric bisection on mu, a bracket per row, at one
+    price vector ``p`` or at one per row."""
     lb, forbidden, offset, _ = fiber.columns
     big = (w[:, None] + 1.0) / p + lb  # any value above this overshoots the budget
     unweighted = weight == 0
@@ -410,14 +447,15 @@ def _bisect_rows(fiber: Fiber, p, w, weight, tilt) -> np.ndarray:
 
     # the bounds exhaust the budget exactly: nothing left to allocate
     out = coords_at(np.full(len(w), 1e300))
-    rest = w - float(p @ lb) > 0
+    rest = w - p @ lb > 0
     # nothing worth buying beyond the bounds: lexicographically smallest point
     lazy = coords_at(np.full(len(w), 1e-300))
-    idle = rest & (lazy @ p <= w * (1 + 1e-12) + 1e-12)
+    idle = rest & (_spend(lazy, p) <= w * (1 + 1e-12) + 1e-12)
     out[idle] = lazy[idle]
     rest &= ~idle
     if not rest.any():
         return out
+    p = p if p.ndim == 1 else p[rest]  # one price vector, or one per row
     w, weight, tilt, big, floor, unweighted = \
         w[rest], weight[rest], tilt[rest], big[rest], floor[rest], unweighted[rest]
 
@@ -425,14 +463,14 @@ def _bisect_rows(fiber: Fiber, p, w, weight, tilt) -> np.ndarray:
     # mu_lo stops above zero
     mu_lo, mu_hi = np.ones(len(w)), np.ones(len(w))
     for _ in range(400):
-        low = coords_at(mu_lo) @ p < w
+        low = _spend(coords_at(mu_lo), p) < w
         if not low.any():
             break
         mu_lo = np.where(low, mu_lo / 8.0, mu_lo)
     else:
         raise NoConvergence(400)
     for _ in range(400):
-        high = coords_at(mu_hi) @ p > w
+        high = _spend(coords_at(mu_hi), p) > w
         if not high.any():
             break
         mu_hi = np.where(high, mu_hi * 8.0, mu_hi)
@@ -441,7 +479,7 @@ def _bisect_rows(fiber: Fiber, p, w, weight, tilt) -> np.ndarray:
 
     for _ in range(90):
         mid = np.sqrt(mu_lo * mu_hi)
-        above = coords_at(mid) @ p >= w
+        above = _spend(coords_at(mid), p) >= w
         lo, hi = np.where(above, mid, mu_lo), np.where(above, mu_hi, mid)
         # a step that moves neither end would repeat forever
         if (lo == mu_lo).all() and (hi == mu_hi).all():
@@ -449,7 +487,7 @@ def _bisect_rows(fiber: Fiber, p, w, weight, tilt) -> np.ndarray:
         mu_lo, mu_hi = lo, hi
 
     final = coords_at(0.5 * (mu_lo + mu_hi))
-    residual = w - final @ p
+    residual = w - _spend(final, p)
     # a pure-status coordinate (zero log weight, positive premium value) has
     # constant marginal utility, so spending jumps there; the optimum puts
     # the leftover budget into the best such coordinate
@@ -457,7 +495,7 @@ def _bisect_rows(fiber: Fiber, p, w, weight, tilt) -> np.ndarray:
     best = np.argmax(ratio, axis=1)
     k = np.flatnonzero((residual > 1e-9 * (1 + w))
                        & (ratio[np.arange(len(w)), best] > 0))
-    final[k, best[k]] += residual[k] / p[best[k]]
+    final[k, best[k]] += residual[k] / (p[best[k]] if p.ndim == 1 else p[k, best[k]])
     out[rest] = final
     return out
 

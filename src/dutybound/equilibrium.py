@@ -85,15 +85,20 @@ class EquilibriumResult:
 
 
 def _z(economy, prices: np.ndarray) -> np.ndarray:
-    """Dispatch: a custom economy may supply its own excess-demand map."""
+    """Excess demand at one price vector, or at each row of an ``(m, d)``
+    batch. A custom economy may supply its own excess-demand map of one
+    vector; a batch maps it over the rows."""
     custom = getattr(economy, "excess_demand", None)
-    if custom is not None:
-        return np.asarray(custom(prices), dtype=float)
-    return excess_demand(economy, prices)
+    if custom is None:
+        return excess_demand(economy, prices)
+    if np.ndim(prices) == 2:
+        return np.array([custom(p) for p in prices], dtype=float)
+    return np.asarray(custom(prices), dtype=float)
 
 
 def excess_demand(economy: FiberEconomy, prices) -> np.ndarray:
-    """Aggregate excess demand, sink included.
+    """Aggregate excess demand, sink included: a length-d vector at one price
+    vector, an ``(m, d)`` array at an ``(m, d)`` batch, one row per vector.
 
     Per good: total demand minus total endowment. Duty coordinates are zero
     by construction (elastic supply), demonetized goods have no market, and
@@ -106,12 +111,15 @@ def excess_demand(economy: FiberEconomy, prices) -> np.ndarray:
     _, forbidden, _, _ = rows.fiber.columns
     coords = demand_rows(rows, p)
 
-    z = np.zeros(coords.shape[1])
-    z[:n] = np.where(forbidden[:n], 0.0, coords[:, :n].sum(axis=0) - economy.total_endowment)
-    sink = rows.fiber.constraints.prior_claim_total * len(rows.ids) \
-        + float((coords[:, n:] @ p[n:]).sum())
+    z = np.zeros(p.shape)
+    z[..., :n] = np.where(forbidden[:n], 0.0,
+                          coords[..., :n].sum(axis=-2) - economy.total_endowment)
+    duty_spend = (coords[:, n:] @ p[n:]).sum() if p.ndim == 1 else \
+        np.einsum("kaj,kj->k", coords[..., n:], p[:, n:])
+    sink = rows.fiber.constraints.prior_claim_total * len(rows.ids) + duty_spend
     num = economy.numeraire_index
-    z[num] += sink / p[num]
+    # .T[num] is the numeraire entry of one vector and column of a batch
+    z.T[num] += sink / p.T[num]
     return z
 
 
@@ -189,9 +197,10 @@ def solve_grid_oracle(economy, resolution: int = 200, lo: float = 0.05,
     """Exhaustive scan of normalized price grids for fibers with at most
     three priced dimensions; the independent verification route.
 
-    Scans a geometric grid over the free prices, keeps local minima of the
-    residual norm below ``band``, and sharpens sign changes by bisection
-    (one free price) or a short damped Newton polish (two free prices).
+    Evaluates a geometric grid over the free prices in one batched call,
+    keeps local minima of the residual norm below ``band``, and sharpens
+    sign changes by bisection (one free price) or a short damped Newton
+    polish (two free prices).
     """
     if resolution < 10:
         raise ValueError("resolution must be at least 10 points per dimension")
@@ -209,20 +218,22 @@ def solve_grid_oracle(economy, resolution: int = 200, lo: float = 0.05,
             p[idx] = v
         return p
 
-    def residual_at(values) -> float:
-        return float(np.max(np.abs(_z(economy, full(values)))))
-
     if not free:
         return [PriceVector.normalized(base, economy.dims, economy.numeraire_index)] \
-            if residual_at([]) <= band else []
+            if float(np.max(np.abs(_z(economy, base)))) <= band else []
 
     grid = np.geomspace(lo, hi, resolution)
     found: list[np.ndarray] = []
+    # the whole grid in one batch, row-major over the free prices
+    points = np.tile(base, (resolution ** len(free), 1))
+    for idx, values in zip(free, np.meshgrid(*[grid] * len(free), indexing="ij")):
+        points[:, idx] = values.ravel()
+    zgrid = _z(economy, points)
+    rs = np.max(np.abs(zgrid), axis=1).reshape((resolution,) * len(free))
 
     if len(free) == 1:
         k = free[0]
-        zs = np.array([_z(economy, full([g]))[k] for g in grid])
-        rs = np.array([residual_at([g]) for g in grid])
+        zs = zgrid[:, k]
         for i in range(resolution - 1):
             if zs[i] == 0.0:
                 found.append(np.array([grid[i]]))
@@ -231,6 +242,9 @@ def solve_grid_oracle(economy, resolution: int = 200, lo: float = 0.05,
                 za = zs[i]
                 for _ in range(80):
                     mid = math.sqrt(a * b)
+                    # the bracket can no longer shrink: no later step moves it
+                    if mid == a or mid == b:
+                        break
                     zm = _z(economy, full([mid]))[k]
                     if zm == 0.0:
                         a = b = mid
@@ -244,23 +258,18 @@ def solve_grid_oracle(economy, resolution: int = 200, lo: float = 0.05,
             found.append(np.array([grid[-1]]))
         # tangential near-equilibria: interior local minima below the band
         # that no sign change already covers
-        for i in range(1, resolution - 1):
-            if rs[i] <= band and rs[i] < rs[i - 1] and rs[i] <= rs[i + 1]:
-                if not any(grid[i - 1] <= f[0] <= grid[i + 1] for f in found):
-                    found.append(np.array([grid[i]]))
+        inner = rs[1:-1]
+        minima = (inner <= band) & (inner < rs[:-2]) & (inner <= rs[2:])
+        for i in np.flatnonzero(minima) + 1:
+            if not any(grid[i - 1] <= f[0] <= grid[i + 1] for f in found):
+                found.append(np.array([grid[i]]))
     else:
-        rs = np.empty((resolution, resolution))
-        for i, gi in enumerate(grid):
-            for j, gj in enumerate(grid):
-                rs[i, j] = residual_at([gi, gj])
-        for i in range(resolution):
-            for j in range(resolution):
-                if rs[i, j] > band:
-                    continue
-                window = rs[max(i - 1, 0): i + 2, max(j - 1, 0): j + 2]
-                if rs[i, j] <= window.min():
-                    found.append(_newton_polish(economy, free, full,
-                                                np.array([grid[i], grid[j]])))
+        # local minima of the residual over each point's 3x3 neighbourhood
+        padded = np.pad(rs, 1, constant_values=np.inf)
+        window = np.min([padded[di: di + resolution, dj: dj + resolution]
+                         for di in range(3) for dj in range(3)], axis=0)
+        for i, j in np.argwhere((rs <= band) & (rs <= window)):
+            found.append(_newton_polish(economy, free, full, np.array([grid[i], grid[j]])))
 
     # dedupe: points within two grid steps (geometric) are the same equilibrium
     step_ratio = (hi / lo) ** (1.0 / (resolution - 1))
@@ -275,21 +284,24 @@ def solve_grid_oracle(economy, resolution: int = 200, lo: float = 0.05,
             for u in sorted(unique, key=lambda v: tuple(v))]
 
 
+def _jacobian(economy, p: np.ndarray, free: Sequence[int], h: float) -> np.ndarray:
+    """Central-difference Jacobian of excess demand in the free prices (rows
+    and columns ``free``): the 2k bumped price vectors in one batched call."""
+    k = len(free)
+    bumped = np.tile(p, (2 * k, 1))
+    bumped[np.arange(k), free] += h
+    bumped[np.arange(k, 2 * k), free] -= h
+    zf = _z(economy, bumped)[:, free]
+    return (zf[:k] - zf[k:]).T / (2 * h)
+
+
 def _newton_polish(economy, free, full, values: np.ndarray, iters: int = 60) -> np.ndarray:
-    h = 1e-6
     for _ in range(iters):
         p = full(values)
         zf = _z(economy, p)[free]
         if np.max(np.abs(zf)) < 1e-12:
             break
-        J = np.empty((len(free), len(free)))
-        for col, idx in enumerate(free):
-            bumped = values.copy()
-            bumped[col] = values[col] + h
-            zp = _z(economy, full(bumped))[free]
-            bumped[col] = values[col] - h
-            zm = _z(economy, full(bumped))[free]
-            J[:, col] = (zp - zm) / (2 * h)
+        J = _jacobian(economy, p, free, h=1e-6)
         try:
             delta = np.linalg.solve(J, -zf)
         except np.linalg.LinAlgError:
@@ -320,14 +332,7 @@ def equilibrium_index(economy, p_star, h: float = 1e-5,
     if not free:
         return +1
 
-    J = np.empty((len(free), len(free)))
-    for col, idx in enumerate(free):
-        up = p.copy()
-        up[idx] += h
-        down = p.copy()
-        down[idx] -= h
-        J[:, col] = (_z(economy, up)[free] - _z(economy, down)[free]) / (2 * h)
-
+    J = _jacobian(economy, p, free, h)
     det = float(np.linalg.det(-J))
     # Hadamard row bound, floored at one so a vanishing Jacobian still counts
     # as singular at economic scales

@@ -328,6 +328,111 @@ class TestDemandRows:
                                            rtol=0.0, atol=1e-12)
 
 
+CLAIM_AND_FORBID = ({"c": {"class": "perfect", "kind": "PRIOR_CLAIM", "amount": 0.3},
+                     "f": {"class": "perfect", "kind": "FORBID", "target": "g3"}}, ["c", "f"])
+
+
+def first_error(solve, vectors):
+    """The error a loop over the price vectors raises first."""
+    for p in vectors:
+        try:
+            solve(p)
+        except (InfeasibleDutySet, NonPositivePrice) as exc:
+            return exc
+    raise AssertionError("no price vector raised")
+
+
+class TestDemandRowsBatch:
+    """A batch of price vectors against one call per vector."""
+
+    @pytest.mark.parametrize("regime", list(KKT_REGIMES))
+    def test_each_row_is_the_single_vector_call(self, regime):
+        rng = np.random.default_rng(11 + list(KKT_REGIMES).index(regime))
+        fiber = fiber_with(*KKT_REGIMES[regime], goods=GOODS3, duties=("d1",))
+        agents = [random_agent(rng, name=f"a{k}", veblen=k % 3 == 0) for k in range(9)]
+        rows = AgentRows.pack(fiber, agents)
+        prices = np.array([random_prices(rng) for _ in range(16)])
+        batch = demand_rows(rows, prices)
+        assert batch.shape == (16, 9, 4)
+        for p, got in zip(prices, batch):
+            np.testing.assert_allclose(got, demand_rows(rows, p), rtol=0.0, atol=1e-12)
+
+    def test_rows_idle_at_their_bounds_mix_with_bisected_rows(self):
+        """A status-only agent (all log weight on a forbidden good) buys
+        nothing below the reference duty price and only duty above it, next
+        to an ordinary VEBLEN agent: the batch's bisection sees a subset of
+        its rows."""
+        fiber = fiber_with(*KKT_REGIMES["forbid"], goods=GOODS3, duties=("d1",))
+        status_only = Agent(id="s", endowment={"g1": 2.0, "g2": 1.0},
+                            utility=UtilitySpec(family=UtilityFamily.VEBLEN_PRICE_DEPENDENT,
+                                                alpha={"g3": 1.0}, beta={"d1": 0.0},
+                                                reference_premium={"d1": 1.0}),
+                            theta=1.0)
+        agents = [random_agent(np.random.default_rng(6), name="v", veblen=True), status_only]
+        rows = AgentRows.pack(fiber, agents)
+        prices = np.array([[1.0, 1.2, 0.8, 0.5], [0.7, 1.0, 1.5, 2.0], [1.3, 0.9, 1.0, 0.9]])
+        batch = demand_rows(rows, prices)
+        for p, got in zip(prices, batch):
+            np.testing.assert_allclose(got, demand_rows(rows, p), rtol=0.0, atol=1e-12)
+        assert np.all(batch[[0, 2], 1] == 0.0) and batch[1, 1, 3] > 0
+
+    def claim_rows(self):
+        """A rich agent, a poor one and a middling one under a prior claim of 0.3."""
+        fiber = fiber_with(*CLAIM_AND_FORBID, goods=GOODS3, duties=("d1",))
+        rng = np.random.default_rng(2)
+        agents = [random_agent(rng, name=f"a{k}") for k in range(3)]
+        agents = [a.with_endowment({g: q * scale for g, q in a.endowment.items()})
+                  for a, scale in zip(agents, (10.0, 0.15, 1.0))]
+        return AgentRows.pack(fiber, agents)
+
+    @pytest.mark.parametrize("order", [
+        ("ok", "poor_fails", "all_fail"),
+        ("ok", "nonpositive", "poor_fails"),
+        ("ok", "all_fail", "nonpositive"),
+        ("ok", "ok", "all_fail"),
+        ("nonpositive_twice", "all_fail"),
+    ])
+    def test_batch_raises_what_a_loop_raises_first(self, order):
+        rows = self.claim_rows()
+        vectors = {"ok": [1.0, 1.0, 1.0, 1.0], "poor_fails": [0.2, 0.2, 0.2, 1.0],
+                   "all_fail": [1e-3, 1e-3, 1e-3, 1.0], "nonpositive": [1.0, 1.0, -2.0, 1.0],
+                   "nonpositive_twice": [1.0, 0.0, -3.0, 1.0]}
+        prices = np.array([vectors[name] for name in order])
+        expected = first_error(lambda p: demand_rows(rows, p), prices)
+        with pytest.raises(type(expected)) as raised:
+            demand_rows(rows, prices)
+        assert str(raised.value) == str(expected)
+
+    def test_batch_of_wrong_width_rejected(self):
+        rows = AgentRows.pack(plain_fiber(), [Agent(id="a", endowment={"g1": 1.0},
+                                                    utility=cd_spec({"g1": 1.0}))])
+        with pytest.raises(DimensionMismatch):
+            demand_rows(rows, np.ones((4, 3)))
+
+
+class TestIncomeRule:
+    """``disposable_income`` and the demand kernel apply one income rule."""
+
+    def test_same_income_and_same_error_under_claim_and_forbid(self):
+        fiber = fiber_with(*CLAIM_AND_FORBID, goods=GOODS3, duties=("d1",))
+        rng = np.random.default_rng(4)
+        for k in range(20):
+            agent = random_agent(rng, veblen=k % 2 == 1)
+            p = random_prices(rng)
+            # demand spends exactly the disposable budget; the forbidden g3
+            # endowment earns nothing on either path
+            spent = float(p @ demand(agent, p, fiber).coords)
+            assert spent == pytest.approx(disposable_income(agent, p, fiber), rel=1e-12)
+            # a high price of the forbidden good would pay the claims if it counted
+            poor = p * np.array([0.01, 0.01, 100.0, 1.0])
+            with pytest.raises(InfeasibleDutySet) as from_income:
+                disposable_income(agent, poor, fiber)
+            with pytest.raises(InfeasibleDutySet) as from_demand:
+                demand(agent, poor, fiber)
+            assert str(from_income.value) == str(from_demand.value)
+            assert "prior claims 0.3 exceed income" in str(from_demand.value)
+
+
 class TestFiberEconomy:
     def test_solvability_warning_fires(self):
         fiber = plain_fiber()

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from dutybound import equilibrium
 from dutybound.duty import compile_constraints, load_registry
 from dutybound.economy import Agent, Fiber, FiberEconomy, UtilityFamily, UtilitySpec
 from dutybound.equilibrium import (
     PriceVector,
+    _jacobian,
     equilibrium_index,
     excess_demand,
     solve_grid_oracle,
@@ -128,6 +130,75 @@ class TestExcessDemand:
             assert walras_gap(p, excess_demand(economy, p)) <= 1e-10
 
 
+def claim_and_duty_economy():
+    """Two goods and a priced duty under a prior claim; one agent in three
+    is VEBLEN, so both the closed form and the bisection run."""
+    reg = load_registry({
+        "goods": ["g1", "g2"],
+        "imperfect_duties": ["d1"],
+        "maxims": {
+            "d1": {"class": "imperfect"},
+            "debt": {"class": "perfect", "kind": "PRIOR_CLAIM", "amount": 0.3},
+        },
+        "bundles": {"y": {"label": "y", "active": ["debt"]}},
+    })
+    fiber = Fiber(y_id="y", goods=("g1", "g2"), duties=("d1",),
+                  constraints=compile_constraints(reg.bundles["y"], reg))
+    rng = np.random.default_rng(8)
+    agents = []
+    for k in range(6):
+        family = UtilityFamily.VEBLEN_PRICE_DEPENDENT if k % 3 == 0 \
+            else UtilityFamily.COBB_DOUGLAS_EXTENDED
+        spec = UtilitySpec(family=family, alpha={"g1": float(rng.uniform(0.2, 1.0)),
+                                                 "g2": float(rng.uniform(0.2, 1.0))},
+                           beta={"d1": float(rng.uniform(0.2, 1.5))})
+        agents.append(Agent(id=f"a{k}", utility=spec, lam=float(rng.uniform(0.2, 2.0)),
+                            theta=1.5 if k % 3 == 0 else 0.0,
+                            endowment={"g1": float(rng.uniform(1.0, 3.0)),
+                                       "g2": float(rng.uniform(1.0, 3.0))}))
+    return FiberEconomy(fiber=fiber, agents=tuple(agents), duty_prices={"d1": 1.2})
+
+
+class TestExcessDemandBatch:
+    def test_each_row_is_the_single_vector_call(self):
+        economy = claim_and_duty_economy()
+        rng = np.random.default_rng(9)
+        prices = np.column_stack([np.ones(12), rng.uniform(0.3, 3.0, 12),
+                                  rng.uniform(0.5, 2.0, 12)])
+        batch = excess_demand(economy, prices)
+        assert batch.shape == (12, 3)
+        for p, z in zip(prices, batch):
+            np.testing.assert_allclose(z, excess_demand(economy, p), rtol=0.0, atol=1e-12)
+            assert walras_gap(p, z) <= 1e-10
+
+    def test_custom_map_of_one_vector_is_mapped_over_a_batch(self):
+        economy = SyntheticEconomy()
+        prices = np.array([[1.0, 0.7], [1.0, 1.3]])
+        np.testing.assert_array_equal(equilibrium._z(economy, prices),
+                                      [economy.excess_demand(p) for p in prices])
+
+
+class TestJacobian:
+    def test_matches_analytic_cobb_douglas(self):
+        """dz_i/dp_j = sum_a alpha_ai w_aj / p_i - [i = j] sum_a alpha_ai (p.w_a) / p_i^2
+        for weights alpha_a summing to one, with no reference to the solver."""
+        goods = ("g1", "g2", "g3")
+        alpha = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]])
+        w = np.array([[2.0, 0.5, 1.0], [0.4, 1.5, 2.5]])
+        agents = tuple(Agent(id=f"a{k}", endowment=dict(zip(goods, w[k])),
+                             utility=UtilitySpec(family=UtilityFamily.COBB_DOUGLAS_EXTENDED,
+                                                 alpha=dict(zip(goods, alpha[k]))))
+                       for k in range(2))
+        economy = FiberEconomy(fiber=Fiber(y_id="y", goods=goods, duties=()), agents=agents)
+        p = np.array([1.0, 1.7, 0.6])
+        income = w @ p
+        analytic = (alpha.T @ w) / p[:, None] - np.diag(alpha.T @ income / p ** 2)
+        free = economy.free_indices()
+        for h in (1e-5, 1e-6):
+            np.testing.assert_allclose(_jacobian(economy, p, free, h),
+                                       analytic[np.ix_(free, free)], rtol=0.0, atol=1e-6)
+
+
 class TestTatonnement:
     def test_symmetric_equilibrium(self):
         result = solve_tatonnement(symmetric_economy(), p0=np.array([1.0, 1.6]),
@@ -221,6 +292,37 @@ class TestGridOracle:
         assert len(candidates) == 3
         ratios = sorted(c.values[1] for c in candidates)
         assert np.allclose(ratios, [0.5, 1.0, 2.0], atol=1e-6)
+
+    def test_synthetic_roots_are_exact(self):
+        candidates = solve_grid_oracle(SyntheticEconomy(), resolution=200)
+        np.testing.assert_allclose([c.values[1] for c in candidates], [0.5, 1.0, 2.0],
+                                   rtol=0.0, atol=1e-12)
+
+    def test_grid_is_one_batch(self, monkeypatch):
+        """One excess-demand call covers the grid; what follows is bisection
+        (one vector) or Newton polishing (one vector or a Jacobian batch)."""
+        shapes = []
+
+        def recording(economy, prices):
+            shapes.append(np.shape(prices))
+            return excess_demand(economy, prices)
+
+        monkeypatch.setattr(equilibrium, "excess_demand", recording)
+        goods = ("g1", "g2", "g3")
+        spec = UtilitySpec(family=UtilityFamily.COBB_DOUGLAS_EXTENDED,
+                           alpha={"g1": 1.0, "g2": 1.0, "g3": 1.0})
+        # equilibrium at unit prices, a point of the odd-sized grid
+        economy = FiberEconomy(
+            fiber=Fiber(y_id="y", goods=goods, duties=()),
+            agents=(Agent(id="a", endowment={"g1": 2.0, "g2": 1.0, "g3": 1.5}, utility=spec),
+                    Agent(id="b", endowment={"g1": 1.0, "g2": 2.0, "g3": 1.5}, utility=spec)))
+        found = solve_grid_oracle(economy, resolution=41)
+        np.testing.assert_allclose([f.values for f in found], [[1.0, 1.0, 1.0]], atol=1e-9)
+        assert shapes[0] == (1681, 3)
+        assert set(shapes[1:]) <= {(3,), (4, 3)} and len(shapes) > 1
+        shapes.clear()
+        solve_grid_oracle(symmetric_economy(), resolution=101)
+        assert shapes[0] == (101, 2) and set(shapes[1:]) == {(2,)}
 
     def test_dimension_guard(self):
         fiber = Fiber(y_id="y", goods=("a", "b", "c", "d"), duties=())

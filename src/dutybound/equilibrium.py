@@ -11,11 +11,13 @@ absorb numeraire. The sink therefore appears as extra demand on the
 numeraire market, which makes Walras' law an exact identity at every price
 vector and lets economies with active duties actually clear.
 
-Besides the tatonnement solver there is an exhaustive price-grid oracle for
-low-dimensional fibers (the independent check used throughout the tests) and
-the equilibrium index, the sign of det(-J) of truncated excess demand - the
-desk-scale handle on multiplicity: indices over all equilibria of a regular
-economy sum to +1.
+The solver takes damped Newton steps with tatonnement as its fallback, and
+measures excess demand relative to total endowment, so its answer does not
+depend on the unit endowments are in. Besides it there is an exhaustive
+price-grid oracle for low-dimensional fibers (the independent check used
+throughout the tests) and the equilibrium index, the sign of det(-J) of
+truncated excess demand - the desk-scale handle on multiplicity: indices
+over all equilibria of a regular economy sum to +1.
 """
 
 from __future__ import annotations
@@ -26,13 +28,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .economy import ExtendedBundle, FiberEconomy, demand_rows
+from .economy import ExtendedBundle, FiberEconomy, _income, demand_rows
 from .errors import DimensionTooLarge, SingularJacobian
 
 DEFAULT_STEP = 0.1
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10_000
 PRICE_FLOOR = 1e-9
+NEWTON_H = 1e-6  # Jacobian bump, relative to each price
+POLISH_TOL = 1e-12
 WALRAS_RTOL = 1e-10
 
 
@@ -129,19 +133,67 @@ def walras_gap(prices: np.ndarray, z: np.ndarray) -> float:
     return abs(float(p @ z)) / (1.0 + float(np.abs(p) @ np.abs(z)))
 
 
+def _units(economy, d: int) -> np.ndarray:
+    """The unit each of the d coordinates' excess demand is measured in: the
+    total endowment W_i of each good, and 1 for duty coordinates, for a good
+    nobody holds, and throughout for a custom economy without
+    ``total_endowment``."""
+    units = np.ones(d)
+    held = getattr(economy, "total_endowment", None)
+    if held is not None:
+        units[: len(held)] = np.where(held > 0, held, 1.0)
+    return units
+
+
+def relative_residual(z: np.ndarray, units: np.ndarray) -> float:
+    """max_i |z_i| / W_i: excess demand relative to total endowment, so the
+    same tolerance means the same thing whatever unit endowments are in."""
+    return float(np.max(np.abs(z) / units))
+
+
+def _clamped(p: np.ndarray, free: Sequence[int], target: np.ndarray) -> np.ndarray:
+    """``p`` with its free prices moved toward ``target`` but kept inside the
+    band [p/2, 2p], positivity plus a trust region, and above the floor."""
+    q = p.copy()
+    q[free] = np.maximum(np.clip(target, 0.5 * p[free], 2.0 * p[free]), PRICE_FLOOR)
+    return q
+
+
+def _newton_step(economy, p: np.ndarray, z: np.ndarray, free: Sequence[int]):
+    """The clamped Newton point from ``p``: J dp = -z over the free prices, J
+    the central-difference Jacobian with bumps relative to each price. None
+    when J is singular."""
+    J = _jacobian(economy, p, free, NEWTON_H * p[free])
+    try:
+        delta = np.linalg.solve(J, -z[free])
+    except np.linalg.LinAlgError:
+        return None
+    return _clamped(p, free, p[free] + delta)
+
+
 def solve_tatonnement(economy, p0=None, step: float = DEFAULT_STEP,
                       tol: float = DEFAULT_TOL,
                       max_iter: int = DEFAULT_MAX_ITER) -> EquilibriumResult:
-    """Iterate p <- normalize(p + step * z(p)) until markets clear.
+    """Find market-clearing prices by damped Newton steps, with tatonnement
+    as the fallback.
 
     Only tradable non-numeraire good prices move (duty and demonetized
     coordinates have zero excess demand; the numeraire market is implied by
-    Walras' law). The step halves whenever the residual fails to improve and
-    creeps back toward the configured value while improving; each update is
-    clamped to the band [p/2, 2p], positivity plus a trust region, so one
-    oversized excess demand cannot catapult a price out of range. The best
-    iterate is kept, so a non-converged run still returns full diagnostics
-    with ``converged=False``.
+    Walras' law). Excess demand is measured relative to total endowment,
+    z_i / W_i, so the run stops once the residual max_i |z_i| / W_i is at
+    most ``tol`` (``relative_residual``; W = 1 for a custom economy without
+    ``total_endowment``) and neither the steps nor the tolerance depend on
+    the unit the endowments are in.
+
+    Each iteration first tries a Newton step: it solves J dp = -z on the free
+    prices, J the central-difference Jacobian, and clamps the update to the
+    band [p/2, 2p], positivity plus a trust region. The step is taken if it
+    lowers the residual. Otherwise, or when J is singular, the iteration
+    takes the tatonnement step p <- p + step * z / W, clamped the same way;
+    its step size halves whenever the residual fails to improve and creeps
+    back toward ``step`` while improving. The best iterate is kept, so a
+    non-converged run still returns full diagnostics with
+    ``converged=False``; there is one diagnostics record per iterate.
     """
     if step <= 0 or tol <= 0:
         raise ValueError("step and tol must be positive")
@@ -150,6 +202,7 @@ def solve_tatonnement(economy, p0=None, step: float = DEFAULT_STEP,
     num = economy.numeraire_index
     p = p / p[num]
     free = economy.free_indices()
+    units = _units(economy, len(p))
     step_cap = step
 
     diagnostics: list[IterateRecord] = []
@@ -157,10 +210,10 @@ def solve_tatonnement(economy, p0=None, step: float = DEFAULT_STEP,
     prev_r = math.inf
     iterations = 0
     converged = False
+    z = _z(economy, p)
 
     for it in range(max_iter + 1):
-        z = _z(economy, p)
-        r = float(np.max(np.abs(z)))
+        r = relative_residual(z, units)
         diagnostics.append(IterateRecord(it, r, walras_gap(p, z), step))
         iterations = it
         if r < best_r:
@@ -179,10 +232,14 @@ def solve_tatonnement(economy, p0=None, step: float = DEFAULT_STEP,
             step = min(step * 1.02, step_cap)
         prev_r = r
         if free:
-            p = p.copy()
-            moved = np.clip(p[free] + step * z[free], 0.5 * p[free], 2.0 * p[free])
-            p[free] = np.maximum(moved, PRICE_FLOOR)
-            p = p / p[num]
+            trial = _newton_step(economy, p, z, free)
+            if trial is not None:
+                z_trial = _z(economy, trial)
+                if relative_residual(z_trial, units) < r:
+                    p, z = trial, z_trial
+                    continue
+            p = _clamped(p, free, p[free] + step * z[free] / units[free])
+            z = _z(economy, p)
 
     final_p = best_p
     prices = PriceVector.normalized(final_p, economy.dims, num)
@@ -197,10 +254,12 @@ def solve_grid_oracle(economy, resolution: int = 200, lo: float = 0.05,
     """Exhaustive scan of normalized price grids for fibers with at most
     three priced dimensions; the independent verification route.
 
-    Evaluates a geometric grid over the free prices in one batched call,
-    keeps local minima of the residual norm below ``band``, and sharpens
-    sign changes by bisection (one free price) or a short damped Newton
-    polish (two free prices).
+    Evaluates a geometric grid over the free prices in one batched call.
+    With one free price it sharpens sign changes by bisection and keeps
+    interior local minima of the residual norm below ``band``. With two it
+    Newton-polishes the best cell of every 3x3 basin of the residual norm
+    and keeps the points that polish to a clearing price vector (relative
+    residual at most ``POLISH_TOL``).
     """
     if resolution < 10:
         raise ValueError("resolution must be at least 10 points per dimension")
@@ -264,12 +323,17 @@ def solve_grid_oracle(economy, resolution: int = 200, lo: float = 0.05,
             if not any(grid[i - 1] <= f[0] <= grid[i + 1] for f in found):
                 found.append(np.array([grid[i]]))
     else:
-        # local minima of the residual over each point's 3x3 neighbourhood
+        # local minima of the residual over each point's 3x3 neighbourhood;
+        # on a coarse grid even the best cell of a basin can sit well above
+        # any fixed band, so every basin is polished and only roots are kept
         padded = np.pad(rs, 1, constant_values=np.inf)
         window = np.min([padded[di: di + resolution, dj: dj + resolution]
                          for di in range(3) for dj in range(3)], axis=0)
-        for i, j in np.argwhere((rs <= band) & (rs <= window)):
-            found.append(_newton_polish(economy, free, full, np.array([grid[i], grid[j]])))
+        units = _units(economy, len(base))
+        for i, j in np.argwhere(rs <= window):
+            root = _newton_polish(economy, full([grid[i], grid[j]]), free, units)
+            if root is not None:
+                found.append(root[free])
 
     # dedupe: points within two grid steps (geometric) are the same equilibrium
     step_ratio = (hi / lo) ** (1.0 / (resolution - 1))
@@ -284,9 +348,10 @@ def solve_grid_oracle(economy, resolution: int = 200, lo: float = 0.05,
             for u in sorted(unique, key=lambda v: tuple(v))]
 
 
-def _jacobian(economy, p: np.ndarray, free: Sequence[int], h: float) -> np.ndarray:
+def _jacobian(economy, p: np.ndarray, free: Sequence[int], h) -> np.ndarray:
     """Central-difference Jacobian of excess demand in the free prices (rows
-    and columns ``free``): the 2k bumped price vectors in one batched call."""
+    and columns ``free``): the 2k bumped price vectors in one batched call.
+    ``h`` is one bump for every price or one per free price."""
     k = len(free)
     bumped = np.tile(p, (2 * k, 1))
     bumped[np.arange(k), free] += h
@@ -295,23 +360,18 @@ def _jacobian(economy, p: np.ndarray, free: Sequence[int], h: float) -> np.ndarr
     return (zf[:k] - zf[k:]).T / (2 * h)
 
 
-def _newton_polish(economy, free, full, values: np.ndarray, iters: int = 60) -> np.ndarray:
+def _newton_polish(economy, p: np.ndarray, free: Sequence[int], units: np.ndarray,
+                   iters: int = 60) -> np.ndarray | None:
+    """Clamped Newton steps from ``p``: the price vector they reach once it
+    clears to ``POLISH_TOL``, or None if it does not within ``iters`` steps."""
     for _ in range(iters):
-        p = full(values)
-        zf = _z(economy, p)[free]
-        if np.max(np.abs(zf)) < 1e-12:
-            break
-        J = _jacobian(economy, p, free, h=1e-6)
-        try:
-            delta = np.linalg.solve(J, -zf)
-        except np.linalg.LinAlgError:
-            break
-        # damped update, keep prices positive
-        scale = 1.0
-        while np.any(values + scale * delta <= 0) and scale > 1e-6:
-            scale *= 0.5
-        values = values + scale * delta
-    return values
+        z = _z(economy, p)
+        if relative_residual(z, units) <= POLISH_TOL:
+            return p
+        p = _newton_step(economy, p, z, free)
+        if p is None:
+            return None
+    return None
 
 
 def equilibrium_index(economy, p_star, h: float = 1e-5,
@@ -320,13 +380,15 @@ def equilibrium_index(economy, p_star, h: float = 1e-5,
     """Sign of det(-J) at an equilibrium, J the central-difference Jacobian of
     truncated excess demand (numeraire row and column removed).
 
+    The point must clear: its ``relative_residual``, the solver's, is at most
+    ``residual_tol``.
+
     +1 marks a regular equilibrium oriented like a unique one; the indices of
     all equilibria of a regular economy sum to +1. Near-singular Jacobians
     (|det| below ``singular_rtol`` times the Hadamard row bound) are refused.
     """
     p = np.asarray(getattr(p_star, "values", p_star), dtype=float)
-    z0 = _z(economy, p)
-    if float(np.max(np.abs(z0))) > residual_tol:
+    if relative_residual(_z(economy, p), _units(economy, len(p))) > residual_tol:
         raise ValueError("equilibrium_index needs a market-clearing price vector")
     free = list(economy.free_indices())
     if not free:
@@ -358,14 +420,9 @@ def duty_expenditure_share(economy: FiberEconomy, prices,
                            allocations: dict[str, ExtendedBundle]) -> float:
     """Fraction of aggregate disposable income spent on imperfect duties."""
     p = np.asarray(getattr(prices, "values", prices), dtype=float)
-    fiber = economy.fiber
-    spend = 0.0
-    income = 0.0
-    for a in economy.agents:
-        spend += float(p[fiber.n:] @ allocations[a.id].e)
-        tradable = set(fiber.tradable_goods())
-        for i, g in enumerate(fiber.goods):
-            if g in tradable:
-                income += p[i] * a.endowment.get(g, 0.0)
-        income -= fiber.constraints.prior_claim_total
+    rows = economy.rows
+    n = rows.fiber.n
+    spend = sum(float(p[n:] @ allocations[a].e) for a in rows.ids)
+    _, disposable = _income(rows.fiber, rows.endowment, p)
+    income = float(disposable.sum())
     return spend / income if income > 0 else 0.0

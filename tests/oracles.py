@@ -94,6 +94,28 @@ def cd_equilibrium_2good(alpha1, endowments):
     return p2, allocations
 
 
+def cd_equilibrium_prices(alpha, endowments):
+    """Equilibrium prices of a goods-only Cobb-Douglas exchange economy with
+    the utility's interior offset, sum_i alpha_i log(x_i + EPSILON).
+
+    ``alpha[k]`` and ``endowments[k]`` are agent k's weights and holdings.
+    Agent k spends the share s_ki = alpha_ki / sum_i alpha_ki of p.(w_k + EPSILON)
+    on p_i (x_ki + EPSILON), so good i clears when
+
+        sum_k s_ki p.(w_k + EPSILON) = p_i (sum_k w_ki + K EPSILON).
+
+    That is a homogeneous linear system in p. Walras' law makes one equation
+    redundant, so the numeraire's row is dropped, p_1 = 1 is fixed and the
+    rest is one linear solve.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    w = np.asarray(endowments, dtype=float)
+    shares = alpha / alpha.sum(axis=1, keepdims=True)
+    system = shares.T @ (w + EPSILON) - np.diag(w.sum(axis=0) + len(w) * EPSILON)
+    rest = np.linalg.solve(system[1:, 1:], -system[1:, 0])
+    return np.concatenate([[1.0], rest])
+
+
 # ------------------------------------------------------------------ demand
 
 def grid_search_demand(agent, prices, fiber, resolution=1e-3):

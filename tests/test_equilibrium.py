@@ -11,6 +11,7 @@ from dutybound.equilibrium import (
     _jacobian,
     equilibrium_index,
     excess_demand,
+    relative_residual,
     solve_grid_oracle,
     solve_tatonnement,
     trade_volumes,
@@ -23,7 +24,7 @@ from dutybound.errors import (
     SingularJacobian,
 )
 
-from oracles import cd_equilibrium_2good
+from oracles import cd_equilibrium_2good, cd_equilibrium_prices
 
 
 def cd_agent(name, alpha1, w1, w2):
@@ -39,6 +40,16 @@ def two_good_economy(agents):
 
 def symmetric_economy():
     return two_good_economy([cd_agent("A", 0.5, 1.0, 0.0), cd_agent("B", 0.5, 0.0, 1.0)])
+
+
+def cd_economy(alpha, endowments):
+    """Goods-only Cobb-Douglas exchange, one row of weights and holdings per agent."""
+    goods = tuple(f"g{i + 1}" for i in range(len(alpha[0])))
+    agents = tuple(Agent(id=f"a{k}", endowment=dict(zip(goods, map(float, w))),
+                         utility=UtilitySpec(family=UtilityFamily.COBB_DOUGLAS_EXTENDED,
+                                             alpha=dict(zip(goods, map(float, a)))))
+                   for k, (a, w) in enumerate(zip(alpha, endowments)))
+    return FiberEconomy(fiber=Fiber(y_id="y", goods=goods, duties=()), agents=agents)
 
 
 class SyntheticEconomy:
@@ -194,7 +205,8 @@ class TestJacobian:
         income = w @ p
         analytic = (alpha.T @ w) / p[:, None] - np.diag(alpha.T @ income / p ** 2)
         free = economy.free_indices()
-        for h in (1e-5, 1e-6):
+        # one bump for all prices, or one relative to each free price
+        for h in (1e-5, 1e-6, 1e-6 * p[free]):
             np.testing.assert_allclose(_jacobian(economy, p, free, h),
                                        analytic[np.ix_(free, free)], rtol=0.0, atol=1e-6)
 
@@ -271,6 +283,70 @@ class TestTatonnement:
         with pytest.raises(ValueError):
             solve_tatonnement(symmetric_economy(), tol=-1.0)
 
+    def test_scale_sweep_converges_to_each_closed_form(self):
+        """Scaling every endowment by s leaves the steps and the tolerance
+        unchanged. Each scale is compared with its own closed form: the
+        log(x + EPSILON) offset moves prices by about 1e-7 between s = 1e-3
+        and s = 1."""
+        rng = np.random.default_rng(2)
+        for goods in (2, 3):
+            for _ in range(3):
+                alpha = rng.uniform(0.1, 1.0, (3, goods))
+                w = rng.uniform(0.2, 3.0, (3, goods))
+                for scale in 10.0 ** np.arange(-3, 5):
+                    result = solve_tatonnement(cd_economy(alpha, w * scale), tol=1e-10)
+                    assert result.converged and result.iterations <= 10
+                    assert max(result.walras_gaps()) <= 1e-10
+                    np.testing.assert_allclose(
+                        result.prices.values, cd_equilibrium_prices(alpha, w * scale),
+                        rtol=1e-8, atol=0.0)
+
+    def test_residual_is_relative_to_total_endowment(self):
+        economy = cd_economy([[0.3, 0.7], [0.6, 0.4]], [[2.0, 0.5], [1.0, 3.0]])
+        result = solve_tatonnement(economy, p0=np.array([1.0, 3.0]), max_iter=0)
+        z = excess_demand(economy, np.array([1.0, 3.0]))
+        assert result.residual == max(abs(z[0]) / 3.0, abs(z[1]) / 3.5)
+
+    def test_exchange_economy_that_stalled_tatonnement(self):
+        """Three agents whose tatonnement at step 0.5 stopped 3.7e-10 short of
+        tol 1e-10 after 10,000 iterations."""
+        alpha = np.array([0.622952337332784, 0.4176212279495706, 0.5487676314070045])
+        w = np.array([[0.48312089211127507, 1.5623745526539257],
+                      [0.7568100563855705, 0.6190915752003461],
+                      [0.9569936268886371, 1.4964920580113685]])
+        economy = cd_economy(np.column_stack([alpha, 1.0 - alpha]), w)
+        result = solve_tatonnement(economy, step=0.5, tol=1e-10, max_iter=10_000)
+        assert result.converged and result.iterations <= 10
+        np.testing.assert_allclose(result.prices.values,
+                                   cd_equilibrium_prices(np.column_stack([alpha, 1.0 - alpha]), w),
+                                   rtol=1e-9, atol=0.0)
+        assert equilibrium_index(economy, result.prices) == 1
+
+    def test_falls_back_to_tatonnement_where_the_jacobian_vanishes(self):
+        """dz2/dp2 of SyntheticEconomy vanishes at p2 = 0.6498320514927...
+        The Newton step there overshoots to the band edge and raises the
+        residual, so the first move is the tatonnement step p2 + step * z2
+        (W = 1 for a custom economy), and the run still reaches the root 0.5."""
+        economy = SyntheticEconomy()
+        p0 = np.array([1.0, 0.649832051492727])
+        result = solve_tatonnement(economy, p0=p0, step=0.1, tol=1e-12)
+        moved = p0 + 0.1 * np.array([0.0, economy.excess_demand(p0)[1]])
+        assert result.diagnostics[1].residual == relative_residual(
+            economy.excess_demand(moved), np.ones(2))
+        assert result.converged
+        assert abs(result.prices.values[1] - 0.5) <= 1e-10
+
+    def test_singular_jacobian_takes_the_fallback_every_time(self, monkeypatch):
+        monkeypatch.setattr(equilibrium, "_jacobian",
+                            lambda economy, p, free, h: np.zeros((len(free), len(free))))
+        economy = cd_economy([[0.3, 0.7], [0.6, 0.4]], [[2.0, 0.5], [1.0, 3.0]])
+        result = solve_tatonnement(economy, step=0.5, tol=1e-10)
+        assert result.converged and result.iterations > 10
+        np.testing.assert_allclose(
+            result.prices.values,
+            cd_equilibrium_prices([[0.3, 0.7], [0.6, 0.4]], [[2.0, 0.5], [1.0, 3.0]]),
+            rtol=1e-8, atol=0.0)
+
 
 class TestGridOracle:
     def test_symmetric_single_equilibrium_at_unit_ratio(self):
@@ -324,6 +400,41 @@ class TestGridOracle:
         solve_grid_oracle(symmetric_economy(), resolution=101)
         assert shapes[0] == (101, 2) and set(shapes[1:]) == {(2,)}
 
+    def test_coarse_three_good_grid_polishes_its_one_basin(self):
+        """At resolution 60 the grid step is 10.7%, and no grid point comes
+        within 1e-2 of clearing; the best cell of the basin still polishes
+        to the closed form."""
+        alpha = [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]
+        w = [[2.0, 0.5, 1.0], [1.0, 1.5, 0.5], [0.5, 1.0, 1.5]]
+        economy = cd_economy(alpha, w)
+        found = solve_grid_oracle(economy, resolution=60)
+        assert len(found) == 1
+        np.testing.assert_allclose(found[0].values, cd_equilibrium_prices(alpha, w),
+                                   rtol=1e-10, atol=0.0)
+        assert equilibrium_index(economy, found[0]) == 1
+
+    def test_basin_without_a_root_yields_nothing(self):
+        """z2 = (p2 - 1)^2 + 1e-3 never vanishes. The grid point (1, 1) is
+        within 1e-2 of clearing and a basin minimum, but polishing it cannot
+        converge, so the oracle reports no equilibrium."""
+
+        class NoRoot:
+            dims = ("g1", "g2", "g3")
+            numeraire_index = 0
+
+            def free_indices(self):
+                return [1, 2]
+
+            def initial_prices(self):
+                return np.ones(3)
+
+            def excess_demand(self, prices):
+                p = np.asarray(prices, dtype=float)
+                z2, z3 = (p[1] - 1.0) ** 2 + 1e-3, p[2] - 1.0
+                return np.array([-(p[1] * z2 + p[2] * z3), z2, z3])
+
+        assert solve_grid_oracle(NoRoot(), resolution=61) == []
+
     def test_dimension_guard(self):
         fiber = Fiber(y_id="y", goods=("a", "b", "c", "d"), duties=())
         spec = UtilitySpec(family=UtilityFamily.COBB_DOUGLAS_EXTENDED,
@@ -358,6 +469,21 @@ class TestEquilibriumIndex:
         with pytest.raises(ValueError):
             equilibrium_index(economy, PriceVector(values=np.array([1.0, 3.0]),
                                                    dims=("g1", "g2")))
+
+    def test_clearing_check_is_relative_on_a_large_fiber(self):
+        """On 120 agents a relative residual of about 1e-8 is an absolute one
+        above 1e-6; the index shares the solver's relative rule."""
+        rng = np.random.default_rng(5)
+        alpha, w = rng.dirichlet([2.0] * 3, 120), rng.uniform(0.5, 2.0, (120, 3))
+        economy = cd_economy(alpha, w)
+        result = solve_tatonnement(economy)
+        assert result.converged
+        assert equilibrium_index(economy, result.prices) == 1
+        p = result.prices.values * np.array([1.0, 1.0 + 1e-7, 1.0])
+        z = excess_demand(economy, p)
+        assert np.max(np.abs(z)) > 1e-6
+        assert relative_residual(z, economy.total_endowment) <= 1e-6
+        assert equilibrium_index(economy, p) == 1
 
     def test_singular_jacobian_guard(self):
         class FlatEconomy:

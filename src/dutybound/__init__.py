@@ -73,11 +73,9 @@ from .scenarios import (
 )
 from .topology import (
     BaseSpace,
-    FiberView,
     OpenFamily,
     ProductBasisElement,
     discrete_topology,
-    fiber_slice,
     projection,
     projection_continuous,
     verify_topology_axioms,

@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -367,15 +368,7 @@ def _cmd_sweep(args, config: RunConfig, started: float) -> int:
     rows = []
     for phi in config.sweep.phis:
         for premium in config.sweep.premiums:
-            cfg = scenarios.SugarMarketConfig(
-                population=base.population, phi=phi, w_max=base.w_max,
-                price_ethical=base.price_conventional + premium,
-                price_conventional=base.price_conventional,
-                shock_period=base.shock_period,
-                price_conventional_after=base.price_conventional_after,
-                viability_threshold=base.viability_threshold,
-                exit_consecutive=base.exit_consecutive,
-                horizon=base.horizon, seed=base.seed)
+            cfg = replace(base, phi=phi, price_ethical=base.price_conventional + premium)
             report = scenarios.run_sugar(cfg)
             rows.append([phi, premium, report.shares[0], report.survived])
     path, text = _emit(config, "sugar_sweep.csv",

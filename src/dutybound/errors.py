@@ -128,14 +128,16 @@ class NonMonotoneTime(DutyModelError):
 
 
 class NonMonotoneSurvival(DutyModelError):
-    """Coarse scan found survival non-monotone in the ethical-consumer share."""
+    """The simulator disagrees with the exact critical-mass search: survival
+    is not the step in the ethical share that the prefix counts imply."""
 
-    def __init__(self, witnesses: list[tuple[float, float]]):
+    def __init__(self, phi: float, survived: bool):
+        outcome = "survives" if survived else "collapses"
         super().__init__(
-            "survival is not monotone in the ethical share; witnesses "
-            + ", ".join(f"(survives at {lo:.3f}, fails at {hi:.3f})" for lo, hi in witnesses)
-        )
-        self.witnesses = witnesses
+            f"run_sugar {outcome} at phi = {phi!r}, against the prefix-count critical mass; "
+            "survival is not monotone in the ethical share")
+        self.phi = phi
+        self.survived = survived
 
 
 class ParseError(DutyModelError):

@@ -6,13 +6,17 @@ exogenous (with a tariff shock that cheapens the conventional variant) and
 the question is whether the ethical variant's market share stays above the
 producer's viability threshold. The ethical-consumer count is deterministic
 in the share parameter (round(phi * N)); only willingness-to-pay draws use
-the seed, so survival is monotone in phi by construction and the critical
-mass is well defined per configuration.
+the seed. A period's share is the count of the first n_ethical draws at or
+above one of two premiums (before and after the shock), over N, so survival
+changes only where one of the two prefix counts first clears the threshold.
+The critical mass is therefore exact: the smallest surviving n_ethical is
+0 or one of those two counts, and ``run_sugar`` confirms it on every call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import bisect
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -49,15 +53,6 @@ class SugarMarketConfig:
         if self.population < 1 or self.horizon < 1 or self.exit_consecutive < 1:
             raise ValueError("population, horizon, and exit window must be positive")
 
-    def with_phi(self, phi: float) -> "SugarMarketConfig":
-        return SugarMarketConfig(
-            population=self.population, phi=phi, w_max=self.w_max,
-            price_ethical=self.price_ethical, price_conventional=self.price_conventional,
-            shock_period=self.shock_period,
-            price_conventional_after=self.price_conventional_after,
-            viability_threshold=self.viability_threshold,
-            exit_consecutive=self.exit_consecutive, horizon=self.horizon, seed=self.seed)
-
 
 @dataclass
 class ScenarioReport:
@@ -68,6 +63,11 @@ class ScenarioReport:
     extras: dict = field(default_factory=dict)
 
 
+def _draw_wtp(config: SugarMarketConfig) -> np.ndarray:
+    """Each consumer's willingness-to-pay premium, in population order."""
+    return np.random.default_rng(config.seed).uniform(0.0, config.w_max, size=config.population)
+
+
 def run_sugar(config: SugarMarketConfig) -> ScenarioReport:
     """Simulate the ethical variant's market share period by period.
 
@@ -76,8 +76,7 @@ def run_sugar(config: SugarMarketConfig) -> ScenarioReport:
     viability threshold for the configured number of consecutive periods;
     after exit the share is identically zero. Deterministic given the seed.
     """
-    rng = np.random.default_rng(config.seed)
-    wtp = rng.uniform(0.0, config.w_max, size=config.population)
+    wtp = _draw_wtp(config)
     n_ethical = int(round(config.phi * config.population))
 
     shares: list[float] = []
@@ -104,60 +103,88 @@ def run_sugar(config: SugarMarketConfig) -> ScenarioReport:
                           collapse_period=collapse)
 
 
-def check_monotone_flags(flags: Sequence[bool]) -> list[tuple[int, int]]:
-    """Indices (i, j) with i < j where flag i holds but flag j does not.
-
-    An empty list certifies the flags are monotone nondecreasing, the
-    precondition for bisecting a survival threshold.
-    """
-    witnesses = []
-    first_true: int | None = None
-    for j, flag in enumerate(flags):
-        if flag and first_true is None:
-            first_true = j
-        if not flag and first_true is not None:
-            witnesses.append((first_true, j))
-    return witnesses
-
-
 @dataclass
 class CriticalMassResult:
     phi_star: float | None
-    scan: list[tuple[float, bool]]
     bisect_tol: float
 
 
+def _first_viable_count(wtp: np.ndarray, premium: float, population: int,
+                        threshold: float) -> int | None:
+    """Smallest n whose first n draws hold enough buyers at ``premium`` for
+    the share to clear ``threshold``; None when not even n = N does.
+
+    The share is compared in floating point exactly as ``run_sugar`` does.
+    The prefix count grows with n, so the comparison is a step in n and a
+    bisection over n finds it.
+    """
+    buys = wtp >= premium
+
+    def clears(n: int) -> bool:
+        return int(np.count_nonzero(buys[:n])) / population >= threshold
+
+    if not clears(population):
+        return None
+    return bisect.bisect_left(range(population + 1), True, key=clears)
+
+
+def _survives(config: SugarMarketConfig, viable_pre: bool, viable_post: bool) -> bool:
+    """The exit rule of ``run_sugar`` on the two periods' viability flags."""
+    streak = 0
+    for t in range(config.horizon):
+        viable = viable_pre if t < config.shock_period else viable_post
+        streak = 0 if viable else streak + 1
+        if streak >= config.exit_consecutive:
+            return False
+    return True
+
+
+def _smallest_surviving_count(config: SugarMarketConfig) -> int | None:
+    """The smallest n_ethical under which the variant survives, or None.
+
+    Viability before and after the shock switches on at one count each, so
+    survival is constant between 0 and those two counts and the answer is
+    the first of the three that survives.
+    """
+    wtp = _draw_wtp(config)
+    firsts = [_first_viable_count(wtp, config.price_ethical - p_c, config.population,
+                                  config.viability_threshold)
+              for p_c in (config.price_conventional, config.price_conventional_after)]
+    for n in sorted({0, *(f for f in firsts if f is not None)}):
+        pre, post = (f is not None and n >= f for f in firsts)
+        if _survives(config, pre, post):
+            return n
+    return None
+
+
 def estimate_critical_mass(config: SugarMarketConfig,
-                           bisect_tol: float = 0.005,
-                           scan_points: int = 21) -> CriticalMassResult:
+                           bisect_tol: float = 0.005) -> CriticalMassResult:
     """Locate the smallest ethical share under which the variant survives.
 
-    A coarse scan over phi first certifies survival is monotone (raising
-    NonMonotoneSurvival with witnesses otherwise); bisection then pins the
-    threshold within ``bisect_tol``. ``phi_star`` is None when not even
-    phi = 1 survives.
+    The answer is exact, so it lies within any ``bisect_tol``. With n* the
+    smallest surviving ethical count, ``phi_star`` is 0.0 when n* = 0 and
+    (n* - 1/2) / N otherwise: the boundary of round(phi * N) between n* - 1
+    and n*. It is None when not even n = N survives.
+
+    ``run_sugar`` stays the definition of survival: it is run at n* / N,
+    which must survive, and at (n* - 1) / N, which must collapse (at phi = 1,
+    which must collapse, when there is no n*). A disagreement raises
+    NonMonotoneSurvival.
     """
-    phis = list(np.linspace(0.0, 1.0, scan_points))
-    flags = [run_sugar(config.with_phi(phi)).survived for phi in phis]
-    witnesses = check_monotone_flags(flags)
-    if witnesses:
-        raise NonMonotoneSurvival([(phis[i], phis[j]) for i, j in witnesses])
-
-    scan = list(zip(phis, flags))
-    if not any(flags):
-        return CriticalMassResult(phi_star=None, scan=scan, bisect_tol=bisect_tol)
-    first = flags.index(True)
-    if first == 0:
-        return CriticalMassResult(phi_star=0.0, scan=scan, bisect_tol=bisect_tol)
-
-    lo, hi = phis[first - 1], phis[first]
-    while hi - lo > bisect_tol:
-        mid = 0.5 * (lo + hi)
-        if run_sugar(config.with_phi(mid)).survived:
-            hi = mid
-        else:
-            lo = mid
-    return CriticalMassResult(phi_star=0.5 * (lo + hi), scan=scan, bisect_tol=bisect_tol)
+    n_star = _smallest_surviving_count(config)
+    population = config.population
+    if n_star is None:
+        probes, phi_star = [(1.0, False)], None
+    elif n_star == 0:
+        probes, phi_star = [(0.0, True)], 0.0
+    else:
+        probes = [(n_star / population, True), ((n_star - 1) / population, False)]
+        phi_star = (n_star - 0.5) / population
+    for phi, expected in probes:
+        survived = run_sugar(replace(config, phi=phi)).survived
+        if survived != expected:
+            raise NonMonotoneSurvival(phi, survived)
+    return CriticalMassResult(phi_star=phi_star, bisect_tol=bisect_tol)
 
 
 def run_slavery_eras(template: EconomyTemplate, path: BasePath,

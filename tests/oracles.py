@@ -5,7 +5,10 @@ reference to the library's own algorithms: exhaustive pair/triple loops for
 relation axioms, all-pairs closure checks for set families, the textbook
 aggregate-expenditure-share equilibrium for two-good Cobb-Douglas exchange,
 grid search over the budget face for demand, and a first-order-condition
-check of demand in any number of dimensions.
+check of demand in any number of dimensions. The sugar critical mass is
+found by running the simulator at every ethical count, and two retired
+library paths stay here as references for the code that replaced them: the
+pair-by-pair topology check and the scan-plus-bisection critical mass.
 """
 
 from __future__ import annotations
@@ -14,8 +17,12 @@ import itertools
 
 import numpy as np
 
+from dataclasses import replace
+
 from dutybound.economy import ExtendedBundle, UtilityFamily, utility_value
 from dutybound.preferences import EPSILON
+from dutybound.reporting import CheckReport
+from dutybound.scenarios import run_sugar
 
 
 # ---------------------------------------------------------------- relations
@@ -70,6 +77,82 @@ def oracle_family_closed(masks: set[int], full_mask: int):
             if (a & b) not in masks:
                 return False, f"intersection {a}&{b} missing"
     return True, ""
+
+
+def pairwise_topology_check(family, base) -> CheckReport:
+    """The topology-axiom check one pair at a time, in itertools.combinations
+    order, a pair's union before its intersection: the reference for the
+    verdict, witness and count of ``topology.verify_topology_axioms``."""
+    checked = 0
+
+    checked += 1
+    if 0 not in family.masks:
+        return CheckReport("topology-axioms", False, witness={"missing": frozenset()},
+                           detail="empty set is not a member", checked=checked)
+    checked += 1
+    if base.full_mask not in family.masks:
+        return CheckReport("topology-axioms", False, witness={"missing": base.ids_of(base.full_mask)},
+                           detail="total set is not a member", checked=checked)
+
+    ordered = sorted(family.masks)
+    for a, b in itertools.combinations(ordered, 2):
+        checked += 1
+        union = a | b
+        if union not in family.masks:
+            return CheckReport(
+                "topology-axioms", False,
+                witness={"op": "union", "a": base.ids_of(a), "b": base.ids_of(b),
+                         "missing": base.ids_of(union)},
+                detail=f"union of {set(base.ids_of(a))} and {set(base.ids_of(b))} missing",
+                checked=checked)
+        checked += 1
+        inter = a & b
+        if inter not in family.masks:
+            return CheckReport(
+                "topology-axioms", False,
+                witness={"op": "intersection", "a": base.ids_of(a), "b": base.ids_of(b),
+                         "missing": base.ids_of(inter)},
+                detail=f"intersection of {set(base.ids_of(a))} and {set(base.ids_of(b))} missing",
+                checked=checked)
+
+    return CheckReport("topology-axioms", True, checked=checked,
+                       detail=f"{len(family)} sets closed under union and intersection")
+
+
+# ---------------------------------------------------------------- sugar market
+
+def brute_force_critical_mass(config) -> float | None:
+    """Smallest surviving share from ``run_sugar`` at every ethical count
+    n = 0..N: 0.0 when n = 0 survives, (n - 1/2) / N for the first surviving
+    n otherwise (the rounding boundary of round(phi * N)), None if none does.
+    Meant for populations of a few hundred."""
+    n_total = config.population
+    for n in range(n_total + 1):
+        if run_sugar(replace(config, phi=n / n_total)).survived:
+            return 0.0 if n == 0 else (n - 0.5) / n_total
+    return None
+
+
+def bisection_critical_mass(config, bisect_tol: float, scan_points: int = 21) -> float | None:
+    """The critical mass by a coarse scan over phi, then float bisection to
+    ``bisect_tol`` inside the first surviving cell (the library's method
+    before the exact search)."""
+    phis = list(np.linspace(0.0, 1.0, scan_points))
+    flags = [run_sugar(replace(config, phi=phi)).survived for phi in phis]
+    assert flags == sorted(flags), "survival is not monotone over the scan"
+    if not any(flags):
+        return None
+    first = flags.index(True)
+    if first == 0:
+        return 0.0
+    lo, hi = phis[first - 1], phis[first]
+    while hi - lo > bisect_tol:
+        mid = 0.5 * (lo + hi)
+        if run_sugar(replace(config, phi=mid)).survived:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 # ------------------------------------------------------------- equilibrium

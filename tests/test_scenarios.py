@@ -1,5 +1,7 @@
 """Sugar market dynamics, era paths, and the conspicuous-ethics probe."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from dutybound.equilibrium import solve_tatonnement
 from dutybound.errors import NonMonotoneSurvival
 from dutybound.scenarios import (
     SugarMarketConfig,
-    check_monotone_flags,
     estimate_critical_mass,
     increasing_segments,
     run_slavery_eras,
@@ -19,7 +20,7 @@ from dutybound.scenarios import (
 )
 from dutybound.transition import GenerationProfile, build_path
 
-from oracles import grid_search_demand
+from oracles import bisection_critical_mass, brute_force_critical_mass, grid_search_demand
 
 
 class TestRunSugar:
@@ -104,30 +105,94 @@ class TestCriticalMass:
         assert max(stars) - min(stars) <= 0.04
         assert all(abs(s - stars[0]) <= 0.02 for s in stars[1:])
 
-    def test_scan_included_in_result(self):
-        estimate = estimate_critical_mass(SugarMarketConfig(), scan_points=11)
-        assert len(estimate.scan) == 11
-        assert all(isinstance(f, bool) for _, f in estimate.scan)
+    # small populations, so that the oracle can run the simulator at every n
+    SMALL = dict(population=300, price_ethical=1.2, price_conventional=1.0,
+                 price_conventional_after=0.6, viability_threshold=0.03)
 
-    def test_monotone_flag_checker_finds_witnesses(self):
-        assert check_monotone_flags([False, True, True]) == []
-        assert check_monotone_flags([True, True, True]) == []
-        assert check_monotone_flags([False, False, False]) == []
-        witnesses = check_monotone_flags([False, True, False, True, False])
-        assert (1, 2) in witnesses and (1, 4) in witnesses
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_brute_force_oracle_across_seeds(self, seed):
+        config = SugarMarketConfig(seed=seed, **self.SMALL)
+        want = brute_force_critical_mass(config)
+        assert want is not None and want > 0.0
+        assert estimate_critical_mass(config).phi_star == want
+
+    @pytest.mark.parametrize("overrides", [
+        # an unpayable premium: no share survives
+        dict(price_ethical=3.0, price_conventional_after=1.0),
+        # fewer periods than the exit window: even n = 0 survives
+        dict(horizon=2, shock_period=1, exit_consecutive=3),
+        # zero premium, so the share is n / N and v * N = 100 lands exactly
+        # on the threshold
+        dict(population=400, price_ethical=1.0, price_conventional_after=1.0,
+             viability_threshold=0.25),
+        # zero premium again, where 0.07 * 100 rounds above 7 but the
+        # share 7 / 100 still clears 0.07: an integer ceil would say 8
+        dict(population=100, price_ethical=1.0, price_conventional_after=1.0,
+             viability_threshold=0.07),
+        # the shock raises the conventional price: the pre-shock count,
+        # the larger one, sets the answer
+        dict(price_conventional_after=1.1),
+        # the same, but the pre-shock window is shorter than the exit
+        # window: only post-shock viability matters
+        dict(shock_period=2, exit_consecutive=3, price_conventional_after=1.1),
+        # a shock in the first period
+        dict(shock_period=0, price_conventional_after=0.9),
+    ])
+    def test_edge_cases_match_brute_force_oracle(self, overrides):
+        config = SugarMarketConfig(**{**self.SMALL, "seed": 3, **overrides})
+        assert estimate_critical_mass(config).phi_star == brute_force_critical_mass(config)
+
+    def test_edge_case_values(self):
+        short = SugarMarketConfig(**{**self.SMALL, "horizon": 2, "shock_period": 1})
+        assert estimate_critical_mass(short).phi_star == 0.0
+        on_threshold = SugarMarketConfig(population=400, price_ethical=1.0,
+                                         price_conventional=1.0,
+                                         price_conventional_after=1.0,
+                                         viability_threshold=0.25)
+        assert estimate_critical_mass(on_threshold).phi_star == (100 - 0.5) / 400
+        float_share = replace(on_threshold, population=100, viability_threshold=0.07)
+        assert 0.07 * 100 > 7 and 7 / 100 >= 0.07
+        assert estimate_critical_mass(float_share).phi_star == (7 - 0.5) / 100
+
+    def test_collapse_only_after_the_shock(self):
+        """Just below the critical mass the share clears the threshold before
+        the shock and collapses after it, so the answer is set by the
+        post-shock premium."""
+        config = SugarMarketConfig(seed=4, **self.SMALL)
+        phi_star = estimate_critical_mass(config).phi_star
+        below = run_sugar(replace(config, phi=phi_star - 0.5 / config.population))
+        assert not below.survived
+        assert below.collapse_period >= config.shock_period
+        assert all(s >= config.viability_threshold
+                   for s in below.shares[: config.shock_period])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_agrees_with_scan_and_bisection(self, seed):
+        config = SugarMarketConfig(seed=seed)
+        phi_star = estimate_critical_mass(config, bisect_tol=0.002).phi_star
+        assert abs(phi_star - bisection_critical_mass(config, 0.002)) <= 0.002
 
     def test_non_monotone_survival_raised(self, monkeypatch):
-        def fake_run_sugar(config):
-            # survives only on a middle band of phi: non-monotone by design
-            survived = 0.3 <= config.phi <= 0.6
-            return scenarios.ScenarioReport(shares=[], survived=survived)
-
-        monkeypatch.setattr(scenarios, "run_sugar", fake_run_sugar)
-        with pytest.raises(NonMonotoneSurvival) as err:
-            estimate_critical_mass(SugarMarketConfig())
-        assert err.value.witnesses
-        lo, hi = err.value.witnesses[0]
-        assert lo < hi
+        """run_sugar is asked at n* / N, then at (n* - 1) / N, or at phi = 1
+        when no count survives; a fake that disagrees at any of them raises."""
+        config = SugarMarketConfig()
+        unpayable = SugarMarketConfig(price_ethical=3.0)
+        n = config.population
+        n_star = round(estimate_critical_mass(config).phi_star * n + 0.5)
+        cases = [
+            # survives only on a middle band of phi: collapses at n* / N
+            (config, lambda phi: 0.3 <= phi <= 0.6, n_star / n, False),
+            # survives everywhere: also just below n*, and at phi = 1 when
+            # the premium is unpayable
+            (config, lambda phi: True, (n_star - 1) / n, True),
+            (unpayable, lambda phi: True, 1.0, True),
+        ]
+        for cfg, survives, phi, survived in cases:
+            monkeypatch.setattr(scenarios, "run_sugar", lambda c, survives=survives:
+                                scenarios.ScenarioReport(shares=[], survived=survives(c.phi)))
+            with pytest.raises(NonMonotoneSurvival) as err:
+                estimate_critical_mass(cfg)
+            assert (err.value.phi, err.value.survived) == (phi, survived)
 
 
 class TestSlaveryEras:

@@ -5,19 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from dutybound.errors import BaseTooLarge, UnknownBasePoint
+from dutybound.errors import BaseTooLarge
 from dutybound.topology import (
     BaseSpace,
     OpenFamily,
     ProductBasisElement,
     discrete_topology,
-    fiber_slice,
     projection,
     projection_continuous,
     verify_topology_axioms,
 )
 
-from oracles import oracle_family_closed
+from oracles import oracle_family_closed, pairwise_topology_check
 
 
 def base_of(m):
@@ -91,26 +90,72 @@ class TestVerifyAxioms:
                 assert missing not in fam.masks
 
 
+def union_closure(masks):
+    closed = set(masks)
+    while True:
+        more = {a | b for a in closed for b in closed} - closed
+        if not more:
+            return closed
+        closed |= more
+
+
+class TestAxiomsMatchPairwiseReference:
+    """The row-batched check reports what the pair-by-pair loop reports:
+    verdict, witness, detail and the number of checks made."""
+
+    @staticmethod
+    def assert_same(fam, base):
+        got = verify_topology_axioms(fam, base)
+        want = pairwise_topology_check(fam, base)
+        assert (got.passed, got.witness, got.detail, got.checked) == \
+            (want.passed, want.witness, want.detail, want.checked)
+        return got
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_random_families(self, m):
+        base = base_of(m)
+        rng = np.random.default_rng(101 + m)
+        universe = 1 << m
+        ops = []
+        for k in range(120):
+            size = int(rng.integers(1, universe + 1))
+            masks = set(rng.choice(universe, size=size, replace=False).tolist())
+            if k % 3:
+                masks |= {0, base.full_mask}
+            if k % 3 == 2:
+                # closed under union, so any failure is an intersection
+                # of a pair whose union is present
+                masks = union_closure(masks)
+            report = self.assert_same(OpenFamily(base=base, masks=frozenset(masks)), base)
+            ops.append(None if report.passed else report.witness.get("op"))
+        if m >= 3:
+            assert {"union", "intersection"} <= set(ops)
+
+    def test_intersection_failure_with_union_present(self):
+        base = base_of(3)
+        fam = OpenFamily.from_subsets(base, [[], ["y1", "y2"], ["y2", "y3"], base.points])
+        report = self.assert_same(fam, base)
+        assert report.witness == {"op": "intersection", "a": frozenset({"y1", "y2"}),
+                                  "b": frozenset({"y2", "y3"}), "missing": frozenset({"y2"})}
+        # the empty and total sets, the three pairs with the empty set, then
+        # the union and the intersection of the failing pair
+        assert report.checked == 2 + 2 * 3 + 2
+
+    def test_discrete_m12_counts_every_pair(self):
+        base = base_of(12)
+        report = verify_topology_axioms(discrete_topology(base), base)
+        assert report.passed
+        assert report.checked == 2 + 2 * math.comb(4096, 2)
+
+
 class TestSlicesAndProjection:
-    def test_slice_tags_points(self):
-        base = base_of(2)
-        view = fiber_slice(base, "y1", fiber="anything")
-        assert projection(view.attach((0.0, 1.0))) == "y1"
-
-    def test_slice_unknown_point(self):
-        with pytest.raises(UnknownBasePoint):
-            fiber_slice(base_of(2), "y9", fiber=None)
-
     def test_slices_disjoint_sampled(self):
-        base = base_of(2)
-        v1 = fiber_slice(base, "y1", fiber=None)
-        v2 = fiber_slice(base, "y2", fiber=None)
         rng = np.random.default_rng(5)
         for _ in range(100):
             bundle = tuple(rng.uniform(0, 10, size=3))
-            assert projection(v1.attach(bundle)) == "y1"
-            assert projection(v2.attach(bundle)) == "y2"
-            assert projection(v1.attach(bundle)) != projection(v2.attach(bundle))
+            assert projection(("y1", bundle)) == "y1"
+            assert projection(("y2", bundle)) == "y2"
+            assert projection(("y1", bundle)) != projection(("y2", bundle))
 
     def test_projection_total_on_zero_bundle(self):
         assert projection(("y1", (0.0, 0.0))) == "y1"

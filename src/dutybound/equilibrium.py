@@ -37,6 +37,10 @@ DEFAULT_MAX_ITER = 10_000
 PRICE_FLOOR = 1e-9
 NEWTON_H = 1e-6  # Jacobian bump, relative to each price
 POLISH_TOL = 1e-12
+POLISH_ITERS = 60
+GRID_LO, GRID_HI = 0.05, 20.0  # the grid oracle's range of each free price
+INDEX_RESIDUAL_TOL = 1e-6
+SINGULAR_RTOL = 1e-8
 WALRAS_RTOL = 1e-10
 
 
@@ -249,17 +253,19 @@ def solve_tatonnement(economy, p0=None, step: float = DEFAULT_STEP,
                              diagnostics=diagnostics)
 
 
-def solve_grid_oracle(economy, resolution: int = 200, lo: float = 0.05,
-                      hi: float = 20.0, band: float = 1e-2) -> list[PriceVector]:
+def solve_grid_oracle(economy, resolution: int = 200) -> list[PriceVector]:
     """Exhaustive scan of normalized price grids for fibers with at most
     three priced dimensions; the independent verification route.
 
-    Evaluates a geometric grid over the free prices in one batched call.
-    With one free price it sharpens sign changes by bisection and keeps
-    interior local minima of the residual norm below ``band``. With two it
-    Newton-polishes the best cell of every 3x3 basin of the residual norm
-    and keeps the points that polish to a clearing price vector (relative
-    residual at most ``POLISH_TOL``).
+    Evaluates a geometric grid over the free prices, from ``GRID_LO`` to
+    ``GRID_HI``, in one batched call and takes each point's relative residual
+    max_i |z_i| / W_i. Every point no worse than its 3^k neighbours is the
+    bottom of a basin; each one is Newton-polished, and only the points that
+    polish to a clearing price vector (relative residual at most
+    ``POLISH_TOL``) are kept, so a tangential root is found and a basin
+    without a root yields nothing, whatever the number of free prices. With
+    no free price the initial prices are returned if they clear to
+    ``POLISH_TOL``.
     """
     if resolution < 10:
         raise ValueError("resolution must be at least 10 points per dimension")
@@ -268,75 +274,32 @@ def solve_grid_oracle(economy, resolution: int = 200, lo: float = 0.05,
     if priced > 3:
         raise DimensionTooLarge(priced, 3)
 
+    num = economy.numeraire_index
     base = economy.initial_prices().astype(float)
-    base = base / base[economy.numeraire_index]
-
-    def full(values: Sequence[float]) -> np.ndarray:
-        p = base.copy()
-        for idx, v in zip(free, values):
-            p[idx] = v
-        return p
-
+    base = base / base[num]
+    units = _units(economy, len(base))
     if not free:
-        return [PriceVector.normalized(base, economy.dims, economy.numeraire_index)] \
-            if float(np.max(np.abs(_z(economy, base)))) <= band else []
+        return [PriceVector(base, economy.dims, num)] \
+            if relative_residual(_z(economy, base), units) <= POLISH_TOL else []
 
-    grid = np.geomspace(lo, hi, resolution)
-    found: list[np.ndarray] = []
+    k = len(free)
+    grid = np.geomspace(GRID_LO, GRID_HI, resolution)
     # the whole grid in one batch, row-major over the free prices
-    points = np.tile(base, (resolution ** len(free), 1))
-    for idx, values in zip(free, np.meshgrid(*[grid] * len(free), indexing="ij")):
-        points[:, idx] = values.ravel()
-    zgrid = _z(economy, points)
-    rs = np.max(np.abs(zgrid), axis=1).reshape((resolution,) * len(free))
-
-    if len(free) == 1:
-        k = free[0]
-        zs = zgrid[:, k]
-        for i in range(resolution - 1):
-            if zs[i] == 0.0:
-                found.append(np.array([grid[i]]))
-            elif zs[i] * zs[i + 1] < 0:
-                a, b = grid[i], grid[i + 1]
-                za = zs[i]
-                for _ in range(80):
-                    mid = math.sqrt(a * b)
-                    # the bracket can no longer shrink: no later step moves it
-                    if mid == a or mid == b:
-                        break
-                    zm = _z(economy, full([mid]))[k]
-                    if zm == 0.0:
-                        a = b = mid
-                        break
-                    if (zm > 0) == (za > 0):
-                        a, za = mid, zm
-                    else:
-                        b = mid
-                found.append(np.array([math.sqrt(a * b)]))
-        if zs[-1] == 0.0:
-            found.append(np.array([grid[-1]]))
-        # tangential near-equilibria: interior local minima below the band
-        # that no sign change already covers
-        inner = rs[1:-1]
-        minima = (inner <= band) & (inner < rs[:-2]) & (inner <= rs[2:])
-        for i in np.flatnonzero(minima) + 1:
-            if not any(grid[i - 1] <= f[0] <= grid[i + 1] for f in found):
-                found.append(np.array([grid[i]]))
-    else:
-        # local minima of the residual over each point's 3x3 neighbourhood;
-        # on a coarse grid even the best cell of a basin can sit well above
-        # any fixed band, so every basin is polished and only roots are kept
-        padded = np.pad(rs, 1, constant_values=np.inf)
-        window = np.min([padded[di: di + resolution, dj: dj + resolution]
-                         for di in range(3) for dj in range(3)], axis=0)
-        units = _units(economy, len(base))
-        for i, j in np.argwhere(rs <= window):
-            root = _newton_polish(economy, full([grid[i], grid[j]]), free, units)
-            if root is not None:
-                found.append(root[free])
+    points = np.tile(base, (resolution ** k, 1))
+    points[:, free] = np.stack(np.meshgrid(*[grid] * k, indexing="ij"), axis=-1).reshape(-1, k)
+    rs = np.max(np.abs(_z(economy, points)) / units, axis=1).reshape((resolution,) * k)
+    # the best residual over each point's 3^k neighbourhood; on a coarse grid
+    # even the best cell of a basin can sit far from clearing, so every basin
+    # is polished and only roots are kept. The window axes are moved to the
+    # front because numpy reduces over leading axes several times faster.
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(rs, 1, constant_values=np.inf), (3,) * k)
+    window = np.moveaxis(windows, range(k, 2 * k), range(k)).min(axis=tuple(range(k)))
+    found = [root for cell in np.flatnonzero(rs <= window)
+             if (root := _newton_polish(economy, points[cell], free, units)) is not None]
 
     # dedupe: points within two grid steps (geometric) are the same equilibrium
-    step_ratio = (hi / lo) ** (1.0 / (resolution - 1))
+    step_ratio = (GRID_HI / GRID_LO) ** (1.0 / (resolution - 1))
     unique: list[np.ndarray] = []
     for cand in found:
         if any(np.all(np.abs(np.log(cand / u)) < 2.001 * math.log(step_ratio))
@@ -344,8 +307,7 @@ def solve_grid_oracle(economy, resolution: int = 200, lo: float = 0.05,
             continue
         unique.append(cand)
 
-    return [PriceVector.normalized(full(u), economy.dims, economy.numeraire_index)
-            for u in sorted(unique, key=lambda v: tuple(v))]
+    return [PriceVector.normalized(u, economy.dims, num) for u in sorted(unique, key=tuple)]
 
 
 def _jacobian(economy, p: np.ndarray, free: Sequence[int], h) -> np.ndarray:
@@ -360,11 +322,12 @@ def _jacobian(economy, p: np.ndarray, free: Sequence[int], h) -> np.ndarray:
     return (zf[:k] - zf[k:]).T / (2 * h)
 
 
-def _newton_polish(economy, p: np.ndarray, free: Sequence[int], units: np.ndarray,
-                   iters: int = 60) -> np.ndarray | None:
+def _newton_polish(economy, p: np.ndarray, free: Sequence[int],
+                   units: np.ndarray) -> np.ndarray | None:
     """Clamped Newton steps from ``p``: the price vector they reach once it
-    clears to ``POLISH_TOL``, or None if it does not within ``iters`` steps."""
-    for _ in range(iters):
+    clears to ``POLISH_TOL``, or None if it does not within ``POLISH_ITERS``
+    steps."""
+    for _ in range(POLISH_ITERS):
         z = _z(economy, p)
         if relative_residual(z, units) <= POLISH_TOL:
             return p
@@ -374,32 +337,36 @@ def _newton_polish(economy, p: np.ndarray, free: Sequence[int], units: np.ndarra
     return None
 
 
-def equilibrium_index(economy, p_star, h: float = 1e-5,
-                      residual_tol: float = 1e-6,
-                      singular_rtol: float = 1e-8) -> int:
+def equilibrium_index(economy, p_star) -> int:
     """Sign of det(-J) at an equilibrium, J the central-difference Jacobian of
-    truncated excess demand (numeraire row and column removed).
+    truncated excess demand (numeraire row and column removed), with bumps
+    relative to each price as in the solver.
 
     The point must clear: its ``relative_residual``, the solver's, is at most
-    ``residual_tol``.
+    ``INDEX_RESIDUAL_TOL``.
 
     +1 marks a regular equilibrium oriented like a unique one; the indices of
-    all equilibria of a regular economy sum to +1. Near-singular Jacobians
-    (|det| below ``singular_rtol`` times the Hadamard row bound) are refused.
+    all equilibria of a regular economy sum to +1. Singularity is judged on
+    the unit-free Jacobian -diag(1/W) J diag(p), the elasticity of z_i / W_i
+    in log p_j, whose determinant has the sign of det(-J): it is refused when
+    |det| falls below ``SINGULAR_RTOL`` times its Hadamard row bound, floored
+    at one.
     """
     p = np.asarray(getattr(p_star, "values", p_star), dtype=float)
-    if relative_residual(_z(economy, p), _units(economy, len(p))) > residual_tol:
+    units = _units(economy, len(p))
+    if relative_residual(_z(economy, p), units) > INDEX_RESIDUAL_TOL:
         raise ValueError("equilibrium_index needs a market-clearing price vector")
     free = list(economy.free_indices())
     if not free:
         return +1
 
-    J = _jacobian(economy, p, free, h)
-    det = float(np.linalg.det(-J))
+    elasticity = -_jacobian(economy, p, free, NEWTON_H * p[free]) \
+        * p[free] / units[free][:, None]
+    det = float(np.linalg.det(elasticity))
     # Hadamard row bound, floored at one so a vanishing Jacobian still counts
-    # as singular at economic scales
-    scale = max(float(np.prod(np.linalg.norm(J, axis=1))), 1.0)
-    threshold = singular_rtol * scale
+    # as singular
+    scale = max(float(np.prod(np.linalg.norm(elasticity, axis=1))), 1.0)
+    threshold = SINGULAR_RTOL * scale
     if abs(det) < threshold:
         raise SingularJacobian(det, threshold)
     return +1 if det > 0 else -1

@@ -78,6 +78,10 @@ def run_sugar(config: SugarMarketConfig) -> ScenarioReport:
     """
     wtp = _draw_wtp(config)
     n_ethical = int(round(config.phi * config.population))
+    # only two premiums occur, before and after the shock: count each once
+    share_pre, share_post = (
+        int(np.count_nonzero(wtp[:n_ethical] >= config.price_ethical - p_c)) / config.population
+        for p_c in (config.price_conventional, config.price_conventional_after))
 
     shares: list[float] = []
     streak = 0
@@ -86,11 +90,7 @@ def run_sugar(config: SugarMarketConfig) -> ScenarioReport:
         if collapse is not None:
             shares.append(0.0)
             continue
-        p_c = (config.price_conventional if t < config.shock_period
-               else config.price_conventional_after)
-        premium = config.price_ethical - p_c
-        buyers = int(np.count_nonzero(wtp[:n_ethical] >= premium))
-        share = buyers / config.population
+        share = share_pre if t < config.shock_period else share_post
         shares.append(share)
         if share < config.viability_threshold:
             streak += 1

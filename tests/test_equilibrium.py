@@ -52,6 +52,40 @@ def cd_economy(alpha, endowments):
     return FiberEconomy(fiber=Fiber(y_id="y", goods=goods, duties=()), agents=agents)
 
 
+# a 3-good Cobb-Douglas exchange with one equilibrium, one row per agent
+THREE_GOOD_ALPHA = [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]
+THREE_GOOD_W = [[2.0, 0.5, 1.0], [1.0, 1.5, 0.5], [0.5, 1.0, 1.5]]
+
+
+class TangentEconomy:
+    """z2 = (p2 - 1)^2 + offset: with offset 0 a double root at p2 = 1,
+    where z2 touches zero without changing sign; with a positive offset no
+    root at all. A second free price adds z3 = p3 - 1. Walras-consistent by
+    construction: z1 = -(p2 z2 + p3 z3). With no free price z1 is the
+    offset itself."""
+
+    numeraire_index = 0
+
+    def __init__(self, free_prices: int, offset: float):
+        self.dims = ("g1", "g2", "g3")[: free_prices + 1]
+        self.offset = offset
+
+    def free_indices(self):
+        return list(range(1, len(self.dims)))
+
+    def initial_prices(self):
+        return np.ones(len(self.dims))
+
+    def excess_demand(self, prices):
+        p = np.asarray(prices, dtype=float)
+        if len(p) == 1:
+            return np.array([self.offset])
+        z = p - 1.0
+        z[1] = z[1] ** 2 + self.offset
+        z[0] = -(p[1:] @ z[1:])
+        return z
+
+
 class SyntheticEconomy:
     """Two-good excess demand with three equilibria at p2 in {0.5, 1, 2}.
 
@@ -375,8 +409,8 @@ class TestGridOracle:
                                    rtol=0.0, atol=1e-12)
 
     def test_grid_is_one_batch(self, monkeypatch):
-        """One excess-demand call covers the grid; what follows is bisection
-        (one vector) or Newton polishing (one vector or a Jacobian batch)."""
+        """One excess-demand call covers the grid; what follows is Newton
+        polishing (one vector or a Jacobian batch)."""
         shapes = []
 
         def recording(economy, prices):
@@ -404,36 +438,30 @@ class TestGridOracle:
         """At resolution 60 the grid step is 10.7%, and no grid point comes
         within 1e-2 of clearing; the best cell of the basin still polishes
         to the closed form."""
-        alpha = [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]
-        w = [[2.0, 0.5, 1.0], [1.0, 1.5, 0.5], [0.5, 1.0, 1.5]]
-        economy = cd_economy(alpha, w)
+        economy = cd_economy(THREE_GOOD_ALPHA, THREE_GOOD_W)
         found = solve_grid_oracle(economy, resolution=60)
         assert len(found) == 1
-        np.testing.assert_allclose(found[0].values, cd_equilibrium_prices(alpha, w),
+        np.testing.assert_allclose(found[0].values,
+                                   cd_equilibrium_prices(THREE_GOOD_ALPHA, THREE_GOOD_W),
                                    rtol=1e-10, atol=0.0)
         assert equilibrium_index(economy, found[0]) == 1
 
+    def test_double_root_is_polished(self):
+        """z2 = (p2 - 1)^2 has no sign change to bracket. Its basin is
+        polished to the root; no grid point of resolution 200 lies on it."""
+        for free_prices in (0, 1, 2):
+            found = solve_grid_oracle(TangentEconomy(free_prices, 0.0), resolution=200)
+            assert len(found) == 1
+            np.testing.assert_allclose(found[0].values, np.ones(free_prices + 1),
+                                       rtol=0.0, atol=1e-6)
+
     def test_basin_without_a_root_yields_nothing(self):
-        """z2 = (p2 - 1)^2 + 1e-3 never vanishes. The grid point (1, 1) is
-        within 1e-2 of clearing and a basin minimum, but polishing it cannot
-        converge, so the oracle reports no equilibrium."""
-
-        class NoRoot:
-            dims = ("g1", "g2", "g3")
-            numeraire_index = 0
-
-            def free_indices(self):
-                return [1, 2]
-
-            def initial_prices(self):
-                return np.ones(3)
-
-            def excess_demand(self, prices):
-                p = np.asarray(prices, dtype=float)
-                z2, z3 = (p[1] - 1.0) ** 2 + 1e-3, p[2] - 1.0
-                return np.array([-(p[1] * z2 + p[2] * z3), z2, z3])
-
-        assert solve_grid_oracle(NoRoot(), resolution=61) == []
+        """z2 = (p2 - 1)^2 + 1e-3 never vanishes. The grid point at p2 = 1
+        is within 1e-2 of clearing and a basin minimum, but polishing it
+        cannot converge, so the oracle reports no equilibrium, with none, one
+        or two free prices."""
+        for free_prices in (0, 1, 2):
+            assert solve_grid_oracle(TangentEconomy(free_prices, 1e-3), resolution=61) == []
 
     def test_dimension_guard(self):
         fiber = Fiber(y_id="y", goods=("a", "b", "c", "d"), duties=())
@@ -456,6 +484,20 @@ class TestEquilibriumIndex:
                                     cd_agent("B", 0.7, 0.0, 1.0)])
         result = solve_tatonnement(economy, tol=1e-11)
         assert equilibrium_index(economy, result.prices) == 1
+
+    def test_index_does_not_depend_on_units(self):
+        """The bump is relative to each price and singularity is judged on
+        -diag(1/W) J diag(p). A free price of 1e-7 survives the bump, and the
+        3-good economy keeps index +1 at every endowment scale."""
+        economy = two_good_economy([cd_agent("A", 0.5, 1.0, 0.0),
+                                    cd_agent("B", 0.5, 0.0, 1e7)])
+        p = cd_equilibrium_prices([[0.5, 0.5], [0.5, 0.5]], [[1.0, 0.0], [0.0, 1e7]])
+        assert p[1] < 1.01e-7
+        assert equilibrium_index(economy, p) == 1
+        for scale in 10.0 ** np.arange(-6, 8):
+            w = np.multiply(THREE_GOOD_W, scale)
+            assert equilibrium_index(cd_economy(THREE_GOOD_ALPHA, w),
+                                     cd_equilibrium_prices(THREE_GOOD_ALPHA, w)) == 1
 
     def test_indices_over_synthetic_equilibria_sum_to_plus_one(self):
         economy = SyntheticEconomy()

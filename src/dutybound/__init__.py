@@ -44,6 +44,7 @@ from .equilibrium import (
     excess_demand,
     solve_grid_oracle,
     solve_tatonnement,
+    total_income,
     trade_volumes,
     walras_gap,
 )
@@ -69,6 +70,7 @@ from .scenarios import (
     estimate_critical_mass,
     run_slavery_eras,
     run_sugar,
+    sugar_sweep,
     veblen_demand_curve,
 )
 from .topology import (

@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +109,17 @@ def _emit(config_or_dir, name: str, header, rows) -> tuple[Path, str]:
     return path, text
 
 
+def _svg(args, config: RunConfig, name: str, series, **labels) -> list[Path]:
+    """Chart ``series`` into ``--svg``, or into ``name`` in the output
+    directory when the config lists svg among its formats; the written path,
+    if any, as a list."""
+    if not (args.svg or "svg" in config.output_formats):
+        return []
+    path = Path(args.svg) if args.svg else Path(config.output_dir) / name
+    output.write_svg(path, output.svg_line_chart(series, **labels))
+    return [path]
+
+
 def _finish(config: RunConfig, command: str, outputs: list[Path], started: float) -> None:
     output.write_manifest(config.output_dir, command, config.source_path,
                           config.seed, [p.name for p in outputs], started)
@@ -151,6 +161,8 @@ def _load_relation(path: str) -> preferences.PreferenceRelation:
         raise ParseError(path, str(exc)) from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}", exc.msg) from None
+    if "points" not in tree:
+        raise ParseError(path, "relation file needs 'points'")
     grid = preferences.ChoiceGrid(coords=np.asarray(tree["points"], dtype=float))
     if "pairs" in tree:
         holds = np.zeros((grid.size, grid.size), dtype=bool)
@@ -212,7 +224,7 @@ def _solve_economy(config: RunConfig, y_id: str):
 
 
 def _cmd_solve(args, config: RunConfig, started: float) -> int:
-    if config.base is None:
+    if config.base is None or not config.agents:
         print("config error: solve needs base_space/fibers/agents sections", file=sys.stderr)
         return EXIT_CONFIG
     y_id = args.fiber or config.base.points[0]
@@ -238,17 +250,15 @@ def _cmd_solve(args, config: RunConfig, started: float) -> int:
 
 
 def _cmd_trace(args, config: RunConfig, started: float, command: str) -> int:
-    if config.path is None or config.profile is None:
-        print("config error: trace needs path and profile sections", file=sys.stderr)
+    if config.path is None or config.profile is None or not config.agents:
+        print("config error: trace needs path, profile and agents sections", file=sys.stderr)
         return EXIT_CONFIG
-    template = config.template()
-    records = scenarios.run_slavery_eras(template, config.path, config.profile)
+    records = scenarios.run_slavery_eras(config.template(), config.path, config.profile)
 
     rows = []
     for rec in records:
-        dims = template.fiber_specs[rec.y_id].goods + template.fiber_specs[rec.y_id].duties
         for agent_id in sorted(rec.allocations):
-            for dim, q in zip(dims, rec.allocations[agent_id].coords):
+            for dim, q in zip(rec.result.prices.dims, rec.allocations[agent_id].coords):
                 rows.append([rec.t, rec.y_id, agent_id, dim, float(q)])
     path, text = _emit(config, "trace.csv",
                        ["t", "y_id", "agent", "dimension", "quantity"], rows)
@@ -262,28 +272,15 @@ def _cmd_trace(args, config: RunConfig, started: float, command: str) -> int:
                          ["t", "y_id", "residual", "converged", "duty_share", "volumes"],
                          summary)
     print(stext, end="")
-    outputs = [path, spath]
-
-    if args.svg or "svg" in config.output_formats:
-        series = []
-        ts = [rec.t for rec in records]
-        agent_ids = sorted(records[0].allocations)
-        dims_by_step = [template.fiber_specs[rec.y_id].goods
-                        + template.fiber_specs[rec.y_id].duties for rec in records]
-        all_dims = sorted({d for dims in dims_by_step for d in dims})
-        for agent_id in agent_ids:
-            for dim in all_dims:
-                ys = []
-                for rec, dims in zip(records, dims_by_step):
-                    coords = rec.allocations[agent_id].coords
-                    ys.append(float(coords[dims.index(dim)]) if dim in dims else 0.0)
-                series.append((f"{agent_id}:{dim}", ts, ys))
-        svg = output.svg_line_chart(series, title="allocations along the path",
-                                    xlabel="t", ylabel="quantity")
-        svg_path = Path(args.svg) if args.svg else Path(config.output_dir) / "trace.svg"
-        output.write_svg(svg_path, svg)
-        outputs.append(svg_path)
-
+    # one series per agent and dimension, at 0 on steps whose fiber lacks it
+    dims = [rec.result.prices.dims for rec in records]
+    series = [(f"{a}:{d}", [rec.t for rec in records],
+               [float(rec.allocations[a].coords[ds.index(d)]) if d in ds else 0.0
+                for rec, ds in zip(records, dims)])
+              for a in sorted(records[0].allocations) for d in sorted(set().union(*dims))]
+    outputs = [path, spath, *_svg(args, config, "trace.svg", series,
+                                  title="allocations along the path",
+                                  xlabel="t", ylabel="quantity")]
     _finish(config, command, outputs, started)
     ok = all(rec.result.converged for rec in records)
     return EXIT_OK if ok else EXIT_NO_CONVERGENCE
@@ -294,10 +291,8 @@ def _cmd_sugar(args, config: RunConfig, started: float) -> int:
         print("config error: scenario sugar needs a scenarios.sugar section", file=sys.stderr)
         return EXIT_CONFIG
     report = scenarios.run_sugar(config.sugar)
-    phi_star = None
-    if args.estimate_critical_mass:
-        estimate = scenarios.estimate_critical_mass(config.sugar)
-        phi_star = estimate.phi_star
+    phi_star = (scenarios.estimate_critical_mass(config.sugar).phi_star
+                if args.estimate_critical_mass else None)
 
     rows = [[t, share, share >= config.sugar.viability_threshold]
             for t, share in enumerate(report.shares)]
@@ -310,16 +305,10 @@ def _cmd_sugar(args, config: RunConfig, started: float) -> int:
     spath, stext = _emit(config, "sugar_summary.csv", summary_header, summary_rows)
     print(text, end="")
     print(stext, end="")
-    outputs = [path, spath]
-
-    if args.svg or "svg" in config.output_formats:
-        svg = output.svg_line_chart(
-            [("ethical share", list(range(len(report.shares))), report.shares)],
-            title="ethical market share", xlabel="period", ylabel="share")
-        svg_path = Path(args.svg) if args.svg else Path(config.output_dir) / "sugar.svg"
-        output.write_svg(svg_path, svg)
-        outputs.append(svg_path)
-
+    outputs = [path, spath, *_svg(
+        args, config, "sugar.svg",
+        [("ethical share", list(range(len(report.shares))), report.shares)],
+        title="ethical market share", xlabel="period", ylabel="share")]
     _finish(config, "scenario sugar", outputs, started)
     return EXIT_OK
 
@@ -345,16 +334,10 @@ def _cmd_veblen(args, config: RunConfig, started: float) -> int:
     spath, stext = _emit(config, "veblen_segments.csv", ["price_lo", "price_hi"], seg_rows)
     print(text, end="")
     print(stext, end="")
-    outputs = [path, spath]
-
-    if args.svg or "svg" in config.output_formats:
-        svg = output.svg_line_chart([(probe.duty_id, curve.prices, curve.quantities)],
-                                    title="duty demand vs own price",
-                                    xlabel="price", ylabel="quantity")
-        svg_path = Path(args.svg) if args.svg else Path(config.output_dir) / "veblen.svg"
-        output.write_svg(svg_path, svg)
-        outputs.append(svg_path)
-
+    outputs = [path, spath, *_svg(args, config, "veblen.svg",
+                                  [(probe.duty_id, curve.prices, curve.quantities)],
+                                  title="duty demand vs own price",
+                                  xlabel="price", ylabel="quantity")]
     _finish(config, "scenario veblen", outputs, started)
     return EXIT_OK
 
@@ -364,13 +347,7 @@ def _cmd_sweep(args, config: RunConfig, started: float) -> int:
         print("config error: sweep needs scenarios.sugar and scenarios.sweep sections",
               file=sys.stderr)
         return EXIT_CONFIG
-    base = config.sugar
-    rows = []
-    for phi in config.sweep.phis:
-        for premium in config.sweep.premiums:
-            cfg = replace(base, phi=phi, price_ethical=base.price_conventional + premium)
-            report = scenarios.run_sugar(cfg)
-            rows.append([phi, premium, report.shares[0], report.survived])
+    rows = scenarios.sugar_sweep(config.sugar, config.sweep.phis, config.sweep.premiums)
     path, text = _emit(config, "sugar_sweep.csv",
                        ["phi", "premium", "share_pre_shock", "survived"], rows)
     print(text, end="")

@@ -341,7 +341,7 @@ def _validate_scenarios(tree, config, errors):
                 errors.append("scenarios.veblen.sweep: need 0 < lo < hi")
             if probe.sweep_count < 2:
                 errors.append("scenarios.veblen.sweep: need at least two points")
-            if config.agents and probe.agent_id not in {a.id for a in config.agents}:
+            if probe.agent_id not in {a.id for a in config.agents}:
                 errors.append(f"scenarios.veblen: unknown agent {probe.agent_id!r}")
             if config.fiber_specs and probe.y_id not in config.fiber_specs:
                 errors.append(f"scenarios.veblen: unknown fiber {probe.y_id!r}")
@@ -359,6 +359,10 @@ def _validate_scenarios(tree, config, errors):
         else:
             if not all(0 <= p <= 1 for p in config.sweep.phis):
                 errors.append("scenarios.sweep.phis: shares must lie in [0, 1]")
+            if config.sugar is not None and not all(
+                    config.sugar.price_conventional + p > 0 for p in config.sweep.premiums):
+                errors.append("scenarios.sweep.premiums: each must exceed "
+                              "-price_conventional, so that the ethical price is positive")
 
 
 def packaged_config_path(name: str) -> Path:

@@ -152,12 +152,6 @@ class MaximRegistry:
     entries: dict[str, ClassificationRecord]
     bundles: dict[str, DutyBundle] = field(default_factory=dict)
 
-    def duty_index(self, duty_id: str) -> int:
-        try:
-            return self.imperfect_duties.index(duty_id)
-        except ValueError:
-            raise UnknownReference(duty_id, "imperfect_duties") from None
-
 
 def load_registry(config_tree: Mapping) -> MaximRegistry:
     """Build a registry from a parsed config tree, validating every invariant.

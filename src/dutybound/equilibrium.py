@@ -131,10 +131,23 @@ def excess_demand(economy: FiberEconomy, prices) -> np.ndarray:
     return z
 
 
-def walras_gap(prices: np.ndarray, z: np.ndarray) -> float:
-    """Relative violation of Walras' law at one price vector."""
+def walras_gap(prices: np.ndarray, z: np.ndarray, income: float) -> float:
+    """Violation of Walras' law at one price vector, |p.z| / (1 + |income|)
+    with ``income`` the economy's ``total_income``: relative to the value
+    traded, so it does not grow with the unit endowments are measured in."""
     p = np.asarray(getattr(prices, "values", prices), dtype=float)
-    return abs(float(p @ z)) / (1.0 + float(np.abs(p) @ np.abs(z)))
+    return abs(float(p @ z)) / (1.0 + abs(income))
+
+
+def total_income(economy, prices) -> float:
+    """Total disposable income at ``prices``: the value of every agent's
+    tradable endowment less the regime's prior claims; 0 for a custom
+    economy without ``rows``."""
+    rows = getattr(economy, "rows", None)
+    if rows is None:
+        return 0.0
+    p = np.asarray(getattr(prices, "values", prices), dtype=float)
+    return float(_income(rows.fiber, rows.endowment, p)[1].sum())
 
 
 def _units(economy, d: int) -> np.ndarray:
@@ -218,7 +231,8 @@ def solve_tatonnement(economy, p0=None, step: float = DEFAULT_STEP,
 
     for it in range(max_iter + 1):
         r = relative_residual(z, units)
-        diagnostics.append(IterateRecord(it, r, walras_gap(p, z), step))
+        diagnostics.append(IterateRecord(it, r, walras_gap(p, z, total_income(economy, p)),
+                                         step))
         iterations = it
         if r < best_r:
             best_r, best_p = r, p.copy()
@@ -390,6 +404,5 @@ def duty_expenditure_share(economy: FiberEconomy, prices,
     rows = economy.rows
     n = rows.fiber.n
     spend = sum(float(p[n:] @ allocations[a].e) for a in rows.ids)
-    _, disposable = _income(rows.fiber, rows.endowment, p)
-    income = float(disposable.sum())
+    income = total_income(economy, p)
     return spend / income if income > 0 else 0.0

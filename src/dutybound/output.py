@@ -42,13 +42,6 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return buffer.getvalue()
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(csv_text(header, rows), newline="")
-    return path
-
-
 def svg_line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
                    title: str = "", xlabel: str = "", ylabel: str = "",
                    width: int = 640, height: int = 400) -> str:

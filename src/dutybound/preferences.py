@@ -91,12 +91,6 @@ class OrdinalUtility:
     grid: ChoiceGrid
     ranks: np.ndarray
 
-    def value(self, index: int) -> float:
-        return float(self.ranks[index])
-
-    def as_mapping(self) -> dict[int, float]:
-        return {i: float(r) for i, r in enumerate(self.ranks)}
-
 
 def check_reflexive(rel: PreferenceRelation) -> CheckReport:
     diag = np.diagonal(rel.holds)

@@ -11,12 +11,13 @@ above one of two premiums (before and after the shock), over N, so survival
 changes only where one of the two prefix counts first clears the threshold.
 The critical mass is therefore exact: the smallest surviving n_ethical is
 0 or one of those two counts, and ``run_sugar`` confirms it on every call.
+The draws do not depend on phi or the prices, so a sweep draws them once.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -59,8 +60,6 @@ class ScenarioReport:
     shares: list[float]
     survived: bool
     collapse_period: int | None = None
-    phi_star: float | None = None
-    extras: dict = field(default_factory=dict)
 
 
 def _draw_wtp(config: SugarMarketConfig) -> np.ndarray:
@@ -68,39 +67,70 @@ def _draw_wtp(config: SugarMarketConfig) -> np.ndarray:
     return np.random.default_rng(config.seed).uniform(0.0, config.w_max, size=config.population)
 
 
+def _shares(config: SugarMarketConfig, wtp: np.ndarray) -> tuple[float, float]:
+    """The ethical share before and after the shock: the first n_ethical
+    draws whose premium covers the price gap, over the population."""
+    n_ethical = int(round(config.phi * config.population))
+    share_pre, share_post = (
+        int(np.count_nonzero(wtp[:n_ethical] >= config.price_ethical - p_c)) / config.population
+        for p_c in (config.price_conventional, config.price_conventional_after))
+    return share_pre, share_post
+
+
+def _collapse_period(config: SugarMarketConfig, viable_pre: bool,
+                     viable_post: bool) -> int | None:
+    """The period the variant exits in, None when it survives the horizon.
+
+    It exits once its share has sat below the viability threshold for
+    ``exit_consecutive`` periods in a row. The unviable periods form one run:
+    the pre-shock periods, the post-shock ones, or both, so the exit falls
+    ``exit_consecutive - 1`` periods after the run starts, if the run lasts.
+    """
+    start = config.shock_period if viable_pre else 0
+    end = config.shock_period if viable_post else config.horizon
+    collapse = start + config.exit_consecutive - 1
+    return collapse if collapse < end else None
+
+
+def _outcome(config: SugarMarketConfig, wtp: np.ndarray) -> tuple[float, float, int | None]:
+    """Both shares and the collapse period, on the draws ``wtp``."""
+    share_pre, share_post = _shares(config, wtp)
+    threshold = config.viability_threshold
+    return share_pre, share_post, _collapse_period(config, share_pre >= threshold,
+                                                   share_post >= threshold)
+
+
 def run_sugar(config: SugarMarketConfig) -> ScenarioReport:
-    """Simulate the ethical variant's market share period by period.
+    """The ethical variant's market share in each period of the horizon.
 
     A consumer buys ethical iff flagged ethical and its WtP premium covers
     the current price gap. The variant exits once its share sits below the
     viability threshold for the configured number of consecutive periods;
     after exit the share is identically zero. Deterministic given the seed.
     """
-    wtp = _draw_wtp(config)
-    n_ethical = int(round(config.phi * config.population))
-    # only two premiums occur, before and after the shock: count each once
-    share_pre, share_post = (
-        int(np.count_nonzero(wtp[:n_ethical] >= config.price_ethical - p_c)) / config.population
-        for p_c in (config.price_conventional, config.price_conventional_after))
-
-    shares: list[float] = []
-    streak = 0
-    collapse: int | None = None
-    for t in range(config.horizon):
-        if collapse is not None:
-            shares.append(0.0)
-            continue
-        share = share_pre if t < config.shock_period else share_post
-        shares.append(share)
-        if share < config.viability_threshold:
-            streak += 1
-            if streak >= config.exit_consecutive:
-                collapse = t
-        else:
-            streak = 0
-
+    share_pre, share_post, collapse = _outcome(config, _draw_wtp(config))
+    active = config.horizon if collapse is None else collapse + 1
+    shares = [share_pre if t < config.shock_period else share_post for t in range(active)]
+    shares += [0.0] * (config.horizon - active)
     return ScenarioReport(shares=shares, survived=collapse is None,
                           collapse_period=collapse)
+
+
+def sugar_sweep(config: SugarMarketConfig, phis: Sequence[float],
+                premiums: Sequence[float]) -> list[tuple[float, float, float, bool]]:
+    """``(phi, premium, period-0 share, survived)`` for every cell of the
+    lattice, phis outermost: ``run_sugar`` at that phi with the ethical
+    price set ``premium`` above the conventional one, on one draw of the
+    willingness-to-pay vector, which no cell changes."""
+    wtp = _draw_wtp(config)
+    cells = []
+    for phi in phis:
+        for premium in premiums:
+            cell = replace(config, phi=phi, price_ethical=config.price_conventional + premium)
+            share_pre, share_post, collapse = _outcome(cell, wtp)
+            first = share_post if cell.shock_period == 0 else share_pre
+            cells.append((phi, premium, first, collapse is None))
+    return cells
 
 
 @dataclass
@@ -114,9 +144,9 @@ def _first_viable_count(wtp: np.ndarray, premium: float, population: int,
     """Smallest n whose first n draws hold enough buyers at ``premium`` for
     the share to clear ``threshold``; None when not even n = N does.
 
-    The share is compared in floating point exactly as ``run_sugar`` does.
-    The prefix count grows with n, so the comparison is a step in n and a
-    bisection over n finds it.
+    The share is compared in floating point exactly as ``_shares`` computes
+    it. The prefix count grows with n, so the comparison is a step in n and
+    a bisection over n finds it.
     """
     buys = wtp >= premium
 
@@ -126,17 +156,6 @@ def _first_viable_count(wtp: np.ndarray, premium: float, population: int,
     if not clears(population):
         return None
     return bisect.bisect_left(range(population + 1), True, key=clears)
-
-
-def _survives(config: SugarMarketConfig, viable_pre: bool, viable_post: bool) -> bool:
-    """The exit rule of ``run_sugar`` on the two periods' viability flags."""
-    streak = 0
-    for t in range(config.horizon):
-        viable = viable_pre if t < config.shock_period else viable_post
-        streak = 0 if viable else streak + 1
-        if streak >= config.exit_consecutive:
-            return False
-    return True
 
 
 def _smallest_surviving_count(config: SugarMarketConfig) -> int | None:
@@ -152,7 +171,7 @@ def _smallest_surviving_count(config: SugarMarketConfig) -> int | None:
               for p_c in (config.price_conventional, config.price_conventional_after)]
     for n in sorted({0, *(f for f in firsts if f is not None)}):
         pre, post = (f is not None and n >= f for f in firsts)
-        if _survives(config, pre, post):
+        if _collapse_period(config, pre, post) is None:
             return n
     return None
 

@@ -6,9 +6,11 @@ relation axioms, all-pairs closure checks for set families, the textbook
 aggregate-expenditure-share equilibrium for two-good Cobb-Douglas exchange,
 grid search over the budget face for demand, and a first-order-condition
 check of demand in any number of dimensions. The sugar critical mass is
-found by running the simulator at every ethical count, and two retired
-library paths stay here as references for the code that replaced them: the
-pair-by-pair topology check and the scan-plus-bisection critical mass.
+found by running the simulator at every ethical count, and retired library
+paths stay here as references for the code that replaced them: the
+pair-by-pair topology check, the scan-plus-bisection critical mass, the
+period-by-period sugar simulation, the sweep that runs the simulator once
+per cell, and the Walras gap relative to |p||z|.
 """
 
 from __future__ import annotations
@@ -155,7 +157,52 @@ def bisection_critical_mass(config, bisect_tol: float, scan_points: int = 21) ->
     return 0.5 * (lo + hi)
 
 
+def run_sugar_by_periods(config) -> tuple[list[float], int | None]:
+    """The shares and the collapse period of the sugar market, counted and
+    checked against the exit rule one period at a time (the library's
+    simulation before the two shares and the closed-form exit)."""
+    wtp = np.random.default_rng(config.seed).uniform(0.0, config.w_max, size=config.population)
+    n_ethical = int(round(config.phi * config.population))
+    shares: list[float] = []
+    streak = 0
+    collapse = None
+    for t in range(config.horizon):
+        if collapse is not None:
+            shares.append(0.0)
+            continue
+        p_c = config.price_conventional if t < config.shock_period \
+            else config.price_conventional_after
+        share = int(np.count_nonzero(wtp[:n_ethical] >= config.price_ethical - p_c)) \
+            / config.population
+        shares.append(share)
+        streak = streak + 1 if share < config.viability_threshold else 0
+        if streak >= config.exit_consecutive:
+            collapse = t
+    return shares, collapse
+
+
+def sweep_by_run_sugar(config, phis, premiums) -> list[tuple[float, float, float, bool]]:
+    """The phi x premium sweep as one ``run_sugar`` per cell, each drawing
+    the willingness-to-pay vector again (the CLI's loop before
+    ``sugar_sweep``)."""
+    cells = []
+    for phi in phis:
+        for premium in premiums:
+            report = run_sugar(replace(config, phi=phi,
+                                       price_ethical=config.price_conventional + premium))
+            cells.append((phi, premium, report.shares[0], report.survived))
+    return cells
+
+
 # ------------------------------------------------------------- equilibrium
+
+def absolute_walras_gap(prices, z) -> float:
+    """|p.z| / (1 + |p|.|z|): near a root the denominator is about 1, so this
+    measures absolute rounding error and grows with the endowments' unit
+    (the library's Walras gap before it was taken relative to income)."""
+    p = np.asarray(getattr(prices, "values", prices), dtype=float)
+    return abs(float(p @ z)) / (1.0 + float(np.abs(p) @ np.abs(z)))
+
 
 def cd_equilibrium_2good(alpha1, endowments):
     """Closed-form two-good Cobb-Douglas exchange equilibrium.

@@ -18,6 +18,7 @@ from dutybound.errors import NotTransitive
 from dutybound.preferences import ChoiceGrid, PreferenceRelation
 
 from oracles import (
+    absolute_walras_gap,
     cd_equilibrium_2good,
     grid_search_demand,
     oracle_complete,
@@ -191,12 +192,25 @@ def _walras_test_economies():
         duty_prices={"d1": 1.0})
 
 
-def test_criterion_6_walras_law_and_homogeneity():
+def test_criterion_6_walras_law_and_homogeneity(monkeypatch):
     with criterion(6, "|p.z| <= 1e-10 relative at every iterate; z is 0-homogeneous"):
+        # the gap relative to |p||z| is recorded next to the solver's own,
+        # relative to income: both hold on every iterate of these economies
+        absolute = []
+        relative_to_income = db.equilibrium.walras_gap
+
+        def record_both(p, z, income):
+            absolute.append(absolute_walras_gap(p, z))
+            return relative_to_income(p, z, income)
+
+        monkeypatch.setattr(db.equilibrium, "walras_gap", record_both)
         for economy in _walras_test_economies():
+            absolute.clear()
             result = db.solve_tatonnement(economy, p0=None)
             assert result.diagnostics
             assert max(result.walras_gaps()) <= 1e-10
+            assert len(absolute) == len(result.diagnostics)
+            assert max(absolute) <= 1e-10
         duty_economy = list(_walras_test_economies())[2]
         claim_free = two_good_economy([cd_agent("A", 0.35, 1.2, 0.4),
                                        cd_agent("B", 0.65, 0.4, 1.6)])

@@ -47,6 +47,17 @@ def minimal_tree():
     }
 
 
+def packaged_tree(name, **top_level):
+    """A packaged config's tree with the given top-level entries replaced."""
+    return {**json.loads(packaged_config_path(name).read_text()), **top_level}
+
+
+def sugar_with_premiums(premiums):
+    tree = packaged_tree("sugar")
+    tree["scenarios"]["sweep"]["premiums"] = premiums
+    return tree
+
+
 class TestParseAndValidate:
     @pytest.mark.parametrize("name", ["slavery", "exchange", "sugar", "veblen"])
     def test_packaged_configs_valid(self, name):
@@ -220,6 +231,21 @@ class TestCliExitCodes:
         code = main(["check-preferences", "--relation", str(relation),
                      "--out", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("argv,make_tree", [
+        # price_conventional is 1, so a premium of -1 leaves no ethical price
+        (["sweep", "--config"], lambda: sugar_with_premiums([0.2, -1.0])),
+        (["solve", "--config"], lambda: packaged_tree("exchange", agents=[])),
+        (["trace", "--config"], lambda: packaged_tree("slavery", agents=[])),
+        (["scenario", "veblen", "--config"], lambda: packaged_tree("veblen", agents=[])),
+        (["check-preferences", "--relation"], lambda: {"pairs": [[0, 0]]}),
+    ], ids=["sweep-premium", "solve-no-agents", "trace-no-agents", "veblen-no-agents",
+            "relation-no-points"])
+    def test_malformed_input_exit_4(self, tmp_path, capsys, write_config, argv, make_tree):
+        """A documented config error, never a traceback."""
+        code = main(argv + [str(write_config(make_tree())), "--out", str(tmp_path / "out")])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("config error: ")
 
 
 class TestDeterminism:

@@ -14,6 +14,7 @@ from dutybound.equilibrium import (
     relative_residual,
     solve_grid_oracle,
     solve_tatonnement,
+    total_income,
     trade_volumes,
     walras_gap,
 )
@@ -24,7 +25,7 @@ from dutybound.errors import (
     SingularJacobian,
 )
 
-from oracles import cd_equilibrium_2good, cd_equilibrium_prices
+from oracles import absolute_walras_gap, cd_equilibrium_2good, cd_equilibrium_prices
 
 
 def cd_agent(name, alpha1, w1, w2):
@@ -139,7 +140,7 @@ class TestExcessDemand:
         z = excess_demand(economy, p)
         # good 2 became expensive: excess demand for good 1, excess supply of 2
         assert z[0] > 0 and z[1] < 0
-        assert walras_gap(p, z) <= 1e-10
+        assert absolute_walras_gap(p, z) <= 1e-10
 
     def test_single_agent_autarky(self):
         """One agent: the value of excess demand vanishes at every price
@@ -148,7 +149,7 @@ class TestExcessDemand:
         economy = two_good_economy([cd_agent("solo", 0.4, 1.0, 2.0)])
         for p2 in (0.5, 1.0, 3.0):
             p = np.array([1.0, p2])
-            assert walras_gap(p, excess_demand(economy, p)) <= 1e-12
+            assert absolute_walras_gap(p, excess_demand(economy, p)) <= 1e-12
         # supporting price of the endowment: p2 = (a2 / a1) * (w1 / w2)
         p_star = np.array([1.0, (0.6 / 0.4) * (1.0 / 2.0)])
         assert np.allclose(excess_demand(economy, p_star), 0.0, atol=1e-8)
@@ -172,7 +173,12 @@ class TestExcessDemand:
         economy = FiberEconomy(fiber=fiber, agents=agents, duty_prices={"d1": 1.0})
         for p2 in (0.6, 1.0, 1.7):
             p = np.array([1.0, p2, 1.0])
-            assert walras_gap(p, excess_demand(economy, p)) <= 1e-10
+            z = excess_demand(economy, p)
+            assert absolute_walras_gap(p, z) <= 1e-10
+            # income is the endowments' value less each agent's claim
+            income = total_income(economy, p)
+            assert income == pytest.approx(4.0 + 4.0 * p2 - 2 * 0.3, rel=1e-12)
+            assert walras_gap(p, z, income) <= 1e-10
 
 
 def claim_and_duty_economy():
@@ -214,7 +220,7 @@ class TestExcessDemandBatch:
         assert batch.shape == (12, 3)
         for p, z in zip(prices, batch):
             np.testing.assert_allclose(z, excess_demand(economy, p), rtol=0.0, atol=1e-12)
-            assert walras_gap(p, z) <= 1e-10
+            assert absolute_walras_gap(p, z) <= 1e-10
 
     def test_custom_map_of_one_vector_is_mapped_over_a_batch(self):
         economy = SyntheticEconomy()
@@ -274,6 +280,25 @@ class TestTatonnement:
         result = solve_tatonnement(symmetric_economy(), p0=np.array([1.0, 3.0]))
         assert result.diagnostics
         assert max(result.walras_gaps()) <= 1e-10
+
+    @pytest.mark.parametrize("scale", [10.0 ** k for k in range(-6, 8)])
+    def test_walras_gap_is_unit_free(self, scale):
+        """The gap is |p.z| over 1 + total income, so scaling every endowment
+        leaves it at rounding level. Relative to |p||z| instead, this
+        economy's converged solve reads 1.8e-10 at scale 1e6 and 2e-9 at 1e7."""
+        goods = ("g1", "g2", "g3")
+        alpha = np.array([[0.6, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]])
+        w = scale * np.array([[1.5, 0.5, 1.0], [1.0, 1.5, 0.5], [0.5, 1.0, 1.5]])
+        economy = FiberEconomy(fiber=Fiber(y_id="y", goods=goods, duties=()), agents=tuple(
+            Agent(id=f"a{k}", endowment=dict(zip(goods, w[k])),
+                  utility=UtilitySpec(family=UtilityFamily.COBB_DOUGLAS_EXTENDED,
+                                      alpha=dict(zip(goods, alpha[k]))))
+            for k in range(3)))
+        result = solve_tatonnement(economy)
+        assert result.converged
+        assert max(result.walras_gaps()) <= 1e-10
+        p = result.prices.values
+        assert total_income(economy, p) == pytest.approx(float(p @ w.sum(axis=0)), rel=1e-12)
 
     def test_homogeneity_of_excess_demand(self):
         economy = two_good_economy([cd_agent("A", 0.3, 1.0, 0.5),

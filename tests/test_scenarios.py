@@ -16,11 +16,38 @@ from dutybound.scenarios import (
     increasing_segments,
     run_slavery_eras,
     run_sugar,
+    sugar_sweep,
     veblen_demand_curve,
 )
 from dutybound.transition import GenerationProfile, build_path
 
-from oracles import bisection_critical_mass, brute_force_critical_mass, grid_search_demand
+from oracles import (
+    bisection_critical_mass,
+    brute_force_critical_mass,
+    grid_search_demand,
+    run_sugar_by_periods,
+    sweep_by_run_sugar,
+)
+
+
+def random_sugar_config(rng, **overrides) -> SugarMarketConfig:
+    """A small sugar market with every field drawn, the shock anywhere from
+    the first period to the horizon and exit windows longer than it too."""
+    horizon = int(rng.integers(1, 12))
+    fields = dict(population=int(rng.choice([1, 2, 7, 60, 500])),
+                  phi=float(rng.uniform(0.0, 1.0)), w_max=float(rng.uniform(0.1, 2.0)),
+                  price_ethical=float(rng.uniform(0.5, 2.0)),
+                  price_conventional=float(rng.uniform(0.5, 1.5)),
+                  shock_period=int(rng.integers(0, horizon + 1)),
+                  price_conventional_after=float(rng.uniform(0.3, 1.5)),
+                  viability_threshold=float(rng.uniform(0.01, 0.9)),
+                  exit_consecutive=int(rng.integers(1, 14)), horizon=horizon,
+                  seed=int(rng.integers(0, 10_000)))
+    return SugarMarketConfig(**{**fields, **overrides})
+
+
+def hexed(cells):
+    return [tuple(v.hex() if isinstance(v, float) else v for v in cell) for cell in cells]
 
 
 class TestRunSugar:
@@ -73,6 +100,17 @@ class TestRunSugar:
         assert np.all(np.diff(shares, axis=0) >= 0)   # nondecreasing in phi
         assert np.all(np.diff(shares, axis=1) <= 0)   # nonincreasing in premium
 
+    @pytest.mark.parametrize("overrides", [
+        {}, dict(shock_period=0), dict(exit_consecutive=1), dict(population=1)])
+    def test_matches_the_period_by_period_simulation(self, overrides):
+        rng = np.random.default_rng(17)
+        for _ in range(150):
+            config = random_sugar_config(rng, **overrides)
+            shares, collapse = run_sugar_by_periods(config)
+            report = run_sugar(config)
+            assert [s.hex() for s in report.shares] == [s.hex() for s in shares]
+            assert (report.collapse_period, report.survived) == (collapse, collapse is None)
+
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
             SugarMarketConfig(phi=1.5)
@@ -80,6 +118,40 @@ class TestRunSugar:
             SugarMarketConfig(viability_threshold=0.0)
         with pytest.raises(ValueError):
             SugarMarketConfig(shock_period=50, horizon=40)
+
+
+class TestSugarSweep:
+    @pytest.mark.parametrize("overrides", [
+        {}, dict(shock_period=0), dict(exit_consecutive=1), dict(population=1)])
+    def test_matches_run_sugar_per_cell(self, overrides):
+        """Bit for bit, with premium 0, a negative premium that leaves the
+        ethical price positive, and phi at both ends of [0, 1]."""
+        rng = np.random.default_rng(29)
+        for _ in range(30):
+            config = random_sugar_config(rng, **overrides)
+            phis = [0.0, *rng.uniform(0.0, 1.0, 4).tolist(), 1.0]
+            premiums = [0.0, -0.9 * config.price_conventional,
+                        *rng.uniform(-0.5, 1.5, 3).tolist()]
+            assert hexed(sugar_sweep(config, phis, premiums)) == \
+                hexed(sweep_by_run_sugar(config, phis, premiums))
+
+    def test_draws_once_and_keeps_the_lattice_order(self, monkeypatch):
+        draws = []
+        draw = scenarios._draw_wtp
+
+        def counted(config):
+            draws.append(config)
+            return draw(config)
+
+        monkeypatch.setattr(scenarios, "_draw_wtp", counted)
+        cells = sugar_sweep(SugarMarketConfig(), [0.2, 0.8], [0.1, 0.3, 0.5])
+        assert len(draws) == 1
+        assert [(phi, premium) for phi, premium, _, _ in cells] == [
+            (0.2, 0.1), (0.2, 0.3), (0.2, 0.5), (0.8, 0.1), (0.8, 0.3), (0.8, 0.5)]
+
+    def test_rejects_a_premium_that_leaves_no_ethical_price(self):
+        with pytest.raises(ValueError, match="positive"):
+            sugar_sweep(SugarMarketConfig(), [0.5], [-1.0])
 
 
 class TestCriticalMass:

@@ -20,9 +20,9 @@ Demand maximizes the chosen utility family over the duty-feasible budget
 set. Both families are concave in the bundle, so the exact optimum follows
 from the first-order conditions: every coordinate is a known decreasing
 function of the income multiplier, clipped at its lower bound, and the
-multiplier itself follows in closed form (no status tilt) or by bisection on
-the budget identity. FORBID coordinates are exactly zero and REQUIRE_MIN
-bounds are met exactly.
+multiplier itself follows in closed form (no status tilt) or by a safeguarded
+Newton iteration on the budget identity. FORBID coordinates are exactly zero
+and REQUIRE_MIN bounds are met exactly.
 
 One kernel, ``demand_rows``, solves every agent of a fiber at once over the
 arrays of ``AgentRows``; ``demand`` is its one-agent view.
@@ -335,11 +335,11 @@ def demand_rows(rows: AgentRows, prices) -> np.ndarray:
     each clipped below at its REQUIRE_MIN bound (zero by default) and pinned
     to zero when forbidden. Rows without a status tilt take the active-set
     closed form; the rest, and any row whose closed form fails its KKT check,
-    pin mu by bisection on the budget identity (total spending is strictly
-    decreasing in mu). Both utility families spend the whole disposable
-    budget whenever some free dimension has positive weight. Flat problems
-    (all free weights zero) settle on the lexicographically smallest vector,
-    i.e. every coordinate at its bound.
+    pin mu by Newton's method on the budget identity inside a bracket per
+    row (total spending is non-increasing in mu). Both utility families
+    spend the whole disposable budget whenever some free dimension has
+    positive weight. Flat problems (all free weights zero) settle on the
+    lexicographically smallest vector, i.e. every coordinate at its bound.
 
     In a batch the agents' arrays broadcast against each price vector, and
     the error raised is the one a loop over the vectors would raise first.
@@ -362,15 +362,15 @@ def demand_rows(rows: AgentRows, prices) -> np.ndarray:
     tilt[..., n:] = rows.theta[:, None] * (p[..., n:] - rows.p_bar)
     # The closed form runs on every row and is kept only for untilted rows
     # that pass its KKT check. Rows with no weight left divide zero by zero
-    # there (and are set to their bounds); the bisection's outer probes at
-    # mu = 1e300 and 1e-300 overflow on purpose.
+    # there (and are set to their bounds); the multiplier solve's outer
+    # probes at mu = 1e300 and 1e-300 overflow on purpose.
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
         coords, ok = _active_set_rows(fiber, p, w, rows.weight)
         todo = ~ok | tilt.any(axis=-1)
         if todo.any():
             at = np.nonzero(todo)  # the rows' (vector and) agent indices
-            coords[todo] = _bisect_rows(fiber, p if p.ndim == 1 else p[at[0], 0], w[todo],
-                                        rows.weight[at[-1]], tilt[todo])
+            coords[todo] = _multiplier_rows(fiber, p if p.ndim == 1 else p[at[0], 0], w[todo],
+                                            rows.weight[at[-1]], tilt[todo])
     return coords
 
 
@@ -406,7 +406,7 @@ def _active_set_rows(fiber: Fiber, p, w, weight):
     absorbs more budget than it wanted), so violations grow monotonically and
     every row settles after at most one round per dimension; a settled row
     recomputes to itself. Returns the rows and a mask of those that pass the
-    KKT check; the others go to bisection.
+    KKT check; the others go to the multiplier solve.
     """
     lb, forbidden, offset, _ = fiber.columns
     clipped = np.zeros(w.shape + lb.shape, dtype=bool) | forbidden
@@ -429,9 +429,21 @@ def _active_set_rows(fiber: Fiber, p, w, weight):
     return np.where(clipped | flat[..., None], lb, wanted), ok
 
 
-def _bisect_rows(fiber: Fiber, p, w, weight, tilt) -> np.ndarray:
-    """Rows solved by geometric bisection on mu, a bracket per row, at one
-    price vector ``p`` or at one per row."""
+_ULPS = 4 * np.finfo(float).eps  # a few units in the last place, relative
+
+
+def _multiplier_rows(fiber: Fiber, p, w, weight, tilt) -> np.ndarray:
+    """Rows whose income multiplier mu has no closed form, at one price
+    vector ``p`` or at one per row, by safeguarded Newton on mu.
+
+    A coordinate above its bound spends p_k (weight_k / (mu p_k - tilt_k) -
+    offset_k), so mu times the excess spending is linear in mu where there
+    is no tilt, convex where a positive tilt adds a pole, and has a single
+    root in any bracket that straddles the budget. Newton's method on it
+    keeps one such bracket per row: a Newton point that is not finite or
+    leaves the bracket is replaced by the bracket's geometric midpoint, and
+    a row stops once its step is within a few ulps of mu.
+    """
     lb, forbidden, offset, _ = fiber.columns
     big = (w[:, None] + 1.0) / p + lb  # any value above this overshoots the budget
     unweighted = weight == 0
@@ -439,17 +451,23 @@ def _bisect_rows(fiber: Fiber, p, w, weight, tilt) -> np.ndarray:
     # zero-weight free coordinate sits at its bound for any positive one,
     # unless the status tilt alone makes it worth buying
     floor = np.where(unweighted, 0.0, 1e-300)
+    allowed = ~forbidden
 
-    def coords_at(mu: np.ndarray) -> np.ndarray:
+    def coords_at(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The coordinates at mu, and the slope in mu of the spending on them."""
         denom = mu[:, None] * p - tilt
-        raw = np.where(denom > floor, weight / np.maximum(denom, 1e-300) - offset, big)
-        return np.where(forbidden, 0.0, np.maximum(raw, lb))
+        share = weight / np.maximum(denom, 1e-300)
+        interior = denom > floor
+        raw = np.where(interior, share - offset, big)
+        above = interior & (raw > lb) & allowed
+        slope = np.where(above, share / denom * p * p, 0.0).sum(axis=1)
+        return np.where(forbidden, 0.0, np.maximum(raw, lb)), -slope
 
     # the bounds exhaust the budget exactly: nothing left to allocate
-    out = coords_at(np.full(len(w), 1e300))
+    out = coords_at(np.full(len(w), 1e300))[0]
     rest = w - p @ lb > 0
     # nothing worth buying beyond the bounds: lexicographically smallest point
-    lazy = coords_at(np.full(len(w), 1e-300))
+    lazy = coords_at(np.full(len(w), 1e-300))[0]
     idle = rest & (_spend(lazy, p) <= w * (1 + 1e-12) + 1e-12)
     out[idle] = lazy[idle]
     rest &= ~idle
@@ -459,39 +477,47 @@ def _bisect_rows(fiber: Fiber, p, w, weight, tilt) -> np.ndarray:
     w, weight, tilt, big, floor, unweighted = \
         w[rest], weight[rest], tilt[rest], big[rest], floor[rest], unweighted[rest]
 
-    # spending falls in mu and already exceeds the budget at 1e-300, so
-    # mu_lo stops above zero
-    mu_lo, mu_hi = np.ones(len(w)), np.ones(len(w))
+    # probe by factors of 8 from mu = 1 until every row's budget is
+    # bracketed (a bracketed row steps back and forth across its bracket);
+    # spending falls in mu and exceeds the budget at 1e-300, so the lower
+    # end stops above zero
+    mu = np.ones(len(w))
+    mu_lo, mu_hi = np.zeros(len(w)), np.full(len(w), np.inf)
     for _ in range(400):
-        low = _spend(coords_at(mu_lo), p) < w
-        if not low.any():
+        over = _spend(coords_at(mu)[0], p) >= w
+        mu_lo, mu_hi = np.where(over, mu, mu_lo), np.where(over, mu_hi, mu)
+        if (mu_lo > 0).all() and (mu_hi < np.inf).all():
             break
-        mu_lo = np.where(low, mu_lo / 8.0, mu_lo)
-    else:
-        raise NoConvergence(400)
-    for _ in range(400):
-        high = _spend(coords_at(mu_hi), p) > w
-        if not high.any():
-            break
-        mu_hi = np.where(high, mu_hi * 8.0, mu_hi)
+        mu = np.where(over, mu * 8.0, mu / 8.0)
     else:
         raise NoConvergence(400)
 
-    for _ in range(90):
-        mid = np.sqrt(mu_lo * mu_hi)
-        above = _spend(coords_at(mid), p) >= w
-        lo, hi = np.where(above, mid, mu_lo), np.where(above, mu_hi, mid)
-        # a step that moves neither end would repeat forever
-        if (lo == mu_lo).all() and (hi == mu_hi).all():
+    # Newton from the bracket's geometric midpoint; a stopped row keeps its mu
+    mu, done = np.sqrt(mu_lo * mu_hi), np.zeros(len(w), dtype=bool)
+    for _ in range(400):
+        coords, slope = coords_at(mu)
+        excess = _spend(coords, p) - w
+        over = excess >= 0
+        mu_lo, mu_hi = np.where(over, mu, mu_lo), np.where(over, mu_hi, mu)
+        newton = mu - excess / (slope + excess / mu)
+        inside = (mu_lo <= newton) & (newton <= mu_hi)
+        step = np.where(inside, newton, np.sqrt(mu_lo * mu_hi))
+        done |= np.abs(step - mu) <= _ULPS * mu
+        if done.all():
             break
-        mu_lo, mu_hi = lo, hi
+        mu = np.where(done, mu, step)
+    else:
+        raise NoConvergence(400)
 
-    final = coords_at(0.5 * (mu_lo + mu_hi))
+    # A pure-status coordinate (zero log weight, positive premium value) has
+    # constant marginal utility, so spending jumps down where its
+    # denominator turns positive. Newton cannot land on the jump: a row that
+    # stopped on a midpoint straddles it and takes the bracket end within
+    # budget, and the optimum puts the leftover budget into the best such
+    # coordinate.
+    final = coords_at(np.where(inside, step, mu_hi))[0]
     residual = w - _spend(final, p)
-    # a pure-status coordinate (zero log weight, positive premium value) has
-    # constant marginal utility, so spending jumps there; the optimum puts
-    # the leftover budget into the best such coordinate
-    ratio = np.where(unweighted & (tilt > 0) & ~forbidden, tilt / p, -np.inf)
+    ratio = np.where(unweighted & (tilt > 0) & allowed, tilt / p, -np.inf)
     best = np.argmax(ratio, axis=1)
     k = np.flatnonzero((residual > 1e-9 * (1 + w))
                        & (ratio[np.arange(len(w)), best] > 0))

@@ -132,11 +132,14 @@ def excess_demand(economy: FiberEconomy, prices) -> np.ndarray:
 
 
 def walras_gap(prices: np.ndarray, z: np.ndarray, income: float) -> float:
-    """Violation of Walras' law at one price vector, |p.z| / (1 + |income|)
-    with ``income`` the economy's ``total_income``: relative to the value
-    traded, so it does not grow with the unit endowments are measured in."""
+    """Violation of Walras' law at one price vector, |p.z| / income with
+    ``income`` the economy's ``total_income``: relative to the value traded,
+    so it reads the same in any unit endowments are measured in. With no
+    positive income (a custom economy without ``rows``, or nothing of value
+    held) there is no value to compare with, and the gap is |p.z| itself."""
     p = np.asarray(getattr(prices, "values", prices), dtype=float)
-    return abs(float(p @ z)) / (1.0 + abs(income))
+    gap = abs(float(p @ z))
+    return gap / income if income > 0 else gap
 
 
 def total_income(economy, prices) -> float:

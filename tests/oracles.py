@@ -10,7 +10,8 @@ found by running the simulator at every ethical count, and retired library
 paths stay here as references for the code that replaced them: the
 pair-by-pair topology check, the scan-plus-bisection critical mass, the
 period-by-period sugar simulation, the sweep that runs the simulator once
-per cell, and the Walras gap relative to |p||z|.
+per cell, the Walras gap relative to |p||z|, and demand by bisection on the
+income multiplier.
 """
 
 from __future__ import annotations
@@ -301,6 +302,84 @@ def grid_search_demand(agent, prices, fiber, resolution=1e-3):
             best, best_coords = value, coords.copy()
 
     return ExtendedBundle(x=best_coords[: fiber.n], e=best_coords[fiber.n:]), best
+
+
+def bisection_demand_rows(rows, prices) -> np.ndarray:
+    """Demand of every packed agent at one feasible price vector, each row
+    by geometric bisection on the income multiplier mu (the library's
+    multiplier solve before its Newton iteration; it applies to untilted
+    rows as well). Every coordinate is
+
+        max(weight_k / (mu p_k - tilt_k) - offset_k, lb_k),
+
+    zero where forbidden, so spending falls in mu; 90 halvings of a
+    bracket per row close on the budget. The coordinates are taken at the
+    bracket's upper end, which is within budget. The library took the
+    midpoint, which put a pure-status row (zero log weight, positive
+    premium value) on the overspending side of its jump about half the
+    time and then spent 1 more than the budget.
+    """
+    fiber = rows.fiber
+    n = fiber.n
+    lb, forbidden, offset, _ = fiber.columns
+    p = np.asarray(prices, dtype=float)
+    w = rows.endowment @ np.where(forbidden[:n], 0.0, p[:n]) \
+        - fiber.constraints.prior_claim_total
+    weight = rows.weight
+    tilt = np.zeros(weight.shape)
+    tilt[:, n:] = rows.theta[:, None] * (p[n:] - rows.p_bar)
+    big = (w[:, None] + 1.0) / p + lb  # any value above this overshoots the budget
+    unweighted = weight == 0
+    # below this denominator a coordinate buys everything (``big``); a
+    # zero-weight free coordinate sits at its bound for any positive one,
+    # unless the status tilt alone makes it worth buying
+    floor = np.where(unweighted, 0.0, 1e-300)
+
+    def coords_at(mu):
+        denom = mu[:, None] * p - tilt
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            raw = np.where(denom > floor, weight / np.maximum(denom, 1e-300) - offset, big)
+        return np.where(forbidden, 0.0, np.maximum(raw, lb))
+
+    def spend(mu):
+        return coords_at(mu) @ p
+
+    # the bounds exhaust the budget exactly: nothing left to allocate
+    out = coords_at(np.full(len(w), 1e300))
+    rest = w - p @ lb > 0
+    # nothing worth buying beyond the bounds: lexicographically smallest point
+    lazy = coords_at(np.full(len(w), 1e-300))
+    idle = rest & (lazy @ p <= w * (1 + 1e-12) + 1e-12)
+    out[idle] = lazy[idle]
+    rest &= ~idle
+    if not rest.any():
+        return out
+    w, weight, tilt, big, floor, unweighted = \
+        w[rest], weight[rest], tilt[rest], big[rest], floor[rest], unweighted[rest]
+
+    mu_lo, mu_hi = np.ones(len(w)), np.ones(len(w))
+    while (low := spend(mu_lo) < w).any():
+        mu_lo = np.where(low, mu_lo / 8.0, mu_lo)
+    while (high := spend(mu_hi) > w).any():
+        mu_hi = np.where(high, mu_hi * 8.0, mu_hi)
+    for _ in range(90):
+        mid = np.sqrt(mu_lo * mu_hi)
+        above = spend(mid) >= w
+        lo, hi = np.where(above, mid, mu_lo), np.where(above, mu_hi, mid)
+        if (lo == mu_lo).all() and (hi == mu_hi).all():
+            break
+        mu_lo, mu_hi = lo, hi
+
+    final = coords_at(mu_hi)
+    residual = w - final @ p
+    # a pure-status coordinate has constant marginal utility: the leftover
+    # budget at the jump goes to the best such coordinate
+    ratio = np.where(unweighted & (tilt > 0) & ~forbidden, tilt / p, -np.inf)
+    best = np.argmax(ratio, axis=1)
+    k = np.flatnonzero((residual > 1e-9 * (1 + w)) & (ratio[np.arange(len(w)), best] > 0))
+    final[k, best[k]] += residual[k] / p[best[k]]
+    out[rest] = final
+    return out
 
 
 def kkt_residual(agent, prices, fiber, bundle):

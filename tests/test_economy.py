@@ -1,8 +1,11 @@
 """Feasibility, utility families, and duty-constrained demand."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from dutybound import economy
 from dutybound.duty import compile_constraints, load_registry
 from dutybound.economy import (
     Agent,
@@ -26,7 +29,7 @@ from dutybound.errors import (
     NonPositivePrice,
 )
 
-from oracles import grid_search_demand, kkt_residual
+from oracles import bisection_demand_rows, grid_search_demand, kkt_residual
 
 
 def cd_spec(alpha, beta=None):
@@ -332,6 +335,21 @@ CLAIM_AND_FORBID = ({"c": {"class": "perfect", "kind": "PRIOR_CLAIM", "amount": 
                      "f": {"class": "perfect", "kind": "FORBID", "target": "g3"}}, ["c", "f"])
 
 
+STATUS_PRICES = np.array([[1.0, 1.2, 0.8, 0.5], [0.7, 1.0, 1.5, 2.0], [1.3, 0.9, 1.0, 0.9]])
+
+
+def status_only_agents():
+    """An ordinary VEBLEN agent and a status-only one (all log weight on the
+    forbidden g3, none on the duty), under FORBID g3."""
+    fiber = fiber_with(*KKT_REGIMES["forbid"], goods=GOODS3, duties=("d1",))
+    status_only = Agent(id="s", endowment={"g1": 2.0, "g2": 1.0},
+                        utility=UtilitySpec(family=UtilityFamily.VEBLEN_PRICE_DEPENDENT,
+                                            alpha={"g3": 1.0}, beta={"d1": 0.0},
+                                            reference_premium={"d1": 1.0}),
+                        theta=1.0)
+    return fiber, [random_agent(np.random.default_rng(6), name="v", veblen=True), status_only]
+
+
 def first_error(solve, vectors):
     """The error a loop over the price vectors raises first."""
     for p in vectors:
@@ -360,19 +378,11 @@ class TestDemandRowsBatch:
     def test_rows_idle_at_their_bounds_mix_with_bisected_rows(self):
         """A status-only agent (all log weight on a forbidden good) buys
         nothing below the reference duty price and only duty above it, next
-        to an ordinary VEBLEN agent: the batch's bisection sees a subset of
-        its rows."""
-        fiber = fiber_with(*KKT_REGIMES["forbid"], goods=GOODS3, duties=("d1",))
-        status_only = Agent(id="s", endowment={"g1": 2.0, "g2": 1.0},
-                            utility=UtilitySpec(family=UtilityFamily.VEBLEN_PRICE_DEPENDENT,
-                                                alpha={"g3": 1.0}, beta={"d1": 0.0},
-                                                reference_premium={"d1": 1.0}),
-                            theta=1.0)
-        agents = [random_agent(np.random.default_rng(6), name="v", veblen=True), status_only]
-        rows = AgentRows.pack(fiber, agents)
-        prices = np.array([[1.0, 1.2, 0.8, 0.5], [0.7, 1.0, 1.5, 2.0], [1.3, 0.9, 1.0, 0.9]])
-        batch = demand_rows(rows, prices)
-        for p, got in zip(prices, batch):
+        to an ordinary VEBLEN agent: the batch's multiplier solve sees a
+        subset of its rows."""
+        rows = AgentRows.pack(*status_only_agents())
+        batch = demand_rows(rows, STATUS_PRICES)
+        for p, got in zip(STATUS_PRICES, batch):
             np.testing.assert_allclose(got, demand_rows(rows, p), rtol=0.0, atol=1e-12)
         assert np.all(batch[[0, 2], 1] == 0.0) and batch[1, 1, 3] > 0
 
@@ -408,6 +418,113 @@ class TestDemandRowsBatch:
                                                     utility=cd_spec({"g1": 1.0}))])
         with pytest.raises(DimensionMismatch):
             demand_rows(rows, np.ones((4, 3)))
+
+
+class TestMultiplierRows:
+    """Status-tilted rows, whose income multiplier is found by Newton's
+    method, against the retired bisection and the first-order conditions."""
+
+    @staticmethod
+    def check(fiber, agents, prices, spends=None, kkt_tol=1e-9):
+        """Every row of a batch call against the bisection, and every row
+        that spends its budget (``spends``, per vector; all by default)
+        against the first-order conditions to ``kkt_tol``.
+
+        Both solvers find mu to a few ulps. A duty whose denominator
+        mu p - tilt is a small difference of large numbers magnifies that by
+        mu p / (mu p - tilt) = 1 + tilt (e + 1) / weight, so the tolerance
+        1e-12 (1 + |q|) is multiplied by that factor (1 for goods and for
+        duties priced at or below their reference)."""
+        rows = AgentRows.pack(fiber, agents)
+        batch = demand_rows(rows, prices)
+        for m, (p, got) in enumerate(zip(prices, batch)):
+            want = bisection_demand_rows(rows, p)
+            tilt = rows.theta[:, None] * np.maximum(p[3:] - rows.p_bar, 0.0)
+            duty_weight = rows.weight[:, 3:]
+            magnified = np.ones_like(want)
+            magnified[:, 3:] += np.divide(tilt * (want[:, 3:] + 1.0), duty_weight,
+                                          out=np.zeros_like(duty_weight), where=duty_weight > 0)
+            assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want)) * magnified)
+            for coords, agent in zip(got, agents):
+                if spends is None or spends[m]:
+                    bundle = ExtendedBundle(x=coords[:3], e=coords[3:])
+                    assert kkt_residual(agent, p, fiber, bundle) < kkt_tol
+        return batch
+
+    @pytest.mark.parametrize("regime", list(KKT_REGIMES))
+    def test_half_veblen_batch_on_both_sides_of_the_reference(self, regime):
+        rng = np.random.default_rng(31 + list(KKT_REGIMES).index(regime))
+        fiber = fiber_with(*KKT_REGIMES[regime], goods=GOODS3, duties=("d1",))
+        agents = [random_agent(rng, name=f"a{k}", veblen=k % 2 == 1) for k in range(12)]
+        agents = [replace(a, theta=float(rng.uniform(0.0, 5.0))) if a.theta else a
+                  for a in agents]
+        prices = np.array([random_prices(rng) for _ in range(16)])
+        assert (prices[:, 3] < 1.0).any() and (prices[:, 3] > 1.0).any()
+        self.check(fiber, agents, prices)
+
+    def test_status_only_agent_spends_its_budget_above_the_reference(self):
+        """Spending jumps where the status premium starts to pay, and the
+        leftover budget goes to the duty; the bisection evaluated at its
+        bracket's midpoint overspent by 1 about half the time here."""
+        fiber, agents = status_only_agents()
+        rng = np.random.default_rng(7)
+        prices = np.vstack([STATUS_PRICES,
+                            np.column_stack([rng.uniform(0.3, 3.0, (32, 3)),
+                                             rng.uniform(1.05, 3.0, 32)])])
+        # below the reference nothing is worth buying: the agent keeps its
+        # bounds and leaves its budget, outside the first-order oracle
+        self.check(fiber, agents, prices, spends=prices[:, 3] > 1.0)
+
+    def test_require_min_floor_binds_at_the_root(self):
+        rng = np.random.default_rng(41)
+        fiber = fiber_with(*KKT_REGIMES["require_min"], goods=GOODS3, duties=("d1",))
+        agents = [replace(random_agent(rng, name=f"a{k}", veblen=True),
+                          theta=float(rng.uniform(0.5, 5.0))) for k in range(8)]
+        # a duty priced below the reference is worth less than its price
+        prices = np.array([np.concatenate([rng.uniform(0.3, 3.0, 3), [rng.uniform(0.5, 0.8)]])
+                           for _ in range(6)])
+        batch = self.check(fiber, agents, prices)
+        assert np.all(batch[..., 3] >= 0.4) and np.any(batch[..., 3] == 0.4)
+
+    @pytest.mark.parametrize("scale", [10.0 ** k for k in range(-6, 8)])
+    def test_endowment_scale(self, scale):
+        """The status term does not scale with the endowments. At scale k a
+        VEBLEN duty's marginal utility per unit of money is about 1/k of the
+        two terms it is the difference of, so its first-order condition can
+        be read no closer than about k ulps (1.3e-9 at 1e6 for the bisection
+        as well)."""
+        rng = np.random.default_rng(51)
+        fiber = fiber_with(*KKT_REGIMES["forbid"], goods=GOODS3, duties=("d1",))
+        agents = [random_agent(rng, name=f"a{k}", veblen=k % 2 == 1) for k in range(8)]
+        agents = [a.with_endowment({g: q * scale for g, q in a.endowment.items()})
+                  for a in agents]
+        self.check(fiber, agents, np.array([random_prices(rng) for _ in range(8)]),
+                   kkt_tol=max(1e-9, 1e-14 * scale))
+
+    def test_few_spending_evaluations_per_demand(self, monkeypatch):
+        """VEBLEN agents as the many-agent benchmark builds them: 3 goods and
+        one duty priced 1.2 against a reference of 1.0. Bisection to
+        rounding took 61 evaluations of spending per ``demand`` call. A
+        batch runs until its slowest row stops, so the worst row counts too."""
+        calls = []
+        spend = economy._spend
+        monkeypatch.setattr(economy, "_spend", lambda q, p: calls.append(1) or spend(q, p))
+        rng = np.random.default_rng(61)
+        counts = []
+        for k in range(120):
+            fiber = fiber_with(*list(KKT_REGIMES.values())[k % 4], goods=GOODS3,
+                               duties=("d1",))
+            spec = UtilitySpec(family=UtilityFamily.VEBLEN_PRICE_DEPENDENT,
+                               alpha=dict(zip(GOODS3, rng.dirichlet([2.0] * 3).tolist())),
+                               beta={"d1": float(rng.uniform(0.2, 1.0))},
+                               reference_premium={"d1": 1.0})
+            agent = Agent(id="a", utility=spec,
+                          endowment=dict(zip(GOODS3, rng.uniform(0.5, 2.0, 3).tolist())),
+                          lam=float(rng.uniform(0.2, 1.0)), theta=float(rng.uniform(0.5, 2.0)))
+            calls.clear()
+            demand(agent, np.array([1.0, 1.0, 1.0, 1.2]), fiber)
+            counts.append(len(calls))
+        assert np.median(counts) <= 25 and max(counts) <= 25
 
 
 class TestIncomeRule:

@@ -1,5 +1,7 @@
 """Excess demand, tatonnement, the grid oracle, and the equilibrium index."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -183,7 +185,7 @@ class TestExcessDemand:
 
 def claim_and_duty_economy():
     """Two goods and a priced duty under a prior claim; one agent in three
-    is VEBLEN, so both the closed form and the bisection run."""
+    is VEBLEN, so both the closed form and the multiplier solve run."""
     reg = load_registry({
         "goods": ["g1", "g2"],
         "imperfect_duties": ["d1"],
@@ -283,7 +285,7 @@ class TestTatonnement:
 
     @pytest.mark.parametrize("scale", [10.0 ** k for k in range(-6, 8)])
     def test_walras_gap_is_unit_free(self, scale):
-        """The gap is |p.z| over 1 + total income, so scaling every endowment
+        """The gap is |p.z| over total income, so scaling every endowment
         leaves it at rounding level. Relative to |p||z| instead, this
         economy's converged solve reads 1.8e-10 at scale 1e6 and 2e-9 at 1e7."""
         goods = ("g1", "g2", "g3")
@@ -299,6 +301,20 @@ class TestTatonnement:
         assert max(result.walras_gaps()) <= 1e-10
         p = result.prices.values
         assert total_income(economy, p) == pytest.approx(float(p @ w.sum(axis=0)), rel=1e-12)
+
+    def test_walras_gap_below_unit_income_is_relative(self):
+        """A violation of 1e-5 of an income of 1e-6 fails criterion 6's
+        bound; over 1 + income it read 1e-11 and passed."""
+        p, z = np.array([1.0, 2.0]), np.array([1e-11, 0.0])
+        assert walras_gap(p, z, 1e-6) == pytest.approx(1e-5, rel=1e-12)
+        assert walras_gap(p, z, 1e-6) > 1e-10
+
+    def test_walras_gap_without_income_is_absolute(self):
+        p, z = np.array([1.0, 2.0]), np.array([1e-11, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert walras_gap(p, z, np.float64(0.0)) == 1e-11
+            assert walras_gap(p, np.zeros(2), np.float64(0.0)) == 0.0
 
     def test_homogeneity_of_excess_demand(self):
         economy = two_good_economy([cd_agent("A", 0.3, 1.0, 0.5),

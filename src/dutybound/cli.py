@@ -213,8 +213,7 @@ def _solve_economy(config: RunConfig, y_id: str):
     template = config.template()
     economy = template.economy_at(y_id, [a for a in template.agents])
     result = equilibrium.solve_tatonnement(
-        economy, step=config.solver_step, tol=config.solver_tol,
-        max_iter=config.solver_max_iter)
+        economy, tol=config.solver_tol, max_iter=config.solver_max_iter)
     try:
         result.index = equilibrium.equilibrium_index(economy, result.prices) \
             if result.converged else None

@@ -16,7 +16,7 @@ from typing import Any, Mapping
 
 from .duty import MaximRegistry, load_registry
 from .economy import Agent, UtilityFamily, UtilitySpec
-from .equilibrium import DEFAULT_MAX_ITER, DEFAULT_STEP, DEFAULT_TOL
+from .equilibrium import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .errors import DutyModelError, ParseError, ValidationErrors
 from .scenarios import SugarMarketConfig
 from .topology import BaseSpace
@@ -47,7 +47,6 @@ class RunConfig:
     opens: tuple[frozenset[str], ...] | None = None  # explicit topology override
     fiber_specs: dict[str, FiberSpec] = field(default_factory=dict)
     agents: tuple[Agent, ...] = ()
-    solver_step: float = DEFAULT_STEP
     solver_tol: float = DEFAULT_TOL
     solver_max_iter: int = DEFAULT_MAX_ITER
     path: BasePath | None = None
@@ -64,8 +63,17 @@ class RunConfig:
             raise DutyModelError("this run configuration has no economy sections")
         return EconomyTemplate(
             registry=self.registry, base=self.base, fiber_specs=self.fiber_specs,
-            agents=self.agents, solver_step=self.solver_step,
-            solver_tol=self.solver_tol, solver_max_iter=self.solver_max_iter)
+            agents=self.agents, solver_tol=self.solver_tol,
+            solver_max_iter=self.solver_max_iter)
+
+
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_id_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 def _reject_duplicate_keys(pairs):
@@ -110,10 +118,13 @@ def validate_tree(tree: Mapping[str, Any]) -> RunConfig:
         errors.append(f"seed: must be an integer, got {seed!r}")
 
     if "registry" in tree:
-        try:
-            config.registry = load_registry(tree["registry"])
-        except DutyModelError as exc:
-            errors.append(f"registry: {exc}")
+        if not isinstance(tree["registry"], Mapping):
+            errors.append("registry: must be an object")
+        else:
+            try:
+                config.registry = load_registry(tree["registry"])
+            except DutyModelError as exc:
+                errors.append(f"registry: {exc}")
 
     if "base_space" in tree:
         try:
@@ -178,9 +189,17 @@ def _validate_fibers(tree, config, errors):
         if not isinstance(spec, Mapping):
             errors.append(f"{where}: must be an object")
             continue
-        goods = tuple(spec.get("goods", ()))
-        duties = tuple(spec.get("duties", ()))
-        duty_prices = dict(spec.get("duty_prices", {}))
+        goods, duties = spec.get("goods", []), spec.get("duties", [])
+        duty_prices = spec.get("duty_prices", {})
+        malformed = [f"{where}.{key}: must be a list of ids"
+                     for key, ids in (("goods", goods), ("duties", duties))
+                     if not _is_id_list(ids)]
+        if not isinstance(duty_prices, Mapping):
+            malformed.append(f"{where}.duty_prices: must be an object")
+        if malformed:
+            errors.extend(malformed)
+            continue
+        goods, duties, duty_prices = tuple(goods), tuple(duties), dict(duty_prices)
         if not goods:
             errors.append(f"{where}: needs at least one good")
             continue
@@ -216,9 +235,13 @@ def _validate_fibers(tree, config, errors):
 
 
 def _validate_agents(tree, config, errors):
+    section = tree.get("agents", [])
+    if not isinstance(section, list):
+        errors.append("agents: must be a list")
+        return
     agents: list[Agent] = []
     seen: set[str] = set()
-    for i, spec in enumerate(tree.get("agents", [])):
+    for i, spec in enumerate(section):
         where = f"agents[{i}]"
         if not isinstance(spec, Mapping) or "id" not in spec:
             errors.append(f"{where}: must be an object with an 'id'")
@@ -229,16 +252,25 @@ def _validate_agents(tree, config, errors):
             continue
         seen.add(agent_id)
         uspec = spec.get("utility", {})
+        if not isinstance(uspec, Mapping):
+            errors.append(f"{where}.utility: must be an object")
+            continue
+        weights = {key: uspec.get(key, {}) for key in ("alpha", "beta", "p_bar")}
+        malformed = [f"{where}.utility.{key}: must map ids to numbers"
+                     for key, values in weights.items()
+                     if not (isinstance(values, Mapping) and all(map(_is_number, values.values())))]
+        if malformed:
+            errors.extend(malformed)
+            continue
         try:
             family = UtilityFamily(uspec.get("family", "COBB_DOUGLAS_EXTENDED"))
         except ValueError:
             errors.append(f"{where}.utility.family: unknown family {uspec.get('family')!r}")
             continue
         try:
-            utility = UtilitySpec(family=family,
-                                  alpha=dict(uspec.get("alpha", {})),
-                                  beta=dict(uspec.get("beta", {})),
-                                  reference_premium=dict(uspec.get("p_bar", {})))
+            utility = UtilitySpec(family=family, alpha=dict(weights["alpha"]),
+                                  beta=dict(weights["beta"]),
+                                  reference_premium=dict(weights["p_bar"]))
             agent = Agent(id=agent_id, endowment=dict(spec.get("endowment", {})),
                           utility=utility, lam=float(spec.get("lambda", 0.0)),
                           theta=float(spec.get("theta", 0.0)))
@@ -258,17 +290,15 @@ def _validate_agents(tree, config, errors):
 
 
 def _validate_solver(tree, config, errors):
+    """Reads ``tol`` and ``max_iter``. Other keys are ignored, among them the
+    ``step`` that older configs carry: the fallback's first step is
+    ``equilibrium.FALLBACK_STEP``."""
     solver = tree.get("solver", {})
     if not isinstance(solver, Mapping):
         errors.append("solver: must be an object")
         return
-    step = solver.get("step", DEFAULT_STEP)
     tol = solver.get("tol", DEFAULT_TOL)
     max_iter = solver.get("max_iter", DEFAULT_MAX_ITER)
-    if not (isinstance(step, (int, float)) and step > 0):
-        errors.append(f"solver.step: must be positive, got {step!r}")
-    else:
-        config.solver_step = float(step)
     if not (isinstance(tol, (int, float)) and tol > 0):
         errors.append(f"solver.tol: must be positive, got {tol!r}")
     else:
@@ -315,17 +345,26 @@ def _validate_scenarios(tree, config, errors):
         errors.append("scenarios: must be an object")
         return
     if "sugar" in section:
-        raw = dict(section["sugar"])
-        raw.setdefault("seed", tree.get("seed", 12345))
-        known = {f for f in SugarMarketConfig.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            errors.append(f"scenarios.sugar: unknown keys {sorted(unknown)}")
+        raw = section["sugar"]
+        fields = SugarMarketConfig.__dataclass_fields__
+        if not isinstance(raw, Mapping):
+            errors.append("scenarios.sugar: must be an object")
+        elif set(raw) - set(fields):
+            errors.append(f"scenarios.sugar: unknown keys {sorted(set(raw) - set(fields))}")
         else:
-            try:
-                config.sugar = SugarMarketConfig(**raw)
-            except (ValueError, TypeError) as exc:
-                errors.append(f"scenarios.sugar: {exc}")
+            raw = {"seed": tree.get("seed", 12345), **raw}
+            # every field is a number, and one that defaults to an integer is a count
+            counts = {key for key, f in fields.items() if isinstance(f.default, int)}
+            wrong = [key for key, value in raw.items()
+                     if not _is_number(value) or (key in counts and not isinstance(value, int))]
+            errors.extend(f"scenarios.sugar.{key}: must be "
+                          f"{'an integer' if key in counts else 'a number'}, got {raw[key]!r}"
+                          for key in wrong)
+            if not wrong:
+                try:
+                    config.sugar = SugarMarketConfig(**raw)
+                except (ValueError, TypeError) as exc:
+                    errors.append(f"scenarios.sugar: {exc}")
     if "veblen" in section:
         raw = section["veblen"]
         try:

@@ -108,11 +108,6 @@ class Constraint:
             return v == 0.0
         return v >= self.level
 
-    def describe(self) -> str:
-        if self.kind is DutyKind.FORBID:
-            return f"{self.target} = 0"
-        return f"{self.target} >= {self.level:g}"
-
 
 @dataclass(frozen=True)
 class ConstraintSet:
@@ -174,12 +169,15 @@ def load_registry(config_tree: Mapping) -> MaximRegistry:
         entries[maxim_id] = _parse_record(maxim_id, record, goods, duties)
 
     bundles: dict[str, DutyBundle] = {}
-    for y_id, spec in dict(config_tree.get("bundles", {})).items():
+    section = config_tree.get("bundles", {})
+    if not isinstance(section, Mapping):
+        raise MalformedSpec("bundles", "expected a mapping of regime ids to bundles")
+    for y_id, spec in section.items():
         path = f"bundles.{y_id}"
         if not isinstance(spec, Mapping):
             raise MalformedSpec(path, "expected a mapping with label/active")
         active = spec.get("active", [])
-        if not isinstance(active, list):
+        if not isinstance(active, list) or not all(isinstance(a, str) for a in active):
             raise MalformedSpec(f"{path}.active", "expected a list of perfect-duty ids")
         for spec_id in active:
             rec = entries.get(spec_id)
@@ -246,6 +244,9 @@ def _parse_record(maxim_id, record, goods, duties) -> ClassificationRecord:
     if cls == "imperfect":
         if maxim_id not in duties:
             raise UnknownReference(maxim_id, f"{path} (not in the imperfect_duties catalog)")
+        cap = record.get("normalization_cap")
+        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, (int, float))):
+            raise MalformedSpec(f"{path}.normalization_cap", f"expected a number, got {cap!r}")
         return ImperfectDutyDef(
             id=maxim_id,
             index=duties.index(maxim_id),

@@ -110,10 +110,6 @@ class ExtendedBundle:
     def dims(self) -> int:
         return self.x.size + self.e.size
 
-    @classmethod
-    def zeros(cls, n: int, l: int) -> "ExtendedBundle":
-        return cls(x=np.zeros(n), e=np.zeros(l))
-
 
 @dataclass(frozen=True)
 class Fiber:
@@ -334,12 +330,13 @@ def demand_rows(rows: AgentRows, prices) -> np.ndarray:
 
     each clipped below at its REQUIRE_MIN bound (zero by default) and pinned
     to zero when forbidden. Rows without a status tilt take the active-set
-    closed form; the rest, and any row whose closed form fails its KKT check,
+    closed form, which is exact (``_active_set_rows`` says why); the rest
     pin mu by Newton's method on the budget identity inside a bracket per
     row (total spending is non-increasing in mu). Both utility families
-    spend the whole disposable budget whenever some free dimension has
-    positive weight. Flat problems (all free weights zero) settle on the
-    lexicographically smallest vector, i.e. every coordinate at its bound.
+    spend the whole disposable budget, to rounding, whenever some free
+    dimension has positive weight. Flat problems (all free weights zero)
+    settle on the lexicographically smallest vector, i.e. every coordinate
+    at its bound.
 
     In a batch the agents' arrays broadcast against each price vector, and
     the error raised is the one a loop over the vectors would raise first.
@@ -360,13 +357,13 @@ def demand_rows(rows: AgentRows, prices) -> np.ndarray:
     # status-premium tilt on duty prices; zero for goods and for theta = 0
     tilt = np.zeros(w.shape + lb.shape)
     tilt[..., n:] = rows.theta[:, None] * (p[..., n:] - rows.p_bar)
-    # The closed form runs on every row and is kept only for untilted rows
-    # that pass its KKT check. Rows with no weight left divide zero by zero
-    # there (and are set to their bounds); the multiplier solve's outer
-    # probes at mu = 1e300 and 1e-300 overflow on purpose.
+    # The closed form runs on every row and is kept for the untilted ones.
+    # Rows with no weight left divide zero by zero there (and are set to
+    # their bounds); the multiplier solve's outer probes at mu = 1e300 and
+    # 1e-300 overflow on purpose.
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        coords, ok = _active_set_rows(fiber, p, w, rows.weight)
-        todo = ~ok | tilt.any(axis=-1)
+        coords = _active_set_rows(fiber, p, w, rows.weight)
+        todo = tilt.any(axis=-1)
         if todo.any():
             at = np.nonzero(todo)  # the rows' (vector and) agent indices
             coords[todo] = _multiplier_rows(fiber, p if p.ndim == 1 else p[at[0], 0], w[todo],
@@ -397,36 +394,40 @@ def _first_error(rows: AgentRows, p, income, w, fixed_cost, empty) -> DutyModelE
     return InfeasibleDutySet(rows.ids[k % count], reason)
 
 
-def _active_set_rows(fiber: Fiber, p, w, weight):
+def _active_set_rows(fiber: Fiber, p, w, weight) -> np.ndarray:
     """Exact KKT solution for the log-additive family (no status tilt), per row.
 
     With spending s_k = p_k (q_k + offset_k) the interior condition is
-    s_k = weight_k / mu, so mu has a closed form on any candidate active set.
-    Clipping a coordinate to its bound only raises mu (the clipped coordinate
-    absorbs more budget than it wanted), so violations grow monotonically and
-    every row settles after at most one round per dimension; a settled row
-    recomputes to itself. Returns the rows and a mask of those that pass the
-    KKT check; the others go to the multiplier solve.
+    s_k = weight_k / mu, so mu has a closed form on any candidate active set:
+    the free weight over the pool of budget left to the free coordinates.
+    Each round clips every free coordinate that wants less than its bound.
+
+    The answer needs no further check. A coordinate wants less than its
+    bound exactly when weight_k < mu p_k (lb_k + offset_k), so taking it out
+    of the pool removes less weight than mu times the budget it absorbs, and
+    the next mu is larger. As mu only rises, a coordinate clipped in one
+    round wants still less in every later one, and every row settles after
+    at most one round per dimension with each clipped coordinate held at a
+    bound it does not want to leave. A pool that drops to zero or below
+    (possible only when the bounds cost the budget to within the feasibility
+    check's rounding, since every offset is positive) gives a mu of infinity
+    or below zero, so the next round clips every coordinate: the row sits at
+    its bounds, which then spend the whole budget.
     """
     lb, forbidden, offset, _ = fiber.columns
     clipped = np.zeros(w.shape + lb.shape, dtype=bool) | forbidden
-    ok = np.ones(w.shape, dtype=bool)
     while True:
         total_weight = np.where(clipped, 0.0, weight).sum(axis=-1)
         pool = w + np.where(clipped, -p * lb, p * offset).sum(axis=-1)
-        ok &= (pool > 0.0) | (total_weight <= 0.0)
         mu = total_weight / pool
         wanted = weight / (mu[..., None] * p) - offset
         violating = ~clipped & (wanted < lb)
         if not violating.any():
             break
         clipped |= violating
-    # rows with no weight left sit at their bounds; for the others, every
-    # clipped coordinate must genuinely want no more than its bound
+    # rows with no weight left sit at their bounds
     flat = total_weight <= 0.0
-    held = clipped & ~forbidden
-    ok &= flat | ~(held & (wanted > lb + 1e-9 * (1.0 + np.abs(lb)))).any(axis=-1)
-    return np.where(clipped | flat[..., None], lb, wanted), ok
+    return np.where(clipped | flat[..., None], lb, wanted)
 
 
 _ULPS = 4 * np.finfo(float).eps  # a few units in the last place, relative
@@ -454,14 +455,15 @@ def _multiplier_rows(fiber: Fiber, p, w, weight, tilt) -> np.ndarray:
     allowed = ~forbidden
 
     def coords_at(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The coordinates at mu, and the slope in mu of the spending on them."""
+        """The coordinates at mu, and the rate at which the spending on each
+        falls as mu rises (zero at a bound)."""
         denom = mu[:, None] * p - tilt
         share = weight / np.maximum(denom, 1e-300)
         interior = denom > floor
         raw = np.where(interior, share - offset, big)
         above = interior & (raw > lb) & allowed
-        slope = np.where(above, share / denom * p * p, 0.0).sum(axis=1)
-        return np.where(forbidden, 0.0, np.maximum(raw, lb)), -slope
+        rate = np.where(above, share / denom * p * p, 0.0)
+        return np.where(forbidden, 0.0, np.maximum(raw, lb)), rate
 
     # the bounds exhaust the budget exactly: nothing left to allocate
     out = coords_at(np.full(len(w), 1e300))[0]
@@ -495,11 +497,11 @@ def _multiplier_rows(fiber: Fiber, p, w, weight, tilt) -> np.ndarray:
     # Newton from the bracket's geometric midpoint; a stopped row keeps its mu
     mu, done = np.sqrt(mu_lo * mu_hi), np.zeros(len(w), dtype=bool)
     for _ in range(400):
-        coords, slope = coords_at(mu)
+        coords, rate = coords_at(mu)
         excess = _spend(coords, p) - w
         over = excess >= 0
         mu_lo, mu_hi = np.where(over, mu, mu_lo), np.where(over, mu_hi, mu)
-        newton = mu - excess / (slope + excess / mu)
+        newton = mu - excess / (excess / mu - rate.sum(axis=1))
         inside = (mu_lo <= newton) & (newton <= mu_hi)
         step = np.where(inside, newton, np.sqrt(mu_lo * mu_hi))
         done |= np.abs(step - mu) <= _ULPS * mu
@@ -515,13 +517,23 @@ def _multiplier_rows(fiber: Fiber, p, w, weight, tilt) -> np.ndarray:
     # stopped on a midpoint straddles it and takes the bracket end within
     # budget, and the optimum puts the leftover budget into the best such
     # coordinate.
-    final = coords_at(np.where(inside, step, mu_hi))[0]
+    final, rate = coords_at(np.where(inside, step, mu_hi))
+    prices = np.broadcast_to(p, final.shape)
     residual = w - _spend(final, p)
     ratio = np.where(unweighted & (tilt > 0) & allowed, tilt / p, -np.inf)
     best = np.argmax(ratio, axis=1)
     k = np.flatnonzero((residual > 1e-9 * (1 + w))
                        & (ratio[np.arange(len(w)), best] > 0))
-    final[k, best[k]] += residual[k] / (p[best[k]] if p.ndim == 1 else p[k, best[k]])
+    final[k, best[k]] += residual[k] / prices[k, best[k]]
+    # What is left of the budget is rounding, which a duty near its pole
+    # magnifies by mu p / (mu p - tilt). It goes to the coordinate whose
+    # spending falls fastest in mu, the one whose first-order condition it
+    # moves least (by residual / rate in mu), so the row meets its budget to
+    # rounding at any scale (a coordinate barely above its bound stays on it).
+    steep = np.argmax(rate, axis=1)
+    k = np.flatnonzero(rate[np.arange(len(w)), steep] > 0)
+    final[k, steep[k]] = np.maximum(
+        final[k, steep[k]] + (w - _spend(final, p))[k] / prices[k, steep[k]], lb[steep[k]])
     out[rest] = final
     return out
 

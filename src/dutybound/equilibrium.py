@@ -31,7 +31,7 @@ import numpy as np
 from .economy import ExtendedBundle, FiberEconomy, _income, demand_rows
 from .errors import DimensionTooLarge, SingularJacobian
 
-DEFAULT_STEP = 0.1
+FALLBACK_STEP = 0.1  # first step of the tatonnement fallback
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10_000
 PRICE_FLOOR = 1e-9
@@ -41,7 +41,6 @@ POLISH_ITERS = 60
 GRID_LO, GRID_HI = 0.05, 20.0  # the grid oracle's range of each free price
 INDEX_RESIDUAL_TOL = 1e-6
 SINGULAR_RTOL = 1e-8
-WALRAS_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -65,9 +64,6 @@ class PriceVector:
         values = np.asarray(values, dtype=float)
         return cls(values=values / values[numeraire_index], dims=tuple(dims),
                    numeraire_index=numeraire_index)
-
-    def of(self, dim: str) -> float:
-        return float(self.values[self.dims.index(dim)])
 
 
 @dataclass
@@ -191,8 +187,7 @@ def _newton_step(economy, p: np.ndarray, z: np.ndarray, free: Sequence[int]):
     return _clamped(p, free, p[free] + delta)
 
 
-def solve_tatonnement(economy, p0=None, step: float = DEFAULT_STEP,
-                      tol: float = DEFAULT_TOL,
+def solve_tatonnement(economy, p0=None, tol: float = DEFAULT_TOL,
                       max_iter: int = DEFAULT_MAX_ITER) -> EquilibriumResult:
     """Find market-clearing prices by damped Newton steps, with tatonnement
     as the fallback.
@@ -209,21 +204,22 @@ def solve_tatonnement(economy, p0=None, step: float = DEFAULT_STEP,
     prices, J the central-difference Jacobian, and clamps the update to the
     band [p/2, 2p], positivity plus a trust region. The step is taken if it
     lowers the residual. Otherwise, or when J is singular, the iteration
-    takes the tatonnement step p <- p + step * z / W, clamped the same way;
-    its step size halves whenever the residual fails to improve and creeps
-    back toward ``step`` while improving. The best iterate is kept, so a
-    non-converged run still returns full diagnostics with
+    takes the tatonnement step p <- p + step * z / W, clamped the same way.
+    The fallback is the only move at a singular Jacobian. Its step starts at
+    ``FALLBACK_STEP``, halves whenever the residual fails to improve and
+    creeps back toward ``FALLBACK_STEP`` while improving. The best iterate
+    is kept, so a non-converged run still returns full diagnostics with
     ``converged=False``; there is one diagnostics record per iterate.
     """
-    if step <= 0 or tol <= 0:
-        raise ValueError("step and tol must be positive")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     p = economy.initial_prices() if p0 is None else np.asarray(
         getattr(p0, "values", p0), dtype=float).copy()
     num = economy.numeraire_index
     p = p / p[num]
     free = economy.free_indices()
     units = _units(economy, len(p))
-    step_cap = step
+    step = FALLBACK_STEP
 
     diagnostics: list[IterateRecord] = []
     best_p, best_r = p.copy(), math.inf
@@ -246,11 +242,11 @@ def solve_tatonnement(economy, p0=None, step: float = DEFAULT_STEP,
             break
         # halve on non-improvement (an exact oscillation never strictly
         # increases the residual, so >= is what breaks limit cycles), with
-        # gentle recovery toward the configured step on progress
+        # gentle recovery toward the first step on progress
         if r >= prev_r * (1.0 - 1e-12):
             step = max(step * 0.5, 1e-14)
         else:
-            step = min(step * 1.02, step_cap)
+            step = min(step * 1.02, FALLBACK_STEP)
         prev_r = r
         if free:
             trial = _newton_step(economy, p, z, free)

@@ -101,10 +101,9 @@ class InfeasibleDutySet(DutyModelError):
 
 
 class NoConvergence(DutyModelError):
-    def __init__(self, iterations: int, best=None):
+    def __init__(self, iterations: int):
         super().__init__(f"no convergence after {iterations} iterations")
         self.iterations = iterations
-        self.best = best
 
 
 class DimensionTooLarge(DutyModelError):

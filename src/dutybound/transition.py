@@ -19,7 +19,6 @@ from .duty import MaximRegistry, compile_constraints
 from .economy import Agent, ExtendedBundle, Fiber, FiberEconomy
 from .equilibrium import (
     DEFAULT_MAX_ITER,
-    DEFAULT_STEP,
     DEFAULT_TOL,
     EquilibriumResult,
     duty_expenditure_share,
@@ -90,7 +89,6 @@ class EconomyTemplate:
     base: BaseSpace
     fiber_specs: dict[str, FiberSpec]
     agents: tuple[Agent, ...]
-    solver_step: float = DEFAULT_STEP
     solver_tol: float = DEFAULT_TOL
     solver_max_iter: int = DEFAULT_MAX_ITER
 
@@ -116,14 +114,9 @@ class TraceRecord:
     y_id: str
     result: EquilibriumResult
     allocations: dict[str, ExtendedBundle]
-    projected: str
     duty_share: float
     volumes: dict[str, float]
     stranded_in: dict[str, dict[str, float]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.projected != self.y_id:
-            raise ValueError("trace record projects to a different base point than its tag")
 
 
 @dataclass(frozen=True)
@@ -136,6 +129,8 @@ def build_path(config: Sequence[Sequence], base: BaseSpace) -> BasePath:
     """Validate a [(t, y_id), ...] config section against the base space."""
     steps = []
     for entry in config:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise ValueError(f"expected a [time, regime] pair, got {entry!r}")
         t, y_id = int(entry[0]), str(entry[1])
         if y_id not in base.points:
             raise UnknownBasePoint(y_id)
@@ -188,8 +183,7 @@ def run_path(template: EconomyTemplate, path: BasePath,
                        for a in template.agents)
         try:
             economy = template.economy_at(y_id, agents)
-            result = solve_tatonnement(economy, step=template.solver_step,
-                                       tol=template.solver_tol,
+            result = solve_tatonnement(economy, tol=template.solver_tol,
                                        max_iter=template.solver_max_iter)
         except Exception as exc:
             exc.args = (f"[path step {step_index}: t={t}, y={y_id}] "
@@ -198,7 +192,6 @@ def run_path(template: EconomyTemplate, path: BasePath,
 
         records.append(TraceRecord(
             t=t, y_id=y_id, result=result, allocations=result.allocations,
-            projected=projection((y_id, result.allocations)),
             duty_share=duty_expenditure_share(economy, result.prices, result.allocations),
             volumes=trade_volumes(economy, result.allocations),
             stranded_in=stranded_in,

@@ -1,5 +1,6 @@
 """Configuration parsing/validation and the command-line surface."""
 
+import copy
 import json
 
 import pytest
@@ -10,6 +11,7 @@ from dutybound.config import (
     load_packaged_config,
     packaged_config_path,
     parse_and_validate,
+    validate_tree,
 )
 from dutybound.errors import ParseError, ValidationErrors
 
@@ -50,6 +52,26 @@ def minimal_tree():
 def packaged_tree(name, **top_level):
     """A packaged config's tree with the given top-level entries replaced."""
     return {**json.loads(packaged_config_path(name).read_text()), **top_level}
+
+
+def replaced(tree, path, value):
+    """A copy of ``tree`` with the entry at ``path`` (keys and list indices)
+    set to ``value``."""
+    tree = copy.deepcopy(tree)
+    node = tree
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return tree
+
+
+def entry_paths(node, prefix=()):
+    """The path of every entry of every object and list in a JSON tree."""
+    entries = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in entries:
+        yield prefix + (key,)
+        yield from entry_paths(value, prefix + (key,))
 
 
 def sugar_with_premiums(premiums):
@@ -116,6 +138,37 @@ class TestParseAndValidate:
     def test_missing_file_is_parse_error(self, tmp_path):
         with pytest.raises(ParseError):
             parse_and_validate(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize("name", ["slavery", "exchange", "sugar", "veblen"])
+    def test_a_value_of_the_wrong_type_is_reported(self, name):
+        """Every entry of a packaged config set in turn to each JSON type:
+        the config is accepted or its problems are reported, and nothing
+        else is raised."""
+        tree = json.loads(packaged_config_path(name).read_text())
+        raised = []
+        for path in entry_paths(tree):
+            for value in ([], {}, "x", 5, None):
+                try:
+                    validate_tree(replaced(tree, path, value))
+                except (ValidationErrors, ParseError):
+                    pass
+                except Exception as exc:  # any other exception is the defect
+                    raised.append((path, value, type(exc).__name__))
+        assert raised == []
+
+    def test_old_solver_step_is_ignored(self, tmp_path, write_config):
+        """Configs written when the fallback's first step was a setting
+        still parse, whatever their step, and solve to the same bytes."""
+        outputs = []
+        for step in (None, 0.5, -1.0):
+            tree = packaged_tree("exchange")
+            if step is not None:
+                tree["solver"] = {**tree["solver"], "step": step}
+            outdir = tmp_path / str(step)
+            assert main(["solve", "--config", str(write_config(tree)),
+                         "--out", str(outdir)]) == 0
+            outputs.append((outdir / "solve_y1.csv").read_bytes())
+        assert len(set(outputs)) == 1
 
     def test_profile_length_mismatch_reported(self, write_config):
         tree = minimal_tree()
@@ -239,8 +292,12 @@ class TestCliExitCodes:
         (["trace", "--config"], lambda: packaged_tree("slavery", agents=[])),
         (["scenario", "veblen", "--config"], lambda: packaged_tree("veblen", agents=[])),
         (["check-preferences", "--relation"], lambda: {"pairs": [[0, 0]]}),
+        (["scenario", "veblen", "--config"], lambda: replaced(
+            packaged_tree("veblen"), ("agents", 0, "utility", "p_bar", "eco_label"), "x")),
+        (["scenario", "sugar", "--config"], lambda: replaced(
+            packaged_tree("sugar"), ("scenarios", "sugar", "w_max"), "x")),
     ], ids=["sweep-premium", "solve-no-agents", "trace-no-agents", "veblen-no-agents",
-            "relation-no-points"])
+            "relation-no-points", "veblen-text-reference-price", "sugar-text-w-max"])
     def test_malformed_input_exit_4(self, tmp_path, capsys, write_config, argv, make_tree):
         """A documented config error, never a traceback."""
         code = main(argv + [str(write_config(make_tree())), "--out", str(tmp_path / "out")])

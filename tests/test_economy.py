@@ -28,6 +28,7 @@ from dutybound.errors import (
     NegativeInput,
     NonPositivePrice,
 )
+from dutybound.preferences import EPSILON
 
 from oracles import bisection_demand_rows, grid_search_demand, kkt_residual
 
@@ -418,6 +419,57 @@ class TestDemandRowsBatch:
                                                     utility=cd_spec({"g1": 1.0}))])
         with pytest.raises(DimensionMismatch):
             demand_rows(rows, np.ones((4, 3)))
+
+
+def scaled_regime(regime, scale):
+    """One of ``KKT_REGIMES`` with its claim amount and floor level times
+    ``scale``."""
+    maxims, active = KKT_REGIMES[regime]
+    return ({key: {**spec, **{term: spec[term] * scale
+                              for term in ("amount", "level") if term in spec}}
+             for key, spec in maxims.items()}, active)
+
+
+class TestClosedFormRows:
+    """Rows without a status tilt take the active-set closed form, with no
+    check after it and no second solve."""
+
+    @pytest.mark.parametrize("regime", list(KKT_REGIMES))
+    def test_every_row_meets_first_order_conditions(self, regime):
+        rng = np.random.default_rng(71 + list(KKT_REGIMES).index(regime))
+        for scale in 10.0 ** np.arange(-6, 8):
+            fiber = fiber_with(*scaled_regime(regime, scale), goods=GOODS3, duties=("d1",))
+            agents = [random_agent(rng, name=f"a{k}") for k in range(8)]
+            agents = [a.with_endowment({g: q * scale for g, q in a.endowment.items()})
+                      for a in agents]
+            prices = np.array([random_prices(rng) for _ in range(8)])
+            batch = demand_rows(AgentRows.pack(fiber, agents), prices)
+            for p, rows in zip(prices, batch):
+                for coords, agent in zip(rows, agents):
+                    bundle = ExtendedBundle(x=coords[:3], e=coords[3:])
+                    assert kkt_residual(agent, p, fiber, bundle) <= 1e-9, scale
+
+    def test_floors_that_cost_the_budget_hold_every_row_at_its_bounds(self):
+        """A duty floor that costs the budget to within the feasibility
+        check's 1e-12 leaves the free goods a pool of budget at or below
+        zero once the floor is clipped (each good's offset costs eps p).
+        The closed form then clips every coordinate."""
+        level = 0.4
+        fiber = fiber_with(*KKT_REGIMES["require_min"], goods=GOODS3, duties=("d1",))
+        rng = np.random.default_rng(81)
+        agents = [random_agent(rng, name=f"a{k}").with_endowment(dict.fromkeys(GOODS3, 1e4))
+                  for k in range(4)]
+        goods_prices = rng.uniform(0.3, 3.0, (8, 3))
+        w = 1e4 * goods_prices.sum(axis=1)
+        over = np.linspace(2e-13, 9e-13, 8)  # the floor's cost over the budget, relative
+        prices = np.column_stack([goods_prices, w * (1 + over) / level])
+        assert np.all(w - prices[:, 3] * level + EPSILON * goods_prices.sum(axis=1) <= 0)
+        batch = demand_rows(AgentRows.pack(fiber, agents), prices)
+        np.testing.assert_array_equal(batch, np.broadcast_to([0.0, 0.0, 0.0, level], batch.shape))
+        for p, rows in zip(prices, batch):
+            for coords, agent in zip(rows, agents):
+                bundle = ExtendedBundle(x=coords[:3], e=coords[3:])
+                assert kkt_residual(agent, p, fiber, bundle) <= 1e-9
 
 
 class TestMultiplierRows:

@@ -284,8 +284,7 @@ class TestSlaveryEras:
         records = run_slavery_eras(template, path, GenerationProfile(lambdas=(0.1,)))
         direct = solve_tatonnement(
             template.economy_at("y1", [a.with_lam(0.1) for a in template.agents]),
-            step=template.solver_step, tol=template.solver_tol,
-            max_iter=template.solver_max_iter)
+            tol=template.solver_tol, max_iter=template.solver_max_iter)
         assert np.allclose(records[0].result.prices.values, direct.prices.values)
 
     def test_constraint_ablation_lambda_constant(self):

@@ -112,10 +112,10 @@ def validate_tree(tree: Mapping[str, Any]) -> RunConfig:
     config = RunConfig()
 
     seed = tree.get("seed", 0)
-    if isinstance(seed, int):
+    if _is_number(seed) and isinstance(seed, int) and seed >= 0:
         config.seed = seed
     else:
-        errors.append(f"seed: must be an integer, got {seed!r}")
+        errors.append(f"seed: must be a non-negative integer, got {seed!r}")
 
     if "registry" in tree:
         if not isinstance(tree["registry"], Mapping):

@@ -25,7 +25,8 @@ Newton iteration on the budget identity. FORBID coordinates are exactly zero
 and REQUIRE_MIN bounds are met exactly.
 
 One kernel, ``demand_rows``, solves every agent of a fiber at once over the
-arrays of ``AgentRows``; ``demand`` is its one-agent view.
+arrays of ``AgentRows``; ``demand`` is its one-agent view, and
+``demand_jacobian`` differentiates its answer in the goods prices.
 """
 
 from __future__ import annotations
@@ -538,6 +539,45 @@ def _multiplier_rows(fiber: Fiber, p, w, weight, tilt) -> np.ndarray:
     return out
 
 
+def demand_jacobian(rows: AgentRows, p: np.ndarray, coords: np.ndarray, free) -> np.ndarray:
+    """Sum over the agents of dq[free] / dp[free] at one price vector ``p``,
+    from the kernel's answer there, ``coords = demand_rows(rows, p)``. The
+    free prices are goods prices (tradable, so they add to income, and the
+    status tilt does not move with them); the result is ``(k, k)``.
+
+    Let I be a row's weighted coordinates above their bounds. On I,
+    s_j = q_j + offset_j = weight_j / (mu p_j - tilt_j), so with
+    c = s^2 / weight the spending on I falls in mu at the rate
+    A = sum_I c p^2. Differentiating the budget identity in a goods price
+    p_k gives
+
+        dmu/dp_k = ([k in I] (-offset_k) + [k not in I] lb_k - omega_k) / A
+        dq_j/dp_k = -c_j p_j dmu/dp_k - [j = k in I] s_j / p_j
+
+    for untilted and tilted rows alike, so the sum over agents is one
+    ``(k, agents) @ (agents, k)`` product plus a diagonal, with no per-agent
+    block. A row with nothing in I sits at its bounds and does not move.
+
+    At a kink this is the one-sided derivative of the rule the kernel
+    applied. A coordinate on its bound stays there (it is not in I). A row
+    that put its leftover budget into a pure-status coordinate (zero log
+    weight, positive tilt) keeps mu pinned at that coordinate's tilt / p,
+    which goods prices do not move: each good moves only with its own
+    price, and the pure-status coordinate absorbs the change in budget.
+    """
+    lb, forbidden, offset, _ = rows.fiber.columns
+    free = np.asarray(free, dtype=int)
+    above = ~forbidden & (coords > lb)
+    inside = above & (rows.weight > 0)
+    s = np.where(inside, coords + offset, 0.0)
+    c = np.divide(s * s, rows.weight, out=np.zeros_like(s), where=inside)
+    slope = (c * p * p).sum(axis=1)
+    moves = ~(above & (rows.weight == 0)).any(axis=1) & (slope > 0)
+    pull = np.where(inside[:, free], -offset[free], lb[free]) - rows.endowment[:, free]
+    dmu = np.divide(pull, slope[:, None], out=np.zeros(pull.shape), where=moves[:, None])
+    return (-c[:, free] * p[free]).T @ dmu - np.diag(s[:, free].sum(axis=0) / p[free])
+
+
 @dataclass
 class FiberEconomy:
     """A fiber plus its agents and the configured duty prices.
@@ -551,6 +591,9 @@ class FiberEconomy:
     agents: tuple[Agent, ...]
     duty_prices: Mapping[str, float] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list, compare=False)
+    # (price bytes, read-only coordinates) of the last ``demand_at`` call
+    _last_demand: tuple[bytes, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.agents = tuple(self.agents)
@@ -593,6 +636,17 @@ class FiberEconomy:
     def rows(self) -> AgentRows:
         """The agents packed for ``demand_rows``, built on first use."""
         return AgentRows.pack(self.fiber, self.agents)
+
+    def demand_at(self, p: np.ndarray) -> np.ndarray:
+        """``demand_rows`` of the agents at one price vector, read-only. The
+        answer for the last vector asked for is remembered, so excess demand
+        and its Jacobian at one point share one kernel pass."""
+        key = p.tobytes()
+        if self._last_demand is None or self._last_demand[0] != key:
+            coords = demand_rows(self.rows, p)
+            coords.flags.writeable = False
+            self._last_demand = (key, coords)
+        return self._last_demand[1]
 
     @cached_property
     def total_endowment(self) -> np.ndarray:

@@ -17,7 +17,10 @@ depend on the unit endowments are in. Besides it there is an exhaustive
 price-grid oracle for low-dimensional fibers (the independent check used
 throughout the tests) and the equilibrium index, the sign of det(-J) of
 truncated excess demand - the desk-scale handle on multiplicity: indices
-over all equilibria of a regular economy sum to +1.
+over all equilibria of a regular economy sum to +1. All three use one
+Jacobian, ``_jacobian``, which is exact: the demand kernel's derivative
+(``economy.demand_jacobian``) at the coordinates the excess-demand call at
+the same price vector computed, or a custom economy's own ``jacobian``.
 """
 
 from __future__ import annotations
@@ -28,14 +31,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .economy import ExtendedBundle, FiberEconomy, _income, demand_rows
+from .economy import ExtendedBundle, FiberEconomy, _income, demand_jacobian, demand_rows
 from .errors import DimensionTooLarge, SingularJacobian
 
 FALLBACK_STEP = 0.1  # first step of the tatonnement fallback
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10_000
 PRICE_FLOOR = 1e-9
-NEWTON_H = 1e-6  # Jacobian bump, relative to each price
 POLISH_TOL = 1e-12
 POLISH_ITERS = 60
 GRID_LO, GRID_HI = 0.05, 20.0  # the grid oracle's range of each free price
@@ -108,12 +110,15 @@ def excess_demand(economy: FiberEconomy, prices) -> np.ndarray:
     by construction (elastic supply), demonetized goods have no market, and
     the sink's numeraire absorption closes the accounts so that p.z = 0 holds
     identically whenever every agent exhausts its budget.
+
+    At one price vector the kernel's answer is the economy's remembered one
+    (``FiberEconomy.demand_at``), which ``_jacobian`` reads at the same point.
     """
     p = np.asarray(getattr(prices, "values", prices), dtype=float)
     rows = economy.rows
     n = rows.fiber.n
     _, forbidden, _, _ = rows.fiber.columns
-    coords = demand_rows(rows, p)
+    coords = economy.demand_at(p) if p.ndim == 1 else demand_rows(rows, p)
 
     z = np.zeros(p.shape)
     z[..., :n] = np.where(forbidden[:n], 0.0,
@@ -175,11 +180,9 @@ def _clamped(p: np.ndarray, free: Sequence[int], target: np.ndarray) -> np.ndarr
     return q
 
 
-def _newton_step(economy, p: np.ndarray, z: np.ndarray, free: Sequence[int]):
-    """The clamped Newton point from ``p``: J dp = -z over the free prices, J
-    the central-difference Jacobian with bumps relative to each price. None
-    when J is singular."""
-    J = _jacobian(economy, p, free, NEWTON_H * p[free])
+def _newton_step(p: np.ndarray, z: np.ndarray, J: np.ndarray, free: Sequence[int]):
+    """The clamped Newton point from ``p``: J dp = -z over the free prices,
+    with J = ``_jacobian`` at ``p``. None when J is singular."""
     try:
         delta = np.linalg.solve(J, -z[free])
     except np.linalg.LinAlgError:
@@ -201,7 +204,7 @@ def solve_tatonnement(economy, p0=None, tol: float = DEFAULT_TOL,
     the unit the endowments are in.
 
     Each iteration first tries a Newton step: it solves J dp = -z on the free
-    prices, J the central-difference Jacobian, and clamps the update to the
+    prices, J the exact Jacobian (``_jacobian``), and clamps the update to the
     band [p/2, 2p], positivity plus a trust region. The step is taken if it
     lowers the residual. Otherwise, or when J is singular, the iteration
     takes the tatonnement step p <- p + step * z / W, clamped the same way.
@@ -249,7 +252,7 @@ def solve_tatonnement(economy, p0=None, tol: float = DEFAULT_TOL,
             step = min(step * 1.02, FALLBACK_STEP)
         prev_r = r
         if free:
-            trial = _newton_step(economy, p, z, free)
+            trial = _newton_step(p, z, _jacobian(economy, p, free), free)
             if trial is not None:
                 z_trial = _z(economy, trial)
                 if relative_residual(z_trial, units) < r:
@@ -323,16 +326,17 @@ def solve_grid_oracle(economy, resolution: int = 200) -> list[PriceVector]:
     return [PriceVector.normalized(u, economy.dims, num) for u in sorted(unique, key=tuple)]
 
 
-def _jacobian(economy, p: np.ndarray, free: Sequence[int], h) -> np.ndarray:
-    """Central-difference Jacobian of excess demand in the free prices (rows
-    and columns ``free``): the 2k bumped price vectors in one batched call.
-    ``h`` is one bump for every price or one per free price."""
-    k = len(free)
-    bumped = np.tile(p, (2 * k, 1))
-    bumped[np.arange(k), free] += h
-    bumped[np.arange(k, 2 * k), free] -= h
-    zf = _z(economy, bumped)[:, free]
-    return (zf[:k] - zf[k:]).T / (2 * h)
+def _jacobian(economy, p: np.ndarray, free: Sequence[int]) -> np.ndarray:
+    """Jacobian of excess demand in the free prices (rows and columns
+    ``free``) at one price vector. A custom economy supplies its own
+    ``jacobian(p, free)``; for a fiber economy it is exact, the sum of the
+    agents' demand derivatives (``demand_jacobian``, which states its rule
+    at kinks) at the kernel's coordinates at ``p``, which an excess-demand
+    call at ``p`` has already computed."""
+    custom = getattr(economy, "jacobian", None)
+    if custom is not None:
+        return np.asarray(custom(p, free), dtype=float)
+    return demand_jacobian(economy.rows, p, economy.demand_at(p), free)
 
 
 def _newton_polish(economy, p: np.ndarray, free: Sequence[int],
@@ -344,16 +348,16 @@ def _newton_polish(economy, p: np.ndarray, free: Sequence[int],
         z = _z(economy, p)
         if relative_residual(z, units) <= POLISH_TOL:
             return p
-        p = _newton_step(economy, p, z, free)
+        p = _newton_step(p, z, _jacobian(economy, p, free), free)
         if p is None:
             return None
     return None
 
 
 def equilibrium_index(economy, p_star) -> int:
-    """Sign of det(-J) at an equilibrium, J the central-difference Jacobian of
-    truncated excess demand (numeraire row and column removed), with bumps
-    relative to each price as in the solver.
+    """Sign of det(-J) at an equilibrium, J the solver's exact Jacobian
+    (``_jacobian``) of truncated excess demand (numeraire row and column
+    removed).
 
     The point must clear: its ``relative_residual``, the solver's, is at most
     ``INDEX_RESIDUAL_TOL``.
@@ -373,8 +377,7 @@ def equilibrium_index(economy, p_star) -> int:
     if not free:
         return +1
 
-    elasticity = -_jacobian(economy, p, free, NEWTON_H * p[free]) \
-        * p[free] / units[free][:, None]
+    elasticity = -_jacobian(economy, p, free) * p[free] / units[free][:, None]
     det = float(np.linalg.det(elasticity))
     # Hadamard row bound, floored at one so a vanishing Jacobian still counts
     # as singular

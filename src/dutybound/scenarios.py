@@ -53,6 +53,10 @@ class SugarMarketConfig:
             raise ValueError("the shock must land within the horizon")
         if self.population < 1 or self.horizon < 1 or self.exit_consecutive < 1:
             raise ValueError("population, horizon, and exit window must be positive")
+        if self.w_max < 0:
+            raise ValueError(f"w_max must not be negative, got {self.w_max}")
+        if self.seed < 0:
+            raise ValueError(f"seed must not be negative, got {self.seed}")
 
 
 @dataclass

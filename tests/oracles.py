@@ -10,8 +10,8 @@ found by running the simulator at every ethical count, and retired library
 paths stay here as references for the code that replaced them: the
 pair-by-pair topology check, the scan-plus-bisection critical mass, the
 period-by-period sugar simulation, the sweep that runs the simulator once
-per cell, the Walras gap relative to |p||z|, and demand by bisection on the
-income multiplier.
+per cell, the Walras gap relative to |p||z|, demand by bisection on the
+income multiplier, and the central-difference Jacobian of excess demand.
 """
 
 from __future__ import annotations
@@ -203,6 +203,22 @@ def absolute_walras_gap(prices, z) -> float:
     (the library's Walras gap before it was taken relative to income)."""
     p = np.asarray(getattr(prices, "values", prices), dtype=float)
     return abs(float(p @ z)) / (1.0 + float(np.abs(p) @ np.abs(z)))
+
+
+def central_difference_jacobian(z, prices, free, h=1e-6):
+    """dz[free] / dp[free] at ``prices`` by central differences, each free
+    price bumped by ``h`` relative to itself; ``z`` maps one price vector to
+    a vector (the library's Jacobian before it was taken from the demand
+    kernel). Its truncation error is of order h^2 relative, where no bump
+    crosses a kink."""
+    p = np.asarray(prices, dtype=float)
+    columns = []
+    for j in free:
+        up, down = p.copy(), p.copy()
+        up[j] += h * p[j]
+        down[j] -= h * p[j]
+        columns.append((np.asarray(z(up))[free] - np.asarray(z(down))[free]) / (up[j] - down[j]))
+    return np.column_stack(columns)
 
 
 def cd_equilibrium_2good(alpha1, endowments):
@@ -397,6 +413,17 @@ def kkt_residual(agent, prices, fiber, bundle):
     across the coordinates above their bounds, and no coordinate at its
     bound has a larger one. Returns the largest relative violation of the
     three; it is zero at the exact optimum. Works in any dimension.
+
+    The common multiplier mu is read off the coordinates whose marginal
+    utility is one term. A status-tilted duty's condition is
+    lam beta / (1 + e) + tilt = mu p with tilt = theta (p - pbar), and with
+    large endowments mu is small: priced below its reference, the log term
+    and the tilt are of order one and cancel to mu p; priced above it, the
+    log term is what is small. So the condition is checked as the gap
+    between the log term and the net price mu p - tilt, relative to the
+    larger of the log term and mu p; that is (1 + e)(mu p - tilt) against
+    lam beta, relative to lam beta, below the reference, and the marginal
+    utility per unit of money against mu above it, neither of which cancels.
     """
     p = np.asarray(prices, dtype=float)
     q = np.concatenate([bundle.x, bundle.e])
@@ -408,24 +435,32 @@ def kkt_residual(agent, prices, fiber, bundle):
     w = income - fiber.constraints.prior_claim_total
     violations = [abs(float(p @ q) - w) / (1.0 + abs(w))]
 
-    interior, at_bound = [], []
+    interior, at_bound, tilted = [], [], []
     for k, d in enumerate(fiber.dims):
         if d in forbidden:
             violations.append(abs(q[k]))
             continue
         lb = bounds.get(d, 0.0)
         violations.append(max(lb - q[k], 0.0))
+        tilt = 0.0
         if k < fiber.n:
-            marginal = spec.alpha.get(d, 0.0) / (q[k] + EPSILON)
+            log_term = spec.alpha.get(d, 0.0) / (q[k] + EPSILON)
         else:
-            marginal = agent.lam * spec.beta.get(d, 0.0) / (1.0 + q[k])
+            log_term = agent.lam * spec.beta.get(d, 0.0) / (1.0 + q[k])
             if spec.family is UtilityFamily.VEBLEN_PRICE_DEPENDENT:
-                marginal += agent.theta * (p[k] - spec.reference_premium.get(d, 1.0))
-        ratio = marginal / p[k]
-        (interior if q[k] > lb + 1e-9 * (1.0 + lb) else at_bound).append(ratio)
+                tilt = agent.theta * (p[k] - spec.reference_premium.get(d, 1.0))
+        if q[k] <= lb + 1e-9 * (1.0 + lb):
+            at_bound.append((log_term + tilt) / p[k])
+        elif tilt:
+            tilted.append((log_term, tilt, p[k]))
+        else:
+            interior.append(log_term / p[k])
 
-    if interior:
-        mu = min(interior)
-        violations.append((max(interior) - mu) / abs(mu))
+    reference = interior or [(log_term + tilt) / pk for log_term, tilt, pk in tilted]
+    if reference:
+        mu = min(reference)
+        violations.append((max(reference) - mu) / abs(mu))
+        violations.extend(abs(log_term - (mu * pk - tilt)) / max(log_term, mu * pk)
+                          for log_term, tilt, pk in tilted)
         violations.extend(max(r - mu, 0.0) / abs(mu) for r in at_bound)
     return max(violations)

@@ -106,6 +106,14 @@ class TestParseAndValidate:
             parse_and_validate(write_config(tree))
         assert any("solver.tol" in e for e in err.value.errors)
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, "7"])
+    def test_seed_must_be_a_non_negative_integer(self, write_config, seed):
+        tree = minimal_tree()
+        tree["seed"] = seed
+        with pytest.raises(ValidationErrors) as err:
+            parse_and_validate(write_config(tree))
+        assert any(e.startswith("seed: must be a non-negative integer") for e in err.value.errors)
+
     def test_all_errors_collected_not_just_first(self, write_config):
         tree = minimal_tree()
         tree["solver"]["tol"] = 0
@@ -296,8 +304,17 @@ class TestCliExitCodes:
             packaged_tree("veblen"), ("agents", 0, "utility", "p_bar", "eco_label"), "x")),
         (["scenario", "sugar", "--config"], lambda: replaced(
             packaged_tree("sugar"), ("scenarios", "sugar", "w_max"), "x")),
+        # a negative seed or premium bound used to reach numpy's generator
+        (["scenario", "sugar", "--config"], lambda: packaged_tree("sugar", seed=-1)),
+        (["sweep", "--config"], lambda: packaged_tree("sugar", seed=-1)),
+        (["scenario", "sugar", "--config"], lambda: replaced(
+            packaged_tree("sugar"), ("scenarios", "sugar", "w_max"), -0.5)),
+        (["sweep", "--config"], lambda: replaced(
+            packaged_tree("sugar"), ("scenarios", "sugar", "w_max"), -0.5)),
     ], ids=["sweep-premium", "solve-no-agents", "trace-no-agents", "veblen-no-agents",
-            "relation-no-points", "veblen-text-reference-price", "sugar-text-w-max"])
+            "relation-no-points", "veblen-text-reference-price", "sugar-text-w-max",
+            "sugar-negative-seed", "sweep-negative-seed", "sugar-negative-w-max",
+            "sweep-negative-w-max"])
     def test_malformed_input_exit_4(self, tmp_path, capsys, write_config, argv, make_tree):
         """A documented config error, never a traceback."""
         code = main(argv + [str(write_config(make_tree())), "--out", str(tmp_path / "out")])

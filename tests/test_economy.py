@@ -17,6 +17,7 @@ from dutybound.economy import (
     UtilitySpec,
     agent_utility,
     demand,
+    demand_jacobian,
     demand_rows,
     disposable_income,
     feasible,
@@ -30,7 +31,12 @@ from dutybound.errors import (
 )
 from dutybound.preferences import EPSILON
 
-from oracles import bisection_demand_rows, grid_search_demand, kkt_residual
+from oracles import (
+    bisection_demand_rows,
+    central_difference_jacobian,
+    grid_search_demand,
+    kkt_residual,
+)
 
 
 def cd_spec(alpha, beta=None):
@@ -540,18 +546,18 @@ class TestMultiplierRows:
 
     @pytest.mark.parametrize("scale", [10.0 ** k for k in range(-6, 8)])
     def test_endowment_scale(self, scale):
-        """The status term does not scale with the endowments. At scale k a
-        VEBLEN duty's marginal utility per unit of money is about 1/k of the
-        two terms it is the difference of, so its first-order condition can
-        be read no closer than about k ulps (1.3e-9 at 1e6 for the bisection
-        as well)."""
+        """The status term does not scale with the endowments, so at scale k
+        a VEBLEN duty's marginal utility per unit of money is about 1/k of
+        the two terms it is the difference of. ``kkt_residual`` checks that
+        condition in a form without the difference, and reads about 1e-16 at
+        every scale here (the difference read 1.3e-9 at 1e6)."""
         rng = np.random.default_rng(51)
         fiber = fiber_with(*KKT_REGIMES["forbid"], goods=GOODS3, duties=("d1",))
         agents = [random_agent(rng, name=f"a{k}", veblen=k % 2 == 1) for k in range(8)]
         agents = [a.with_endowment({g: q * scale for g, q in a.endowment.items()})
                   for a in agents]
         self.check(fiber, agents, np.array([random_prices(rng) for _ in range(8)]),
-                   kkt_tol=max(1e-9, 1e-14 * scale))
+                   kkt_tol=1e-9)
 
     def test_few_spending_evaluations_per_demand(self, monkeypatch):
         """VEBLEN agents as the many-agent benchmark builds them: 3 goods and
@@ -577,6 +583,85 @@ class TestMultiplierRows:
             demand(agent, np.array([1.0, 1.0, 1.0, 1.2]), fiber)
             counts.append(len(calls))
         assert np.median(counts) <= 25 and max(counts) <= 25
+
+
+class TestDemandJacobian:
+    """The kernel's exact derivative in the free goods prices against central
+    differences of the kernel, to 1e-6 relative, at prices where no bump
+    crosses a kink (central differences are good to about 1e-9 there)."""
+
+    @staticmethod
+    def check(fiber, agents, prices):
+        """Every price vector of a batch; returns the batch of coordinates."""
+        rows = AgentRows.pack(fiber, agents)
+        free = FiberEconomy(fiber=fiber, agents=tuple(agents)).free_indices()
+        batch = demand_rows(rows, prices)
+        for p, coords in zip(prices, batch):
+            exact = demand_jacobian(rows, p, coords, free)
+            reference = central_difference_jacobian(
+                lambda q: demand_rows(rows, q).sum(axis=0), p, free)
+            assert exact.shape == (len(free), len(free))
+            assert np.max(np.abs(exact - reference)) <= 1e-6 * np.max(np.abs(reference))
+        return batch
+
+    @pytest.mark.parametrize("regime", list(KKT_REGIMES))
+    def test_half_veblen_batch_of_random_prices(self, regime):
+        rng = np.random.default_rng(91 + list(KKT_REGIMES).index(regime))
+        fiber = fiber_with(*KKT_REGIMES[regime], goods=GOODS3, duties=("d1",))
+        agents = [random_agent(rng, name=f"a{k}", veblen=k % 2 == 1) for k in range(12)]
+        prices = np.array([random_prices(rng) for _ in range(8)])
+        assert (prices[:, 3] < 1.0).any() and (prices[:, 3] > 1.0).any()
+        self.check(fiber, agents, prices)
+
+    def test_binding_require_min_floors(self):
+        """A duty priced below its reference holds VEBLEN rows at the duty's
+        floor, and a floor on the free good g2 binds for the rows that care
+        little for it: a good held at its floor costs its floor times its
+        price, which the rest of the row pays for."""
+        maxims, active = KKT_REGIMES["require_min"]
+        fiber = fiber_with({**maxims, "m": {"class": "perfect", "kind": "REQUIRE_MIN",
+                                            "target": "g2", "level": 0.8}},
+                           active + ["m"], goods=GOODS3, duties=("d1",))
+        rng = np.random.default_rng(93)
+        agents = [replace(random_agent(rng, name=f"a{k}", veblen=k % 2 == 0),
+                          theta=float(rng.uniform(0.5, 5.0))) for k in range(8)]
+        prices = np.array([np.concatenate([rng.uniform(0.3, 3.0, 3), [rng.uniform(0.5, 0.8)]])
+                           for _ in range(6)])
+        batch = self.check(fiber, agents, prices)
+        assert np.any(batch[..., 3] == 0.4) and np.any(batch[..., 3] > 0.4)
+        assert np.any(batch[..., 1] == 0.8) and np.any(batch[..., 1] > 0.8)
+
+    def test_forbidden_good_has_no_column(self):
+        """Under FORBID g3 only g2 is free. The status-only agent puts all its
+        log weight on g3: below the reference it sits at its bounds and does
+        not move, above it its budget goes to the duty."""
+        fiber, agents = status_only_agents()
+        rng = np.random.default_rng(95)
+        prices = np.vstack([STATUS_PRICES, np.column_stack([rng.uniform(0.3, 3.0, (6, 3)),
+                                                            rng.uniform(0.5, 3.0, 6)])])
+        batch = self.check(fiber, agents, prices)
+        assert np.all(batch[..., 2] == 0.0)
+
+    def test_pure_status_row_on_its_leftover_rule(self):
+        """A VEBLEN agent with no log weight on the duty and a duty priced
+        above its reference buys goods until their marginal utility per unit
+        of money falls to tilt / p of the duty, and puts what is left into
+        the duty. That pins mu, so each good moves only with its own price
+        (a diagonal Jacobian) and the duty absorbs the budget change."""
+        fiber = fiber_with(*KKT_REGIMES["free"], goods=GOODS3, duties=("d1",))
+        rng = np.random.default_rng(97)
+        agents = [Agent(id=f"s{k}", endowment=dict(zip(GOODS3, rng.uniform(5.0, 10.0, 3))),
+                        utility=UtilitySpec(family=UtilityFamily.VEBLEN_PRICE_DEPENDENT,
+                                            alpha=dict(zip(GOODS3, rng.uniform(0.1, 1.0, 3))),
+                                            beta={"d1": 0.0}, reference_premium={"d1": 1.0}),
+                        theta=1.0)
+                  for k in range(4)]
+        prices = np.column_stack([rng.uniform(0.3, 3.0, (6, 3)), rng.uniform(1.5, 3.0, 6)])
+        batch = self.check(fiber, agents, prices)
+        assert np.all(batch[..., 3] > 1.0)
+        rows = AgentRows.pack(fiber, agents)
+        exact = demand_jacobian(rows, prices[0], batch[0], [1, 2])
+        assert exact[0, 1] == exact[1, 0] == 0.0
 
 
 class TestIncomeRule:

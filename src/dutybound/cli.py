@@ -99,11 +99,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
 
-def _emit(config_or_dir, name: str, header, rows) -> tuple[Path, str]:
-    outdir = Path(config_or_dir.output_dir if isinstance(config_or_dir, RunConfig)
-                  else config_or_dir)
+def _emit(outdir, name: str, header, rows) -> tuple[Path, str]:
     text = output.csv_text(header, rows)
-    path = outdir / name
+    path = Path(outdir) / name
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, newline="")
     return path, text
@@ -135,8 +133,8 @@ def _cmd_check_topology(args, config: RunConfig, started: float) -> int:
     else:
         family = topology.discrete_topology(base)
     axioms = topology.verify_topology_axioms(family, base)
-    fiber_dims = max((len(s.goods) + len(s.duties) for s in config.fiber_specs.values()),
-                     default=1)
+    fibers = config.template.fibers.values() if config.template is not None else ()
+    fiber_dims = max((len(f.dims) for f in fibers), default=1)
     continuity = topology.projection_continuous(base, family, fiber_dims)
 
     rows = [
@@ -146,7 +144,8 @@ def _cmd_check_topology(args, config: RunConfig, started: float) -> int:
          axioms.detail if not axioms.passed else "closed under union/intersection"],
         ["projection-continuity", continuity.passed, continuity.checked, continuity.detail],
     ]
-    path, text = _emit(config, "topology_report.csv", ["check", "passed", "checked", "detail"], rows)
+    path, text = _emit(config.output_dir, "topology_report.csv",
+                       ["check", "passed", "checked", "detail"], rows)
     print(str(axioms))
     print(str(continuity))
     print(text, end="")
@@ -209,25 +208,20 @@ def _cmd_check_preferences(args, started: float) -> int:
     return EXIT_OK if all(r.passed for r in reports[:3]) else EXIT_VERIFICATION
 
 
-def _solve_economy(config: RunConfig, y_id: str):
-    template = config.template()
-    economy = template.economy_at(y_id, [a for a in template.agents])
-    result = equilibrium.solve_tatonnement(
-        economy, tol=config.solver_tol, max_iter=config.solver_max_iter)
-    try:
-        result.index = equilibrium.equilibrium_index(economy, result.prices) \
-            if result.converged else None
-    except SingularJacobian:
-        result.index = None
-    return economy, result
-
-
 def _cmd_solve(args, config: RunConfig, started: float) -> int:
-    if config.base is None or not config.agents:
-        print("config error: solve needs base_space/fibers/agents sections", file=sys.stderr)
+    template = config.template
+    if template is None or not template.agents:
+        print("config error: solve needs registry/base_space/fibers/agents", file=sys.stderr)
         return EXIT_CONFIG
-    y_id = args.fiber or config.base.points[0]
-    economy, result = _solve_economy(config, y_id)
+    y_id = args.fiber or template.base.points[0]
+    economy = template.economy_at(y_id, template.agents)
+    result = equilibrium.solve_tatonnement(
+        economy, tol=template.solver_tol, max_iter=template.solver_max_iter)
+    if result.converged:
+        try:
+            result.index = equilibrium.equilibrium_index(economy, result.prices)
+        except SingularJacobian:
+            pass
     for warning in economy.warnings:
         print(f"warning: {warning}", file=sys.stderr)
 
@@ -241,7 +235,7 @@ def _cmd_solve(args, config: RunConfig, started: float) -> int:
     rows.append(["iterations", "", "", result.iterations])
     rows.append(["converged", "", "", result.converged])
     rows.append(["index", "", "", "" if result.index is None else result.index])
-    path, text = _emit(config, f"solve_{y_id}.csv",
+    path, text = _emit(config.output_dir, f"solve_{y_id}.csv",
                        ["record", "agent", "dimension", "value"], rows)
     print(text, end="")
     _finish(config, f"solve --fiber {y_id}", [path], started)
@@ -249,17 +243,18 @@ def _cmd_solve(args, config: RunConfig, started: float) -> int:
 
 
 def _cmd_trace(args, config: RunConfig, started: float, command: str) -> int:
-    if config.path is None or config.profile is None or not config.agents:
-        print("config error: trace needs path, profile and agents sections", file=sys.stderr)
+    template = config.template
+    if config.path is None or config.profile is None or template is None or not template.agents:
+        print("config error: trace needs registry/path/profile/agents", file=sys.stderr)
         return EXIT_CONFIG
-    records = scenarios.run_slavery_eras(config.template(), config.path, config.profile)
+    records = scenarios.run_slavery_eras(template, config.path, config.profile)
 
     rows = []
     for rec in records:
-        for agent_id in sorted(rec.allocations):
-            for dim, q in zip(rec.result.prices.dims, rec.allocations[agent_id].coords):
+        for agent_id, bundle in sorted(rec.result.allocations.items()):
+            for dim, q in zip(rec.result.prices.dims, bundle.coords):
                 rows.append([rec.t, rec.y_id, agent_id, dim, float(q)])
-    path, text = _emit(config, "trace.csv",
+    path, text = _emit(config.output_dir, "trace.csv",
                        ["t", "y_id", "agent", "dimension", "quantity"], rows)
 
     summary = []
@@ -267,16 +262,16 @@ def _cmd_trace(args, config: RunConfig, started: float, command: str) -> int:
         volume_note = ";".join(f"{g}={output.fmt(v)}" for g, v in sorted(rec.volumes.items()))
         summary.append([rec.t, rec.y_id, rec.result.residual, rec.result.converged,
                         rec.duty_share, volume_note])
-    spath, stext = _emit(config, "trace_summary.csv",
+    spath, stext = _emit(config.output_dir, "trace_summary.csv",
                          ["t", "y_id", "residual", "converged", "duty_share", "volumes"],
                          summary)
     print(stext, end="")
     # one series per agent and dimension, at 0 on steps whose fiber lacks it
     dims = [rec.result.prices.dims for rec in records]
     series = [(f"{a}:{d}", [rec.t for rec in records],
-               [float(rec.allocations[a].coords[ds.index(d)]) if d in ds else 0.0
+               [float(rec.result.allocations[a].coords[ds.index(d)]) if d in ds else 0.0
                 for rec, ds in zip(records, dims)])
-              for a in sorted(records[0].allocations) for d in sorted(set().union(*dims))]
+              for a in sorted(records[0].result.allocations) for d in sorted(set().union(*dims))]
     outputs = [path, spath, *_svg(args, config, "trace.svg", series,
                                   title="allocations along the path",
                                   xlabel="t", ylabel="quantity")]
@@ -295,13 +290,13 @@ def _cmd_sugar(args, config: RunConfig, started: float) -> int:
 
     rows = [[t, share, share >= config.sugar.viability_threshold]
             for t, share in enumerate(report.shares)]
-    path, text = _emit(config, "sugar_shares.csv", ["period", "share", "viable"], rows)
+    path, text = _emit(config.output_dir, "sugar_shares.csv", ["period", "share", "viable"], rows)
     summary_header = ["survived", "collapse_period", "phi", "phi_star"]
     summary_rows = [[report.survived,
                      "" if report.collapse_period is None else report.collapse_period,
                      config.sugar.phi,
                      "" if phi_star is None else phi_star]]
-    spath, stext = _emit(config, "sugar_summary.csv", summary_header, summary_rows)
+    spath, stext = _emit(config.output_dir, "sugar_summary.csv", summary_header, summary_rows)
     print(text, end="")
     print(stext, end="")
     outputs = [path, spath, *_svg(
@@ -313,24 +308,21 @@ def _cmd_sugar(args, config: RunConfig, started: float) -> int:
 
 
 def _cmd_veblen(args, config: RunConfig, started: float) -> int:
-    if config.veblen is None:
-        print("config error: scenario veblen needs a scenarios.veblen section", file=sys.stderr)
+    probe, template = config.veblen, config.template
+    if probe is None or template is None:
+        print("config error: scenario veblen needs registry/scenarios.veblen", file=sys.stderr)
         return EXIT_CONFIG
-    probe = config.veblen
-    template = config.template()
-    fiber = template.fiber_at(probe.y_id)
     agent = next(a for a in template.agents if a.id == probe.agent_id)
-    spec = template.fiber_specs[probe.y_id]
-    base_prices = np.ones(len(spec.goods) + len(spec.duties))
-    for j, d in enumerate(spec.duties):
-        base_prices[len(spec.goods) + j] = spec.duty_prices.get(d, 1.0)
+    economy = template.economy_at(probe.y_id, [agent])
     sweep = np.linspace(probe.sweep_lo, probe.sweep_hi, probe.sweep_count)
-    curve = scenarios.veblen_demand_curve(agent, fiber, probe.duty_id, sweep, base_prices)
+    curve = scenarios.veblen_demand_curve(agent, economy.fiber, probe.duty_id, sweep,
+                                          economy.initial_prices())
 
     rows = list(zip(curve.prices, curve.quantities))
-    path, text = _emit(config, "veblen_demand.csv", ["price", "quantity"], rows)
+    path, text = _emit(config.output_dir, "veblen_demand.csv", ["price", "quantity"], rows)
     seg_rows = [[lo, hi] for lo, hi in curve.increasing_segments]
-    spath, stext = _emit(config, "veblen_segments.csv", ["price_lo", "price_hi"], seg_rows)
+    spath, stext = _emit(config.output_dir, "veblen_segments.csv", ["price_lo", "price_hi"],
+                         seg_rows)
     print(text, end="")
     print(stext, end="")
     outputs = [path, spath, *_svg(args, config, "veblen.svg",
@@ -347,7 +339,7 @@ def _cmd_sweep(args, config: RunConfig, started: float) -> int:
               file=sys.stderr)
         return EXIT_CONFIG
     rows = scenarios.sugar_sweep(config.sugar, config.sweep.phis, config.sweep.premiums)
-    path, text = _emit(config, "sugar_sweep.csv",
+    path, text = _emit(config.output_dir, "sugar_sweep.csv",
                        ["phi", "premium", "share_pre_shock", "survived"], rows)
     print(text, end="")
     _finish(config, "sweep", [path], started)

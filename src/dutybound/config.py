@@ -2,19 +2,21 @@
 
 One JSON file describes a whole run: the maxim registry, the base space and
 its fibers, the agents, solver settings, an optional path/profile, and the
-scenario sections. Parsing collects every validation failure it can find
-before giving up, so a bad config reports all its problems at once.
+scenario sections; the economy sections become one ``EconomyTemplate``. Parsing
+collects every validation failure it can find before giving up, so a bad
+config reports all its problems at once.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
-from .duty import MaximRegistry, load_registry
+from .duty import load_registry
 from .economy import Agent, UtilityFamily, UtilitySpec
 from .equilibrium import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .errors import DutyModelError, ParseError, ValidationErrors
@@ -42,13 +44,10 @@ class SweepConfig:
 @dataclass
 class RunConfig:
     seed: int = 0
-    registry: MaximRegistry | None = None
     base: BaseSpace | None = None
     opens: tuple[frozenset[str], ...] | None = None  # explicit topology override
-    fiber_specs: dict[str, FiberSpec] = field(default_factory=dict)
-    agents: tuple[Agent, ...] = ()
-    solver_tol: float = DEFAULT_TOL
-    solver_max_iter: int = DEFAULT_MAX_ITER
+    # registry, fibers, agents and solver settings; None without registry/base_space
+    template: EconomyTemplate | None = None
     path: BasePath | None = None
     profile: GenerationProfile | None = None
     sugar: SugarMarketConfig | None = None
@@ -58,18 +57,20 @@ class RunConfig:
     output_formats: tuple[str, ...] = ("csv",)
     source_path: str | None = None
 
-    def template(self) -> EconomyTemplate:
-        if self.registry is None or self.base is None:
-            raise DutyModelError("this run configuration has no economy sections")
-        return EconomyTemplate(
-            registry=self.registry, base=self.base, fiber_specs=self.fiber_specs,
-            agents=self.agents, solver_tol=self.solver_tol,
-            solver_max_iter=self.solver_max_iter)
-
 
 def _is_number(value) -> bool:
-    """A JSON number: an int or a float, not a boolean."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number a float holds: an int or a float, not a boolean, NaN or
+    infinite, nor an int beyond the largest float."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _numbers(section, key: str) -> tuple[float, ...]:
+    """``section[key]``, a list of finite numbers, as floats; else a TypeError."""
+    values = section[key]
+    if not (isinstance(values, list) and all(map(_is_number, values))):
+        raise TypeError(f"{key}: must be a list of numbers, got {values!r}")
+    return tuple(float(v) for v in values)
 
 
 def _is_id_list(value) -> bool:
@@ -85,6 +86,10 @@ def _reject_duplicate_keys(pairs):
     return seen
 
 
+def _reject_non_finite(literal: str):
+    raise ParseError(f"literal {literal}", "not a finite number")
+
+
 def parse_and_validate(path: str | Path) -> RunConfig:
     """Load a config file, resolving every cross-reference.
 
@@ -97,7 +102,8 @@ def parse_and_validate(path: str | Path) -> RunConfig:
     except OSError as exc:
         raise ParseError(str(path), str(exc)) from None
     try:
-        tree = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
+        tree = json.loads(text, object_pairs_hook=_reject_duplicate_keys,
+                          parse_constant=_reject_non_finite)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from None
     if not isinstance(tree, Mapping):
@@ -117,12 +123,13 @@ def validate_tree(tree: Mapping[str, Any]) -> RunConfig:
     else:
         errors.append(f"seed: must be a non-negative integer, got {seed!r}")
 
+    registry = None
     if "registry" in tree:
         if not isinstance(tree["registry"], Mapping):
             errors.append("registry: must be an object")
         else:
             try:
-                config.registry = load_registry(tree["registry"])
+                registry = load_registry(tree["registry"])
             except DutyModelError as exc:
                 errors.append(f"registry: {exc}")
 
@@ -130,13 +137,11 @@ def validate_tree(tree: Mapping[str, Any]) -> RunConfig:
         try:
             points = tuple(str(p) for p in tree["base_space"])
             config.base = BaseSpace(points=points)
-            if config.registry is not None:
+            if registry is not None:
                 for y in points:
-                    if y not in config.registry.bundles:
+                    if y not in registry.bundles:
                         errors.append(f"base_space: no bundle declared for {y!r}")
-        except DutyModelError as exc:
-            errors.append(f"base_space: {exc}")
-        except (TypeError, ValueError) as exc:
+        except (DutyModelError, TypeError, ValueError) as exc:
             errors.append(f"base_space: {exc}")
 
     if "topology" in tree:
@@ -156,11 +161,18 @@ def validate_tree(tree: Mapping[str, Any]) -> RunConfig:
                         errors.append(f"topology.opens: unknown base point {y!r}")
                 config.opens = opens
 
-    _validate_fibers(tree, config, errors)
-    _validate_agents(tree, config, errors)
-    _validate_solver(tree, config, errors)
+    specs = _validate_fibers(tree, registry, config.base, errors)
+    agents = _validate_agents(tree, registry, errors)
+    tol, max_iter = _validate_solver(tree, errors)
+    if registry is not None and config.base is not None:
+        try:
+            config.template = EconomyTemplate(
+                registry=registry, base=config.base, fiber_specs=specs,
+                agents=agents, solver_tol=tol, solver_max_iter=max_iter)
+        except ValidationErrors as exc:
+            errors.extend(exc.errors)
     _validate_path(tree, config, errors)
-    _validate_scenarios(tree, config, errors)
+    _validate_scenarios(tree, config, agents, specs, errors)
 
     out = tree.get("output", {})
     if isinstance(out, Mapping):
@@ -178,12 +190,13 @@ def validate_tree(tree: Mapping[str, Any]) -> RunConfig:
     return config
 
 
-def _validate_fibers(tree, config, errors):
+def _validate_fibers(tree, registry, base, errors) -> dict[str, FiberSpec]:
+    """The declared fibers by base point; compiling them is the template's."""
     section = tree.get("fibers", {})
     if not isinstance(section, Mapping):
         errors.append("fibers: must be an object keyed by base point")
-        return
-    reg = config.registry
+        return {}
+    specs: dict[str, FiberSpec] = {}
     for y_id, spec in section.items():
         where = f"fibers.{y_id}"
         if not isinstance(spec, Mapping):
@@ -203,42 +216,31 @@ def _validate_fibers(tree, config, errors):
         if not goods:
             errors.append(f"{where}: needs at least one good")
             continue
-        if reg is not None:
+        if registry is not None:
             for g in goods:
-                if g not in reg.goods:
+                if g not in registry.goods:
                     errors.append(f"{where}: unknown good {g!r}")
             for d in duties:
-                if d not in reg.imperfect_duties:
+                if d not in registry.imperfect_duties:
                     errors.append(f"{where}: unknown duty {d!r}")
         for d, p in duty_prices.items():
             if d not in duties:
                 errors.append(f"{where}.duty_prices: {d!r} is not a duty of this fiber")
-            elif not isinstance(p, (int, float)) or p <= 0:
-                errors.append(f"{where}.duty_prices: price of {d!r} must be positive")
-        config.fiber_specs[str(y_id)] = FiberSpec(goods=goods, duties=duties,
-                                                  duty_prices=duty_prices)
-    if config.base is not None:
-        for y in config.base.points:
-            if y not in config.fiber_specs:
+            elif not (_is_number(p) and p > 0):
+                errors.append(f"{where}.duty_prices: price of {d!r} must be a positive number")
+        specs[str(y_id)] = FiberSpec(goods=goods, duties=duties, duty_prices=duty_prices)
+    if base is not None:
+        for y in base.points:
+            if y not in specs:
                 errors.append(f"fibers: base point {y!r} has no fiber")
-    if config.base is not None and config.registry is not None:
-        template = EconomyTemplate(registry=config.registry, base=config.base,
-                                   fiber_specs=config.fiber_specs, agents=())
-        for y in config.base.points:
-            if y in config.fiber_specs and y in config.registry.bundles:
-                try:
-                    template.fiber_at(y)
-                except DutyModelError as exc:
-                    errors.append(f"fibers.{y}: {exc}")
-                except ValueError as exc:
-                    errors.append(f"fibers.{y}: {exc}")
+    return specs
 
 
-def _validate_agents(tree, config, errors):
+def _validate_agents(tree, registry, errors) -> tuple[Agent, ...]:
     section = tree.get("agents", [])
     if not isinstance(section, list):
         errors.append("agents: must be a list")
-        return
+        return ()
     agents: list[Agent] = []
     seen: set[str] = set()
     for i, spec in enumerate(section):
@@ -255,10 +257,13 @@ def _validate_agents(tree, config, errors):
         if not isinstance(uspec, Mapping):
             errors.append(f"{where}.utility: must be an object")
             continue
-        weights = {key: uspec.get(key, {}) for key in ("alpha", "beta", "p_bar")}
-        malformed = [f"{where}.utility.{key}: must map ids to numbers"
-                     for key, values in weights.items()
+        maps = {"endowment": spec.get("endowment", {}),
+                **{f"utility.{key}": uspec.get(key, {}) for key in ("alpha", "beta", "p_bar")}}
+        malformed = [f"{where}.{key}: must map ids to numbers"
+                     for key, values in maps.items()
                      if not (isinstance(values, Mapping) and all(map(_is_number, values.values())))]
+        malformed += [f"{where}.{key}: must be a number, got {spec[key]!r}"
+                      for key in ("lambda", "theta") if key in spec and not _is_number(spec[key])]
         if malformed:
             errors.extend(malformed)
             continue
@@ -268,45 +273,41 @@ def _validate_agents(tree, config, errors):
             errors.append(f"{where}.utility.family: unknown family {uspec.get('family')!r}")
             continue
         try:
-            utility = UtilitySpec(family=family, alpha=dict(weights["alpha"]),
-                                  beta=dict(weights["beta"]),
-                                  reference_premium=dict(weights["p_bar"]))
-            agent = Agent(id=agent_id, endowment=dict(spec.get("endowment", {})),
+            utility = UtilitySpec(family=family, alpha=dict(maps["utility.alpha"]),
+                                  beta=dict(maps["utility.beta"]),
+                                  reference_premium=dict(maps["utility.p_bar"]))
+            agent = Agent(id=agent_id, endowment=dict(maps["endowment"]),
                           utility=utility, lam=float(spec.get("lambda", 0.0)),
                           theta=float(spec.get("theta", 0.0)))
         except (DutyModelError, ValueError, TypeError) as exc:
             errors.append(f"{where}: {exc}")
             continue
-        if config.registry is not None:
-            reg = config.registry
+        if registry is not None:
             for g in list(agent.endowment) + list(utility.alpha):
-                if g not in reg.goods:
+                if g not in registry.goods:
                     errors.append(f"{where}: unknown good {g!r}")
             for d in list(utility.beta) + list(utility.reference_premium):
-                if d not in reg.imperfect_duties:
+                if d not in registry.imperfect_duties:
                     errors.append(f"{where}: unknown duty {d!r}")
         agents.append(agent)
-    config.agents = tuple(agents)
+    return tuple(agents)
 
 
-def _validate_solver(tree, config, errors):
+def _validate_solver(tree, errors) -> tuple[float, int]:
     """Reads ``tol`` and ``max_iter``. Other keys are ignored, among them the
     ``step`` that older configs carry: the fallback's first step is
     ``equilibrium.FALLBACK_STEP``."""
     solver = tree.get("solver", {})
     if not isinstance(solver, Mapping):
         errors.append("solver: must be an object")
-        return
+        return DEFAULT_TOL, DEFAULT_MAX_ITER
     tol = solver.get("tol", DEFAULT_TOL)
     max_iter = solver.get("max_iter", DEFAULT_MAX_ITER)
-    if not (isinstance(tol, (int, float)) and tol > 0):
+    if not (_is_number(tol) and tol > 0):
         errors.append(f"solver.tol: must be positive, got {tol!r}")
-    else:
-        config.solver_tol = float(tol)
-    if not (isinstance(max_iter, int) and max_iter >= 1):
+    if not (_is_number(max_iter) and isinstance(max_iter, int) and max_iter >= 1):
         errors.append(f"solver.max_iter: must be a positive integer, got {max_iter!r}")
-    else:
-        config.solver_max_iter = max_iter
+    return tol, max_iter
 
 
 def _validate_path(tree, config, errors):
@@ -316,19 +317,19 @@ def _validate_path(tree, config, errors):
         else:
             try:
                 config.path = build_path(tree["path"], config.base)
-            except DutyModelError as exc:
-                errors.append(f"path: {exc}")
-            except (TypeError, ValueError, IndexError) as exc:
+            except (DutyModelError, TypeError, ValueError, IndexError) as exc:
                 errors.append(f"path: {exc}")
     if "profile" in tree:
-        prof = tree["profile"]
+        prof = tree["profile"] if isinstance(tree["profile"], Mapping) else {}
         try:
             if "lambdas" in prof:
-                config.profile = GenerationProfile(lambdas=tuple(float(x) for x in prof["lambdas"]))
+                config.profile = GenerationProfile(lambdas=_numbers(prof, "lambdas"))
             elif "scarcity" in prof:
+                lam_max = prof.get("lambda_max", 1.0)
+                if not _is_number(lam_max):
+                    raise TypeError(f"lambda_max: must be a number, got {lam_max!r}")
                 config.profile = GenerationProfile.from_scarcity(
-                    float(prof.get("lambda_max", 1.0)),
-                    [float(s) for s in prof["scarcity"]])
+                    float(lam_max), _numbers(prof, "scarcity"))
             else:
                 errors.append("profile: needs 'lambdas' or 'scarcity'")
         except (TypeError, ValueError) as exc:
@@ -339,7 +340,7 @@ def _validate_path(tree, config, errors):
                           f"{len(config.path.steps)} path steps")
 
 
-def _validate_scenarios(tree, config, errors):
+def _validate_scenarios(tree, config, agents, specs, errors):
     section = tree.get("scenarios", {})
     if not isinstance(section, Mapping):
         errors.append("scenarios: must be an object")
@@ -368,32 +369,35 @@ def _validate_scenarios(tree, config, errors):
     if "veblen" in section:
         raw = section["veblen"]
         try:
+            sweep = raw["sweep"]
             probe = VeblenProbeConfig(
                 agent_id=str(raw["agent"]), y_id=str(raw["fiber"]),
-                duty_id=str(raw["duty"]), sweep_lo=float(raw["sweep"]["lo"]),
-                sweep_hi=float(raw["sweep"]["hi"]),
-                sweep_count=int(raw["sweep"].get("count", 26)))
-        except (KeyError, TypeError, ValueError) as exc:
+                duty_id=str(raw["duty"]), sweep_lo=sweep["lo"], sweep_hi=sweep["hi"],
+                sweep_count=sweep.get("count", 26))
+        except (KeyError, TypeError) as exc:
             errors.append(f"scenarios.veblen: {exc!r}")
         else:
-            if not 0 < probe.sweep_lo < probe.sweep_hi:
-                errors.append("scenarios.veblen.sweep: need 0 < lo < hi")
-            if probe.sweep_count < 2:
-                errors.append("scenarios.veblen.sweep: need at least two points")
-            if probe.agent_id not in {a.id for a in config.agents}:
+            lo, hi, count = probe.sweep_lo, probe.sweep_hi, probe.sweep_count
+            if not (_is_number(lo) and _is_number(hi) and 0 < lo < hi):
+                errors.append(f"scenarios.veblen.sweep: need numbers 0 < lo < hi, "
+                              f"got {lo!r} and {hi!r}")
+            if not (_is_number(count) and isinstance(count, int) and count >= 2):
+                errors.append(f"scenarios.veblen.sweep.count: need an integer of at least 2, "
+                              f"got {count!r}")
+            if probe.agent_id not in {a.id for a in agents}:
                 errors.append(f"scenarios.veblen: unknown agent {probe.agent_id!r}")
-            if config.fiber_specs and probe.y_id not in config.fiber_specs:
+            if specs and probe.y_id not in specs:
                 errors.append(f"scenarios.veblen: unknown fiber {probe.y_id!r}")
-            elif config.fiber_specs and probe.duty_id not in config.fiber_specs[probe.y_id].duties:
+            elif specs and probe.duty_id not in specs[probe.y_id].duties:
                 errors.append(f"scenarios.veblen: {probe.duty_id!r} is not a duty of "
                               f"fiber {probe.y_id!r}")
             config.veblen = probe
     if "sweep" in section:
         raw = section["sweep"]
         try:
-            config.sweep = SweepConfig(phis=tuple(float(x) for x in raw["phis"]),
-                                       premiums=tuple(float(x) for x in raw["premiums"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            config.sweep = SweepConfig(phis=_numbers(raw, "phis"),
+                                       premiums=_numbers(raw, "premiums"))
+        except (KeyError, TypeError) as exc:
             errors.append(f"scenarios.sweep: {exc!r}")
         else:
             if not all(0 <= p <= 1 for p in config.sweep.phis):

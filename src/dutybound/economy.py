@@ -197,14 +197,6 @@ class Agent:
     def endowment_for(self, goods: Sequence[str]) -> np.ndarray:
         return np.array([self.endowment.get(g, 0.0) for g in goods])
 
-    def with_lam(self, lam: float) -> "Agent":
-        return Agent(id=self.id, endowment=self.endowment, utility=self.utility,
-                     lam=lam, theta=self.theta)
-
-    def with_endowment(self, endowment: dict[str, float]) -> "Agent":
-        return Agent(id=self.id, endowment=dict(endowment), utility=self.utility,
-                     lam=self.lam, theta=self.theta)
-
 
 def _as_price_array(prices, dims: int, batch: bool = False) -> np.ndarray:
     """One price vector of length ``dims``; with ``batch``, also an

@@ -1,16 +1,16 @@
 """Time-parameterized paths through the base space.
 
-A path visits one regime per step. Each step compiles that regime's duty
-constraints, applies the generation's duty weight to every agent, solves the
-fiber equilibrium, and carries the resulting goods allocation forward as the
-next step's endowment (matched by good id; goods the next fiber lacks are
-reported as stranded, duty levels are flows and reset to zero). The trace of
-records, projected back to the base space, reproduces the input path.
+A path visits one regime per step. Each step takes that regime's compiled
+fiber, applies the generation's duty weight to every agent, solves the fiber
+equilibrium, and carries the resulting goods allocation forward as the next
+step's endowment (matched by good id; goods the next fiber lacks are reported
+as stranded, duty levels are flows and reset to zero). The trace of records,
+projected back to the base space, reproduces the input path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ from .equilibrium import (
     solve_tatonnement,
     trade_volumes,
 )
-from .errors import NonMonotoneTime, UnknownBasePoint
+from .errors import DutyModelError, NonMonotoneTime, UnknownBasePoint, ValidationErrors
 from .topology import BaseSpace, projection
 
 
@@ -83,7 +83,8 @@ class FiberSpec:
 
 @dataclass
 class EconomyTemplate:
-    """Everything needed to instantiate the economy at any base point."""
+    """Everything needed to instantiate the economy at any base point. Each
+    base point's fiber is compiled once, on construction."""
 
     registry: MaximRegistry
     base: BaseSpace
@@ -91,19 +92,33 @@ class EconomyTemplate:
     agents: tuple[Agent, ...]
     solver_tol: float = DEFAULT_TOL
     solver_max_iter: int = DEFAULT_MAX_ITER
+    fibers: dict[str, Fiber] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.fibers, errors = {}, []
+        for y_id in self.base.points:
+            spec, bundle = self.fiber_specs.get(y_id), self.registry.bundles.get(y_id)
+            if spec is None or bundle is None:
+                continue  # no economy here: fiber_at raises UnknownBasePoint
+            try:
+                fiber = Fiber(y_id=y_id, goods=tuple(spec.goods), duties=tuple(spec.duties),
+                              constraints=compile_constraints(bundle, self.registry))
+                if not fiber.tradable_goods():  # no economy here could have a numeraire
+                    raise ValueError(f"regime {y_id!r} forbids every good of its fiber")
+                self.fibers[y_id] = fiber
+            except (DutyModelError, ValueError) as exc:
+                errors.append(f"fibers.{y_id}: {exc}")
+        if errors:
+            raise ValidationErrors(errors)
 
     def fiber_at(self, y_id: str) -> Fiber:
-        if y_id not in self.fiber_specs:
+        if y_id not in self.fibers:
             raise UnknownBasePoint(y_id)
-        spec = self.fiber_specs[y_id]
-        bundle = self.registry.bundles[y_id]
-        return Fiber(y_id=y_id, goods=tuple(spec.goods), duties=tuple(spec.duties),
-                     constraints=compile_constraints(bundle, self.registry))
+        return self.fibers[y_id]
 
     def economy_at(self, y_id: str, agents: Sequence[Agent]) -> FiberEconomy:
-        spec = self.fiber_specs[y_id]
         return FiberEconomy(fiber=self.fiber_at(y_id), agents=tuple(agents),
-                            duty_prices=dict(spec.duty_prices))
+                            duty_prices=dict(self.fiber_specs[y_id].duty_prices))
 
 
 @dataclass
@@ -113,7 +128,6 @@ class TraceRecord:
     t: int
     y_id: str
     result: EquilibriumResult
-    allocations: dict[str, ExtendedBundle]
     duty_share: float
     volumes: dict[str, float]
     stranded_in: dict[str, dict[str, float]] = field(default_factory=dict)
@@ -128,10 +142,10 @@ class CarryResult:
 def build_path(config: Sequence[Sequence], base: BaseSpace) -> BasePath:
     """Validate a [(t, y_id), ...] config section against the base space."""
     steps = []
-    for entry in config:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ValueError(f"expected a [time, regime] pair, got {entry!r}")
-        t, y_id = int(entry[0]), str(entry[1])
+    for i, entry in enumerate(config):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2 or type(entry[0]) is not int:
+            raise ValueError(f"step {i}: expected an [integer time, regime] pair, got {entry!r}")
+        t, y_id = entry[0], str(entry[1])
         if y_id not in base.points:
             raise UnknownBasePoint(y_id)
         steps.append((t, y_id))
@@ -179,8 +193,7 @@ def run_path(template: EconomyTemplate, path: BasePath,
     stranded_in: dict[str, dict[str, float]] = {}
 
     for step_index, ((t, y_id), lam) in enumerate(zip(path.steps, profile.lambdas)):
-        agents = tuple(a.with_lam(lam).with_endowment(endowments[a.id])
-                       for a in template.agents)
+        agents = [replace(a, lam=lam, endowment=endowments[a.id]) for a in template.agents]
         try:
             economy = template.economy_at(y_id, agents)
             result = solve_tatonnement(economy, tol=template.solver_tol,
@@ -191,21 +204,18 @@ def run_path(template: EconomyTemplate, path: BasePath,
             raise
 
         records.append(TraceRecord(
-            t=t, y_id=y_id, result=result, allocations=result.allocations,
+            t=t, y_id=y_id, result=result, stranded_in=stranded_in,
             duty_share=duty_expenditure_share(economy, result.prices, result.allocations),
-            volumes=trade_volumes(economy, result.allocations),
-            stranded_in=stranded_in,
-        ))
+            volumes=trade_volumes(economy, result.allocations)))
 
         if step_index + 1 < len(path.steps):
-            next_fiber = template.fiber_at(path.steps[step_index + 1][1])
-            carry = carry_endowment(result.allocations, economy.fiber, next_fiber)
-            endowments = carry.endowments
-            stranded_in = carry.stranded
+            carry = carry_endowment(result.allocations, economy.fiber,
+                                    template.fiber_at(path.steps[step_index + 1][1]))
+            endowments, stranded_in = carry.endowments, carry.stranded
 
     return records
 
 
 def project_trace(trace: Sequence[TraceRecord]) -> list[str]:
     """Apply the projection to every record; equals the path's y sequence."""
-    return [projection((rec.y_id, rec.allocations)) for rec in trace]
+    return [projection((rec.y_id, rec.result.allocations)) for rec in trace]

@@ -324,7 +324,7 @@ def test_criterion_9_three_era_trace():
     with criterion(9, "canonical era path: projection, prohibition, rising duty share"):
         config = load_packaged_config("slavery")
         started = time.perf_counter()
-        records = db.run_slavery_eras(config.template(), config.path, config.profile)
+        records = db.run_slavery_eras(config.template, config.path, config.profile)
         assert time.perf_counter() - started < 5.0
         assert db.project_trace(records) == ["y1", "y2", "y3"]
         assert records[0].volumes["slave_sugar"] > 0
@@ -385,7 +385,7 @@ def test_criterion_11_veblen_probe():
                                           sweep).increasing_segments == []
 
         config = load_packaged_config("veblen")
-        template = config.template()
+        template = config.template
         agent = template.agents[0]
         probe_fiber = template.fiber_at("y1")
         probe_sweep = np.linspace(config.veblen.sweep_lo, config.veblen.sweep_hi,

@@ -2,10 +2,12 @@
 
 import copy
 import json
+import math
 
 import pytest
 
 import dutybound
+from dutybound import transition
 from dutybound.cli import main
 from dutybound.config import (
     load_packaged_config,
@@ -13,6 +15,7 @@ from dutybound.config import (
     parse_and_validate,
     validate_tree,
 )
+from dutybound.duty import compile_constraints
 from dutybound.errors import ParseError, ValidationErrors
 
 
@@ -74,6 +77,48 @@ def entry_paths(node, prefix=()):
         yield from entry_paths(value, prefix + (key,))
 
 
+def key_path(path):
+    """A tree entry's path as the validator names it: ``agents[0].utility.beta``."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
+
+
+def reported_at(errors, path):
+    """Some error is reported at ``path`` or at an entry that contains it."""
+    return any(key_path(path).startswith(error.split(":")[0]) for error in errors)
+
+
+# (command, packaged config, entry, value): values validation used to let
+# through, to a solver that ran on nan, a curve of nan rows or a misleading
+# non-convergence
+NON_FINITE = [
+    (["solve", "--config"], "slavery", ("fibers", "y1", "duty_prices", "labor_rights"), math.nan),
+    (["scenario", "veblen", "--config"], "veblen", ("scenarios", "veblen", "sweep", "hi"),
+     math.inf),
+    (["scenario", "veblen", "--config"], "veblen", ("scenarios", "veblen", "sweep", "lo"),
+     -math.inf),
+    (["solve", "--config"], "exchange", ("solver", "tol"), math.inf),
+    (["solve", "--config"], "veblen", ("agents", 0, "theta"), math.inf),
+    (["solve", "--config"], "veblen", ("agents", 0, "utility", "p_bar", "eco_label"), math.nan),
+    (["solve", "--config"], "veblen", ("agents", 0, "lambda"), math.nan),
+    (["trace", "--config"], "slavery", ("agents", 0, "utility", "beta", "labor_rights"), math.nan),
+    (["solve", "--config"], "exchange", ("agents", 0, "utility", "alpha", "ale"), math.inf),
+]
+
+# (packaged config, entry, value): a boolean read as 1, or a fraction truncated
+BOOL_OR_FRACTION = [
+    ("slavery", ("fibers", "y1", "duty_prices", "labor_rights"), True),
+    ("exchange", ("solver", "max_iter"), True),
+    ("exchange", ("solver", "tol"), True),
+    ("veblen", ("agents", 0, "lambda"), True),
+    ("exchange", ("agents", 0, "endowment", "ale"), True),
+    ("exchange", ("profile", "lambdas", 0), True),
+    ("slavery", ("profile", "lambda_max"), True),
+    ("sugar", ("scenarios", "sweep", "phis", 0), True),
+    ("veblen", ("scenarios", "veblen", "sweep", "count"), 2.7),
+    ("slavery", ("path", 0, 0), 0.7),
+]
+
+
 def sugar_with_premiums(premiums):
     tree = packaged_tree("sugar")
     tree["scenarios"]["sweep"]["premiums"] = premiums
@@ -89,8 +134,8 @@ class TestParseAndValidate:
     def test_minimal_config_valid(self, write_config):
         config = parse_and_validate(write_config(minimal_tree()))
         assert config.seed == 1
-        assert [a.id for a in config.agents] == ["A", "B"]
-        assert config.solver_tol == 1e-09
+        assert [a.id for a in config.template.agents] == ["A", "B"]
+        assert config.template.solver_tol == 1e-09
 
     def test_unknown_good_reported_with_path(self, write_config):
         tree = minimal_tree()
@@ -155,7 +200,7 @@ class TestParseAndValidate:
         tree = json.loads(packaged_config_path(name).read_text())
         raised = []
         for path in entry_paths(tree):
-            for value in ([], {}, "x", 5, None):
+            for value in ([], {}, "x", 5, None, True, 2.5):
                 try:
                     validate_tree(replaced(tree, path, value))
                 except (ValidationErrors, ParseError):
@@ -177,6 +222,28 @@ class TestParseAndValidate:
                          "--out", str(outdir)]) == 0
             outputs.append((outdir / "solve_y1.csv").read_bytes())
         assert len(set(outputs)) == 1
+
+    @pytest.mark.parametrize("name,path,value", [case[1:] for case in NON_FINITE],
+                             ids=[key_path(case[2]) for case in NON_FINITE])
+    def test_a_non_finite_number_is_reported_with_its_key(self, name, path, value):
+        """The tree a file with NaN or Infinity would give, were they parsed."""
+        with pytest.raises(ValidationErrors) as err:
+            validate_tree(replaced(packaged_tree(name), path, value))
+        assert reported_at(err.value.errors, path)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literals_are_parse_errors(self, tmp_path, literal):
+        path = tmp_path / "run.json"
+        path.write_text('{"solver": {"tol": %s}}' % literal)
+        with pytest.raises(ParseError, match=literal):
+            parse_and_validate(path)
+
+    @pytest.mark.parametrize("name,path,value", BOOL_OR_FRACTION,
+                             ids=[f"{key_path(case[1])}={case[2]}" for case in BOOL_OR_FRACTION])
+    def test_a_boolean_or_fraction_is_reported_with_its_key(self, name, path, value):
+        with pytest.raises(ValidationErrors) as err:
+            validate_tree(replaced(packaged_tree(name), path, value))
+        assert reported_at(err.value.errors, path)
 
     def test_profile_length_mismatch_reported(self, write_config):
         tree = minimal_tree()
@@ -231,6 +298,25 @@ class TestCliExitCodes:
         code = main(["solve", "--config", str(write_config(tree)),
                      "--out", str(tmp_path)])
         assert code == 3
+
+    def test_solve_unknown_fiber_exit_4(self, tmp_path, capsys):
+        code = main(["solve", "--config", str(packaged_config_path("exchange")),
+                     "--fiber", "nowhere", "--out", str(tmp_path)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "'nowhere'" in err and "Traceback" not in err
+
+    def test_trace_compiles_each_regime_once(self, tmp_path, monkeypatch):
+        compiled = []
+
+        def counting(bundle, registry):
+            compiled.append(bundle.id)
+            return compile_constraints(bundle, registry)
+
+        monkeypatch.setattr(transition, "compile_constraints", counting)
+        assert main(["trace", "--config", str(packaged_config_path("slavery")),
+                     "--out", str(tmp_path)]) == 0
+        assert compiled == ["y1", "y2", "y3"]
 
     def test_trace_writes_rows_and_summary(self, tmp_path):
         code = main(["trace", "--config", str(packaged_config_path("slavery")),
@@ -311,10 +397,23 @@ class TestCliExitCodes:
             packaged_tree("sugar"), ("scenarios", "sugar", "w_max"), -0.5)),
         (["sweep", "--config"], lambda: replaced(
             packaged_tree("sugar"), ("scenarios", "sugar", "w_max"), -0.5)),
+        # a regime that forbids every good leaves no numeraire
+        (["scenario", "veblen", "--config"], lambda: replaced(replaced(
+            packaged_tree("veblen"), ("registry", "maxims", "ban"),
+            {"class": "perfect", "kind": "FORBID", "target": "staple"}),
+            ("registry", "bundles", "y1", "active"), ["ban"])),
+        # an integer no float holds
+        (["trace", "--config"], lambda: replaced(
+            packaged_tree("slavery"), ("agents", 0, "lambda"), 10 ** 400)),
+        # written by json.dumps as NaN, Infinity and -Infinity
+        *[(argv, lambda name=name, path=path, value=value:
+           replaced(packaged_tree(name), path, value))
+          for argv, name, path, value in NON_FINITE],
     ], ids=["sweep-premium", "solve-no-agents", "trace-no-agents", "veblen-no-agents",
             "relation-no-points", "veblen-text-reference-price", "sugar-text-w-max",
             "sugar-negative-seed", "sweep-negative-seed", "sugar-negative-w-max",
-            "sweep-negative-w-max"])
+            "sweep-negative-w-max", "veblen-every-good-forbidden", "trace-integer-beyond-float",
+            *[f"{argv[-2]}-{key_path(path)}-{value}" for argv, _, path, value in NON_FINITE]])
     def test_malformed_input_exit_4(self, tmp_path, capsys, write_config, argv, make_tree):
         """A documented config error, never a traceback."""
         code = main(argv + [str(write_config(make_tree())), "--out", str(tmp_path / "out")])

@@ -398,7 +398,7 @@ class TestDemandRowsBatch:
         fiber = fiber_with(*CLAIM_AND_FORBID, goods=GOODS3, duties=("d1",))
         rng = np.random.default_rng(2)
         agents = [random_agent(rng, name=f"a{k}") for k in range(3)]
-        agents = [a.with_endowment({g: q * scale for g, q in a.endowment.items()})
+        agents = [replace(a, endowment={g: q * scale for g, q in a.endowment.items()})
                   for a, scale in zip(agents, (10.0, 0.15, 1.0))]
         return AgentRows.pack(fiber, agents)
 
@@ -446,7 +446,7 @@ class TestClosedFormRows:
         for scale in 10.0 ** np.arange(-6, 8):
             fiber = fiber_with(*scaled_regime(regime, scale), goods=GOODS3, duties=("d1",))
             agents = [random_agent(rng, name=f"a{k}") for k in range(8)]
-            agents = [a.with_endowment({g: q * scale for g, q in a.endowment.items()})
+            agents = [replace(a, endowment={g: q * scale for g, q in a.endowment.items()})
                       for a in agents]
             prices = np.array([random_prices(rng) for _ in range(8)])
             batch = demand_rows(AgentRows.pack(fiber, agents), prices)
@@ -463,7 +463,7 @@ class TestClosedFormRows:
         level = 0.4
         fiber = fiber_with(*KKT_REGIMES["require_min"], goods=GOODS3, duties=("d1",))
         rng = np.random.default_rng(81)
-        agents = [random_agent(rng, name=f"a{k}").with_endowment(dict.fromkeys(GOODS3, 1e4))
+        agents = [replace(random_agent(rng, name=f"a{k}"), endowment=dict.fromkeys(GOODS3, 1e4))
                   for k in range(4)]
         goods_prices = rng.uniform(0.3, 3.0, (8, 3))
         w = 1e4 * goods_prices.sum(axis=1)
@@ -554,7 +554,7 @@ class TestMultiplierRows:
         rng = np.random.default_rng(51)
         fiber = fiber_with(*KKT_REGIMES["forbid"], goods=GOODS3, duties=("d1",))
         agents = [random_agent(rng, name=f"a{k}", veblen=k % 2 == 1) for k in range(8)]
-        agents = [a.with_endowment({g: q * scale for g, q in a.endowment.items()})
+        agents = [replace(a, endowment={g: q * scale for g, q in a.endowment.items()})
                   for a in agents]
         self.check(fiber, agents, np.array([random_prices(rng) for _ in range(8)]),
                    kkt_tol=1e-9)

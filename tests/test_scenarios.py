@@ -270,20 +270,20 @@ class TestCriticalMass:
 class TestSlaveryEras:
     def test_canonical_config_structure(self):
         cfg = load_packaged_config("slavery")
-        records = run_slavery_eras(cfg.template(), cfg.path, cfg.profile)
+        records = run_slavery_eras(cfg.template, cfg.path, cfg.profile)
         assert [rec.y_id for rec in records] == ["y1", "y2", "y3"]
         assert records[0].volumes["slave_sugar"] > 0
         assert records[2].volumes["slave_sugar"] == 0.0
-        for bundle in records[2].allocations.values():
+        for bundle in records[2].result.allocations.values():
             assert bundle.x[1] == 0.0
 
     def test_single_era_reduces_to_plain_solve(self):
         cfg = load_packaged_config("slavery")
-        template = cfg.template()
+        template = cfg.template
         path = build_path([[0, "y1"]], template.base)
         records = run_slavery_eras(template, path, GenerationProfile(lambdas=(0.1,)))
         direct = solve_tatonnement(
-            template.economy_at("y1", [a.with_lam(0.1) for a in template.agents]),
+            template.economy_at("y1", [replace(a, lam=0.1) for a in template.agents]),
             tol=template.solver_tol, max_iter=template.solver_max_iter)
         assert np.allclose(records[0].result.prices.values, direct.prices.values)
 
@@ -292,7 +292,7 @@ class TestSlaveryEras:
         prohibition still zeroes the tainted good while the duty share
         moves only through constraints and carried endowments."""
         cfg = load_packaged_config("slavery")
-        template = cfg.template()
+        template = cfg.template
         lam = 0.6
         records = run_slavery_eras(template, cfg.path,
                                    GenerationProfile(lambdas=(lam, lam, lam)))

@@ -1,12 +1,14 @@
 """Paths, endowment transport, and equilibrium traces across regimes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dutybound.duty import load_registry
 from dutybound.economy import Agent, ExtendedBundle, UtilityFamily, UtilitySpec
 from dutybound.equilibrium import solve_tatonnement
-from dutybound.errors import NonMonotoneTime, UnknownBasePoint
+from dutybound.errors import NonMonotoneTime, UnknownBasePoint, ValidationErrors
 from dutybound.topology import BaseSpace
 from dutybound.transition import (
     BasePath,
@@ -121,6 +123,27 @@ class TestCarryEndowment:
         assert carry.endowments["A"] == {"g1": 0.0, "g2": 0.0}
 
 
+class TestEconomyTemplate:
+    def test_fiber_at_is_a_lookup_of_the_compiled_fiber(self):
+        template = simple_template()
+        assert template.fiber_at("y2") is template.fiber_at("y2") is template.fibers["y2"]
+
+    def test_unknown_base_point_raises(self):
+        template = simple_template()
+        with pytest.raises(UnknownBasePoint):
+            template.fiber_at("nowhere")
+        with pytest.raises(UnknownBasePoint):
+            template.economy_at("nowhere", template.agents)
+
+    def test_every_failing_fiber_is_reported(self):
+        """A FORBID on a duty fails to compile into a fiber, in both regimes."""
+        with pytest.raises(ValidationErrors) as err:
+            simple_template(
+                duty_maxims={"ban": {"class": "perfect", "kind": "FORBID", "target": "d1"}},
+                bundle_active={"y1": ["ban"], "y3": ["ban"]})
+        assert [e.split(":")[0] for e in err.value.errors] == ["fibers.y1", "fibers.y3"]
+
+
 class TestRunPath:
     def test_single_step_equals_direct_solve(self):
         template = simple_template()
@@ -128,10 +151,30 @@ class TestRunPath:
         records = run_path(template, path, GenerationProfile(lambdas=(0.5,)))
         assert len(records) == 1
         direct = solve_tatonnement(
-            template.economy_at("y1", [a.with_lam(0.5) for a in template.agents]))
+            template.economy_at("y1", [replace(a, lam=0.5) for a in template.agents]))
         assert np.allclose(records[0].result.prices.values, direct.prices.values,
                            atol=1e-12)
-        for agent_id, bundle in records[0].allocations.items():
+        for agent_id, bundle in records[0].result.allocations.items():
+            assert np.allclose(bundle.coords, direct.allocations[agent_id].coords,
+                               atol=1e-12)
+
+    def test_later_step_equals_direct_solve_with_its_lambda_and_carried_endowment(self):
+        """Step 2's agents carry step 2's lambda and, as endowment, the goods
+        of their step-1 allocation; a direct solve of that economy agrees."""
+        template = simple_template(
+            duty_maxims={"floor": {"class": "perfect", "kind": "REQUIRE_MIN",
+                                   "target": "d1", "level": 0.1}},
+            bundle_active={"y2": ["floor"]})
+        path = build_path([[0, "y1"], [1, "y2"]], template.base)
+        records = run_path(template, path, GenerationProfile(lambdas=(0.5, 1.5)))
+        first = records[0].result.allocations
+        agents = [replace(a, lam=1.5, endowment={"g1": float(first[a.id].x[0]),
+                                                 "g2": float(first[a.id].x[1])})
+                  for a in template.agents]
+        direct = solve_tatonnement(template.economy_at("y2", agents))
+        assert np.allclose(records[1].result.prices.values, direct.prices.values,
+                           atol=1e-12)
+        for agent_id, bundle in records[1].result.allocations.items():
             assert np.allclose(bundle.coords, direct.allocations[agent_id].coords,
                                atol=1e-12)
 
@@ -144,9 +187,9 @@ class TestRunPath:
         p0 = records[0].result.prices.values
         for rec in records[1:]:
             assert np.allclose(rec.result.prices.values, p0, atol=1e-6)
-            for agent_id, bundle in rec.allocations.items():
+            for agent_id, bundle in rec.result.allocations.items():
                 assert np.allclose(bundle.coords,
-                                   records[0].allocations[agent_id].coords, atol=1e-6)
+                                   records[0].result.allocations[agent_id].coords, atol=1e-6)
 
     def test_rising_lambda_raises_duty_share(self):
         template = simple_template()
@@ -210,9 +253,9 @@ class TestRunPath:
             bundle_active={"y3": ["ban"]})
         path = build_path([[0, "y1"], [1, "y2"], [2, "y3"]], template.base)
         records = run_path(template, path, GenerationProfile(lambdas=(0.2, 0.2, 0.2)))
-        assert records[0].allocations["A"].x[1] > 0
-        assert records[1].allocations["A"].x[1] > 0
-        for bundle in records[2].allocations.values():
+        assert records[0].result.allocations["A"].x[1] > 0
+        assert records[1].result.allocations["A"].x[1] > 0
+        for bundle in records[2].result.allocations.values():
             assert bundle.x[1] == 0.0
 
     def test_profile_length_mismatch(self):

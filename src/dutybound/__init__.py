@@ -76,7 +76,6 @@ from .scenarios import (
 from .topology import (
     BaseSpace,
     OpenFamily,
-    ProductBasisElement,
     discrete_topology,
     projection,
     projection_continuous,

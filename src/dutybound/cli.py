@@ -133,9 +133,7 @@ def _cmd_check_topology(args, config: RunConfig, started: float) -> int:
     else:
         family = topology.discrete_topology(base)
     axioms = topology.verify_topology_axioms(family, base)
-    fibers = config.template.fibers.values() if config.template is not None else ()
-    fiber_dims = max((len(f.dims) for f in fibers), default=1)
-    continuity = topology.projection_continuous(base, family, fiber_dims)
+    continuity = topology.projection_continuous(base, family)
 
     rows = [
         ["open-set-count", True, len(family.masks),

@@ -10,13 +10,12 @@ config reports all its problems at once.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
-from .duty import load_registry
+from .duty import _is_number, load_registry
 from .economy import Agent, UtilityFamily, UtilitySpec
 from .equilibrium import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .errors import DutyModelError, ParseError, ValidationErrors
@@ -56,13 +55,6 @@ class RunConfig:
     output_dir: str = "out"
     output_formats: tuple[str, ...] = ("csv",)
     source_path: str | None = None
-
-
-def _is_number(value) -> bool:
-    """A JSON number a float holds: an int or a float, not a boolean, NaN or
-    infinite, nor an int beyond the largest float."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
 
 
 def _numbers(section, key: str) -> tuple[float, ...]:

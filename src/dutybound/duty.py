@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
@@ -216,6 +217,24 @@ def compile_constraints(bundle: DutyBundle, registry: MaximRegistry) -> Constrai
     return ConstraintSet(constraints=tuple(constraints), prior_claim_total=claim_total)
 
 
+def _is_number(value) -> bool:
+    """A JSON number a float holds: an int or a float, not a boolean, NaN or
+    infinite, nor an int beyond the largest float. The one number rule of
+    the whole config, registry included."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _number(record: Mapping, key: str, path: str, default: float | None) -> float | None:
+    """``record[key]`` as a float under the number rule; ``default`` when absent."""
+    if key not in record:
+        return default
+    value = record[key]
+    if not _is_number(value):
+        raise MalformedSpec(f"{path}.{key}", f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _string_list(tree: Mapping, key: str) -> list[str]:
     raw = tree.get(key, [])
     if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
@@ -244,14 +263,11 @@ def _parse_record(maxim_id, record, goods, duties) -> ClassificationRecord:
     if cls == "imperfect":
         if maxim_id not in duties:
             raise UnknownReference(maxim_id, f"{path} (not in the imperfect_duties catalog)")
-        cap = record.get("normalization_cap")
-        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, (int, float))):
-            raise MalformedSpec(f"{path}.normalization_cap", f"expected a number, got {cap!r}")
         return ImperfectDutyDef(
             id=maxim_id,
             index=duties.index(maxim_id),
             unit=str(record.get("unit", "")),
-            normalization_cap=record.get("normalization_cap"),
+            normalization_cap=_number(record, "normalization_cap", path, None),
         )
     if cls == "perfect":
         kind_name = record.get("kind")
@@ -265,15 +281,12 @@ def _parse_record(maxim_id, record, goods, duties) -> ClassificationRecord:
                 raise MalformedSpec(f"{path}.target", f"{kind.value} needs a target dimension")
             if target not in goods and target not in duties:
                 raise UnknownReference(str(target), path)
-        try:
-            return PerfectDutySpec(
-                id=maxim_id,
-                kind=kind,
-                target=target,
-                level=float(record.get("level", 0.0)),
-                amount=float(record.get("amount", 0.0)),
-                description=str(record.get("description", "")),
-            )
-        except (TypeError, ValueError) as exc:
-            raise MalformedSpec(path, str(exc)) from None
+        return PerfectDutySpec(
+            id=maxim_id,
+            kind=kind,
+            target=target,
+            level=_number(record, "level", path, 0.0),
+            amount=_number(record, "amount", path, 0.0),
+            description=str(record.get("description", "")),
+        )
     raise MalformedSpec(f"{path}.class", f"must be 'perfect' or 'imperfect', got {cls!r}")

@@ -232,6 +232,11 @@ def disposable_income(agent: Agent, prices, fiber: Fiber) -> float:
 
     Negative disposable income means the claims cannot be met: the feasible
     set is empty and this is surfaced, never clipped.
+
+    Part of the model's public API (with ``feasible`` and ``agent_utility``):
+    the solver never calls it, but it is how a caller asks what a regime's
+    prior claims leave an agent to spend. Acceptance criterion 7 calls it
+    through the package root.
     """
     p = _as_price_array(prices, fiber.n + fiber.l)
     income, w = _income(fiber, agent.endowment_for(fiber.goods), p)
@@ -241,7 +246,11 @@ def disposable_income(agent: Agent, prices, fiber: Fiber) -> float:
 
 
 def feasible(agent: Agent, prices, fiber: Fiber, candidate: ExtendedBundle) -> bool:
-    """Duty-feasibility: inside the post-claim budget and every predicate holds."""
+    """Duty-feasibility: inside the post-claim budget and every predicate holds.
+
+    Part of the model's public API: the solver never calls it, but it is how
+    a caller tests a candidate bundle against a regime's perfect duties.
+    """
     p = _as_price_array(prices, fiber.n + fiber.l)
     values = fiber.values_of(candidate)
     if not fiber.constraints.feasible(values):
@@ -269,6 +278,12 @@ def utility_value(spec: UtilitySpec, x, e, prices, fiber: Fiber,
 
 
 def agent_utility(agent: Agent, bundle: ExtendedBundle, prices, fiber: Fiber) -> float:
+    """An agent's utility at a bundle, with its own duty and status weights.
+
+    Part of the model's public API: the solver never calls it, but it is how
+    a caller compares welfare across regimes. Acceptance criterion 7 calls it
+    through the package root.
+    """
     return utility_value(agent.utility, bundle.x, bundle.e, prices, fiber,
                          lam=agent.lam, theta=agent.theta)
 

@@ -63,7 +63,7 @@ def test_criterion_1_topology_suite():
             family = db.discrete_topology(base)
             assert len(family.masks) == 2 ** m
             assert db.verify_topology_axioms(family, base).passed
-            report = db.projection_continuous(base, family, fiber_dims=2)
+            report = db.projection_continuous(base, family)
             assert report.passed and report.checked == 2 ** m
 
 

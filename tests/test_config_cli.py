@@ -291,6 +291,23 @@ class TestCliExitCodes:
         assert code == 2
         assert "FAIL" in capsys.readouterr().out
 
+    def test_explicit_open_family_pass_reports_basis_count(self, tmp_path, write_config,
+                                                           capsys):
+        tree = minimal_tree()
+        tree["base_space"] = ["y1", "y2", "y3"]
+        for y in ("y2", "y3"):
+            tree["registry"]["bundles"][y] = {"label": y, "active": []}
+            tree["fibers"][y] = {"goods": ["g1", "g2"], "duties": []}
+        # {y1} and {y2} open, {y3} not: 1 + 1 + 2 + 1 basis elements
+        tree["topology"] = {"opens": [[], ["y1"], ["y2"], ["y1", "y2"], ["y1", "y2", "y3"]]}
+        code = main(["check-topology", "--config", str(write_config(tree)),
+                     "--out", str(tmp_path)])
+        assert code == 0
+        expected = "5 preimages checked, 5 basis elements"
+        assert f"[PASS] projection-continuity (5 checks): {expected}" in capsys.readouterr().out
+        report = (tmp_path / "topology_report.csv").read_text().splitlines()
+        assert f'projection-continuity,true,5,"{expected}"' in report
+
     def test_solver_non_convergence_exit_3(self, tmp_path, write_config):
         tree = minimal_tree()
         tree["agents"][0]["utility"]["alpha"] = {"g1": 0.2, "g2": 0.8}
@@ -405,6 +422,14 @@ class TestCliExitCodes:
         # an integer no float holds
         (["trace", "--config"], lambda: replaced(
             packaged_tree("slavery"), ("agents", 0, "lambda"), 10 ** 400)),
+        # registry numbers follow the same rule
+        (["trace", "--config"], lambda: replaced(packaged_tree("slavery"), (
+            "registry", "maxims", "support_labor_rights", "level"), True)),
+        (["trace", "--config"], lambda: replaced(packaged_tree("slavery"), (
+            "registry", "maxims", "support_labor_rights", "level"), "0.5")),
+        (["trace", "--config"], lambda: replaced(packaged_tree("slavery"), (
+            "registry", "maxims", "debt"), {"class": "perfect", "kind": "PRIOR_CLAIM",
+                                            "amount": "3"})),
         # written by json.dumps as NaN, Infinity and -Infinity
         *[(argv, lambda name=name, path=path, value=value:
            replaced(packaged_tree(name), path, value))
@@ -413,6 +438,8 @@ class TestCliExitCodes:
             "relation-no-points", "veblen-text-reference-price", "sugar-text-w-max",
             "sugar-negative-seed", "sweep-negative-seed", "sugar-negative-w-max",
             "sweep-negative-w-max", "veblen-every-good-forbidden", "trace-integer-beyond-float",
+            "trace-registry-level-true", "trace-registry-level-text",
+            "trace-registry-amount-text",
             *[f"{argv[-2]}-{key_path(path)}-{value}" for argv, _, path, value in NON_FINITE]])
     def test_malformed_input_exit_4(self, tmp_path, capsys, write_config, argv, make_tree):
         """A documented config error, never a traceback."""

@@ -134,6 +134,30 @@ class TestLoadRegistry:
                 "bundles": {},
             })
 
+    @pytest.mark.parametrize("maxim_id,record,key", [
+        ("floor", {"class": "perfect", "kind": "REQUIRE_MIN", "target": "hours",
+                   "level": True}, "level"),
+        ("floor", {"class": "perfect", "kind": "REQUIRE_MIN", "target": "hours",
+                   "level": "0.5"}, "level"),
+        ("debt", {"class": "perfect", "kind": "PRIOR_CLAIM", "amount": "3"}, "amount"),
+        ("debt", {"class": "perfect", "kind": "PRIOR_CLAIM", "amount": 10 ** 400}, "amount"),
+        ("hours", {"class": "imperfect", "normalization_cap": False}, "normalization_cap"),
+        ("hours", {"class": "imperfect", "normalization_cap": "2"}, "normalization_cap"),
+    ], ids=["level-true", "level-text", "amount-text", "amount-beyond-float",
+            "cap-false", "cap-text"])
+    def test_a_registry_number_that_is_not_a_number_is_named(self, maxim_id, record, key):
+        """A boolean, a numeric string or an int no float holds is not read
+        as a number; the error names the maxim's key."""
+        with pytest.raises(MalformedSpec) as err:
+            load_registry({
+                "goods": ["g"],
+                "imperfect_duties": ["hours"],
+                "maxims": {maxim_id: record},
+                "bundles": {},
+            })
+        assert err.value.path == f"maxims.{maxim_id}.{key}"
+        assert f"maxims.{maxim_id}.{key}" in str(err.value)
+
     def test_imperfect_indices_contiguous(self):
         reg = load_registry({
             "goods": ["g"],

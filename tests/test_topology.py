@@ -1,4 +1,4 @@
-"""Discrete topology, product basis, slices, and the projection map."""
+"""Discrete topology, slices, and the projection map."""
 
 import math
 
@@ -9,7 +9,6 @@ from dutybound.errors import BaseTooLarge
 from dutybound.topology import (
     BaseSpace,
     OpenFamily,
-    ProductBasisElement,
     discrete_topology,
     projection,
     projection_continuous,
@@ -160,56 +159,33 @@ class TestSlicesAndProjection:
     def test_projection_total_on_zero_bundle(self):
         assert projection(("y1", (0.0, 0.0))) == "y1"
 
-    def test_projection_lands_in_basis_base_part(self):
-        """pi(p) must land in U for every sampled point of a basis element U x V."""
-        base = base_of(3)
-        rng = np.random.default_rng(11)
-        for _ in range(1000):
-            size = int(rng.integers(1, 4))
-            ids = frozenset(rng.choice(base.points, size=size, replace=False).tolist())
-            intervals = tuple(sorted(rng.uniform(0, 5, size=2)) for _ in range(2))
-            intervals = tuple((lo, hi if hi > lo else lo + 1.0) for lo, hi in intervals)
-            element = ProductBasisElement(base_part=ids, intervals=intervals)
-            point = element.sample(rng)
-            assert element.contains(point)
-            assert projection(point) in element.base_part
-
-
-class TestProductBasisElement:
-    def test_interval_validation(self):
-        with pytest.raises(ValueError):
-            ProductBasisElement(base_part=frozenset({"y1"}), intervals=((2.0, 1.0),))
-        with pytest.raises(ValueError):
-            ProductBasisElement(base_part=frozenset({"y1"}), intervals=((-1.0, 1.0),))
-
-    def test_closed_at_zero_boundary(self):
-        element = ProductBasisElement(base_part=frozenset({"y1"}),
-                                      intervals=((0.0, 1.0), (0.5, 2.0)))
-        assert element.contains(("y1", (0.0, 1.0)))       # zero edge is inside
-        assert not element.contains(("y1", (0.0, 0.5)))   # positive lo stays open
-        assert not element.contains(("y1", (1.0, 1.0)))   # hi edge stays open
-
-    def test_unbounded_box(self):
-        element = ProductBasisElement(base_part=frozenset({"y1"}),
-                                      intervals=((0.0, math.inf),))
-        assert element.contains(("y1", (1e12,)))
-
 
 class TestProjectionContinuity:
     def test_discrete_m3(self):
         base = base_of(3)
-        report = projection_continuous(base, discrete_topology(base), fiber_dims=2)
+        report = projection_continuous(base, discrete_topology(base))
         assert report.passed and report.checked == 8
 
     def test_indiscrete(self):
         base = base_of(3)
         fam = OpenFamily.from_subsets(base, [[], list(base.points)])
-        report = projection_continuous(base, fam, fiber_dims=2)
+        report = projection_continuous(base, fam)
         assert report.passed and report.checked == 2
 
     def test_discrete_m4_all_preimages(self):
         base = base_of(4)
-        report = projection_continuous(base, discrete_topology(base), fiber_dims=3)
+        report = projection_continuous(base, discrete_topology(base))
         assert report.passed and report.checked == 16
         # every singleton slice counted: sum over subsets of their size
         assert report.extras["basis_count"] == 4 * 2 ** 3
+
+    def test_some_singletons_open(self):
+        """{a} and {b} are open, {c} is not: {a, b} splits into two slices,
+        the whole space stays one block."""
+        base = BaseSpace(points=("a", "b", "c"))
+        fam = OpenFamily.from_subsets(base, [[], ["a"], ["b"], ["a", "b"], ["a", "b", "c"]])
+        assert verify_topology_axioms(fam, base).passed
+        report = projection_continuous(base, fam)
+        assert report.passed and report.checked == 5
+        assert report.extras["basis_count"] == 1 + 1 + 2 + 1
+        assert report.detail == "5 preimages checked, 5 basis elements"

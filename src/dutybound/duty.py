@@ -225,13 +225,18 @@ def _is_number(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
-def _number(record: Mapping, key: str, path: str, default: float | None) -> float | None:
-    """``record[key]`` as a float under the number rule; ``default`` when absent."""
+def _number(record: Mapping, key: str, path: str, default: float | None,
+            positive: bool = False) -> float | None:
+    """``record[key]`` as a float under the number rule, not below zero (nor
+    at it, with ``positive``); ``default`` when absent."""
     if key not in record:
         return default
     value = record[key]
     if not _is_number(value):
         raise MalformedSpec(f"{path}.{key}", f"expected a number, got {value!r}")
+    if value < 0 or (positive and value == 0):
+        sign = "positive" if positive else "non-negative"
+        raise MalformedSpec(f"{path}.{key}", f"expected a {sign} number, got {value!r}")
     return float(value)
 
 
@@ -267,7 +272,7 @@ def _parse_record(maxim_id, record, goods, duties) -> ClassificationRecord:
             id=maxim_id,
             index=duties.index(maxim_id),
             unit=str(record.get("unit", "")),
-            normalization_cap=_number(record, "normalization_cap", path, None),
+            normalization_cap=_number(record, "normalization_cap", path, None, positive=True),
         )
     if cls == "perfect":
         kind_name = record.get("kind")

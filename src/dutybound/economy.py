@@ -20,9 +20,11 @@ Demand maximizes the chosen utility family over the duty-feasible budget
 set. Both families are concave in the bundle, so the exact optimum follows
 from the first-order conditions: every coordinate is a known decreasing
 function of the income multiplier, clipped at its lower bound, and the
-multiplier itself follows in closed form (no status tilt) or by a safeguarded
-Newton iteration on the budget identity. FORBID coordinates are exactly zero
-and REQUIRE_MIN bounds are met exactly.
+multiplier itself follows in closed form (the free weight over the budget
+without a status tilt, the larger root of a quadratic with one tilted
+coordinate) or, with two or more tilted coordinates, by a safeguarded Newton
+iteration on the budget identity. FORBID coordinates are exactly zero and
+REQUIRE_MIN bounds are met exactly.
 
 One kernel, ``demand_rows``, solves every agent of a fiber at once over the
 arrays of ``AgentRows``; ``demand`` is its one-agent view, and
@@ -337,10 +339,12 @@ def demand_rows(rows: AgentRows, prices) -> np.ndarray:
         duties:  e_j = lam beta_j / (mu p_j - theta (p_j - pbar_j)) - 1
 
     each clipped below at its REQUIRE_MIN bound (zero by default) and pinned
-    to zero when forbidden. Rows without a status tilt take the active-set
-    closed form, which is exact (``_active_set_rows`` says why); the rest
-    pin mu by Newton's method on the budget identity inside a bracket per
-    row (total spending is non-increasing in mu). Both utility families
+    to zero when forbidden. Rows with at most one status-tilted coordinate
+    take the active-set closed form, which is exact (``_active_set_rows``
+    says why); the rest (two or more tilted coordinates, a pure-status
+    coordinate, or no untilted weight) pin mu by Newton's method on the
+    budget identity inside a bracket per row (total spending is
+    non-increasing in mu, ``_multiplier_rows``). Both utility families
     spend the whole disposable budget, to rounding, whenever some free
     dimension has positive weight. Flat problems (all free weights zero)
     settle on the lexicographically smallest vector, i.e. every coordinate
@@ -365,13 +369,22 @@ def demand_rows(rows: AgentRows, prices) -> np.ndarray:
     # status-premium tilt on duty prices; zero for goods and for theta = 0
     tilt = np.zeros(w.shape + lb.shape)
     tilt[..., n:] = rows.theta[:, None] * (p[..., n:] - rows.p_bar)
-    # The closed form runs on every row and is kept for the untilted ones.
-    # Rows with no weight left divide zero by zero there (and are set to
-    # their bounds); the multiplier solve's outer probes at mu = 1e300 and
-    # 1e-300 overflow on purpose.
+    # The closed form runs on every row and is kept for all but the rows
+    # only the multiplier solve handles: two or more tilted coordinates, a
+    # pure-status coordinate (zero log weight, positive tilt, whose spending
+    # jumps where its premium starts to pay), or no positive untilted weight
+    # (which may leave budget unspent). Rows with no weight left divide zero
+    # by zero in the closed form (and are set to their bounds); the
+    # multiplier solve's outer probes at mu = 1e300 and 1e-300 overflow on
+    # purpose.
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        coords = _active_set_rows(fiber, p, w, rows.weight)
+        coords = _active_set_rows(fiber, p, w, rows.weight, tilt)
         todo = tilt.any(axis=-1)
+        if todo.any():
+            tilted = tilt != 0
+            todo &= ((tilted.sum(axis=-1) > 1)
+                     | ((tilt > 0) & (rows.weight == 0)).any(axis=-1)
+                     | ~(~forbidden & ~tilted & (rows.weight > 0)).any(axis=-1))
         if todo.any():
             at = np.nonzero(todo)  # the rows' (vector and) agent indices
             coords[todo] = _multiplier_rows(fiber, p if p.ndim == 1 else p[at[0], 0], w[todo],
@@ -402,18 +415,27 @@ def _first_error(rows: AgentRows, p, income, w, fixed_cost, empty) -> DutyModelE
     return InfeasibleDutySet(rows.ids[k % count], reason)
 
 
-def _active_set_rows(fiber: Fiber, p, w, weight) -> np.ndarray:
-    """Exact KKT solution for the log-additive family (no status tilt), per row.
+def _active_set_rows(fiber: Fiber, p, w, weight, tilt) -> np.ndarray:
+    """Exact KKT solution per row with at most one status-tilted coordinate.
 
     With spending s_k = p_k (q_k + offset_k) the interior condition is
-    s_k = weight_k / mu, so mu has a closed form on any candidate active set:
-    the free weight over the pool of budget left to the free coordinates.
-    Each round clips every free coordinate that wants less than its bound.
+    s_k = p_k weight_k / (mu p_k - tilt_k), so mu has a closed form on any
+    candidate active set. Without a free tilted coordinate it is the free
+    weight A over the pool P of budget left to the free coordinates. With
+    one, d, and B = p_d weight_d, t = tilt_d, the budget identity
+    A / mu + B / (mu p_d - t) = P is the quadratic
 
-    The answer needs no further check. A coordinate wants less than its
-    bound exactly when weight_k < mu p_k (lb_k + offset_k), so taking it out
-    of the pool removes less weight than mu times the budget it absorbs, and
-    the next mu is larger. As mu only rises, a coordinate clipped in one
+        P p_d mu^2 - (P t + A p_d + B) mu + A t = 0,
+
+    whose larger root is the one with mu p_d > t: for t > 0 the value t / p_d
+    lies between the roots, and for t < 0 only one root is positive. Each
+    round clips every free coordinate that wants less than its bound.
+
+    The answer needs no further check. Spending falls in mu, and a
+    coordinate wants less than its bound exactly when its spending at the
+    current mu is below p_k (lb_k + offset_k), so taking it out of the pool
+    leaves the other coordinates spending more than the budget left to them,
+    and the next mu is larger. As mu only rises, a coordinate clipped in one
     round wants still less in every later one, and every row settles after
     at most one round per dimension with each clipped coordinate held at a
     bound it does not want to leave. A pool that drops to zero or below
@@ -421,37 +443,107 @@ def _active_set_rows(fiber: Fiber, p, w, weight) -> np.ndarray:
     check's rounding, since every offset is positive) gives a mu of infinity
     or below zero, so the next round clips every coordinate: the row sits at
     its bounds, which then spend the whole budget.
+
+    A row whose tilted coordinate stays free puts its last rounding into its
+    steepest coordinate (``_settle_budget``), as ``_multiplier_rows`` does;
+    one whose tilted coordinate is clipped has solved the untilted form.
+    Rows that need ``_multiplier_rows`` (two or more tilted coordinates, a
+    pure-status one, or no untilted weight) get a meaningless answer here,
+    which the caller replaces.
     """
     lb, forbidden, offset, _ = fiber.columns
     clipped = np.zeros(w.shape + lb.shape, dtype=bool) | forbidden
+    any_tilt = tilt.any()
     while True:
-        total_weight = np.where(clipped, 0.0, weight).sum(axis=-1)
+        free_weight = np.where(clipped, 0.0, weight)
         pool = w + np.where(clipped, -p * lb, p * offset).sum(axis=-1)
-        mu = total_weight / pool
-        wanted = weight / (mu[..., None] * p) - offset
+        if not any_tilt:
+            total_weight = free_weight.sum(axis=-1)
+            mu = total_weight / pool
+            wanted = weight / (mu[..., None] * p) - offset
+            flat = total_weight <= 0.0
+        else:
+            # A over the untilted free coordinates; p_d, B and t of the free
+            # tilted one (zero where there is none)
+            status = (tilt != 0) & ~clipped
+            total_weight = np.where(status, 0.0, free_weight).sum(axis=-1)
+            price, b_weight, t = (np.where(status, v, 0.0).sum(axis=-1)
+                                  for v in (p, p * weight, tilt))
+            mu = np.where(status.any(axis=-1),
+                          _larger_root(total_weight, pool, price, b_weight, t),
+                          total_weight / pool)
+            denom = mu[..., None] * p - tilt
+            wanted = weight / denom - offset
+            flat = (total_weight <= 0.0) & (b_weight <= 0.0)
         violating = ~clipped & (wanted < lb)
         if not violating.any():
             break
         clipped |= violating
     # rows with no weight left sit at their bounds
-    flat = total_weight <= 0.0
-    return np.where(clipped | flat[..., None], lb, wanted)
+    coords = np.where(clipped | flat[..., None], lb, wanted)
+    if any_tilt:
+        # rows whose tilted coordinate was clipped solved the untilted form
+        settle = status.any(axis=-1)
+        share = weight / denom
+        rate = np.where(clipped | flat[..., None], 0.0, share / denom * p * p)
+        prices = np.broadcast_to(p, coords.shape)
+        coords[settle] = _settle_budget(coords[settle], prices[settle], w[settle],
+                                        rate[settle], lb)
+    return coords
+
+
+def _larger_root(a_weight, pool, price, b_weight, t):
+    """The larger root mu of P p_d mu^2 - (P t + A p_d + B) mu + A t = 0
+    (``_active_set_rows``), with A = ``a_weight``, P = ``pool``,
+    p_d = ``price``, B = ``b_weight`` and t the tilt, free of cancellation:
+    the discriminant is a sum of non-negative terms in both signs of t, and
+    the root is q / a or c / q with q = (s + sign(s) sqrt(disc)) / 2."""
+    u, v = pool * t, a_weight * price
+    s = u + v + b_weight
+    disc = np.where(u > 0, (u - v) ** 2 + b_weight * (b_weight + 2.0 * (u + v)),
+                    s * s - 4.0 * u * v)
+    q = 0.5 * (s + np.copysign(np.sqrt(disc), s))
+    return np.where(s >= 0, q / (pool * price), a_weight * t / q)
+
+
+def _settle_budget(q, p, w, rate, lb) -> np.ndarray:
+    """Rows ``q`` with what is left of each budget ``w`` put into the
+    coordinate whose spending falls fastest in mu (``rate``).
+
+    What is left is rounding, which a duty near its pole magnifies by
+    mu p / (mu p - tilt). The steepest coordinate is the one whose
+    first-order condition it moves least (by residual / rate in mu), so the
+    row meets its budget to rounding at any scale (a coordinate barely above
+    its bound stays on it). A row with no positive rate is left as it is.
+    """
+    prices = np.broadcast_to(p, q.shape)
+    steep = np.argmax(rate, axis=1)
+    k = np.flatnonzero(rate[np.arange(len(w)), steep] > 0)
+    q[k, steep[k]] = np.maximum(
+        q[k, steep[k]] + (w - _spend(q, p))[k] / prices[k, steep[k]], lb[steep[k]])
+    return q
 
 
 _ULPS = 4 * np.finfo(float).eps  # a few units in the last place, relative
 
 
 def _multiplier_rows(fiber: Fiber, p, w, weight, tilt) -> np.ndarray:
-    """Rows whose income multiplier mu has no closed form, at one price
-    vector ``p`` or at one per row, by safeguarded Newton on mu.
+    """Rows the closed form of ``_active_set_rows`` does not cover (two or
+    more status-tilted coordinates, a pure-status one, or no untilted
+    weight), at one price vector ``p`` or at one per row, by safeguarded
+    Newton on the income multiplier mu.
 
     A coordinate above its bound spends p_k (weight_k / (mu p_k - tilt_k) -
     offset_k), so mu times the excess spending is linear in mu where there
     is no tilt, convex where a positive tilt adds a pole, and has a single
     root in any bracket that straddles the budget. Newton's method on it
     keeps one such bracket per row: a Newton point that is not finite or
-    leaves the bracket is replaced by the bracket's geometric midpoint, and
-    a row stops once its step is within a few ulps of mu.
+    leaves the bracket is replaced by the bracket's geometric midpoint. A
+    row stops once its step is within a few ulps of mu, or its spending
+    meets the budget to a few ulps: where a floor takes most of the budget,
+    spending is a large constant plus a small part that moves with mu, so
+    rounding alone moves the Newton point by more than a few ulps and the
+    step test alone could cycle between two values of mu.
     """
     lb, forbidden, offset, _ = fiber.columns
     big = (w[:, None] + 1.0) / p + lb  # any value above this overshoots the budget
@@ -512,7 +604,7 @@ def _multiplier_rows(fiber: Fiber, p, w, weight, tilt) -> np.ndarray:
         newton = mu - excess / (excess / mu - rate.sum(axis=1))
         inside = (mu_lo <= newton) & (newton <= mu_hi)
         step = np.where(inside, newton, np.sqrt(mu_lo * mu_hi))
-        done |= np.abs(step - mu) <= _ULPS * mu
+        done |= (np.abs(step - mu) <= _ULPS * mu) | (np.abs(excess) <= _ULPS * w)
         if done.all():
             break
         mu = np.where(done, mu, step)
@@ -524,7 +616,8 @@ def _multiplier_rows(fiber: Fiber, p, w, weight, tilt) -> np.ndarray:
     # denominator turns positive. Newton cannot land on the jump: a row that
     # stopped on a midpoint straddles it and takes the bracket end within
     # budget, and the optimum puts the leftover budget into the best such
-    # coordinate.
+    # coordinate. That coordinate takes the row's rounding too: it moves no
+    # first-order condition, where the steepest one would move a good's.
     final, rate = coords_at(np.where(inside, step, mu_hi))
     prices = np.broadcast_to(p, final.shape)
     residual = w - _spend(final, p)
@@ -533,16 +626,8 @@ def _multiplier_rows(fiber: Fiber, p, w, weight, tilt) -> np.ndarray:
     k = np.flatnonzero((residual > 1e-9 * (1 + w))
                        & (ratio[np.arange(len(w)), best] > 0))
     final[k, best[k]] += residual[k] / prices[k, best[k]]
-    # What is left of the budget is rounding, which a duty near its pole
-    # magnifies by mu p / (mu p - tilt). It goes to the coordinate whose
-    # spending falls fastest in mu, the one whose first-order condition it
-    # moves least (by residual / rate in mu), so the row meets its budget to
-    # rounding at any scale (a coordinate barely above its bound stays on it).
-    steep = np.argmax(rate, axis=1)
-    k = np.flatnonzero(rate[np.arange(len(w)), steep] > 0)
-    final[k, steep[k]] = np.maximum(
-        final[k, steep[k]] + (w - _spend(final, p))[k] / prices[k, steep[k]], lb[steep[k]])
-    out[rest] = final
+    rate[k] = 0.0
+    out[rest] = _settle_budget(final, p, w, rate, lb)
     return out
 
 
@@ -615,6 +700,10 @@ class FiberEconomy:
         for g in self.fiber.tradable_goods():
             if not any(a.endowment.get(g, 0.0) > 0 for a in self.agents):
                 self.warnings.append(f"no agent holds a positive endowment of {g!r}")
+            # with no free disposal, no positive price clears the market of a
+            # good that agents hold and nobody wants
+            if not any(a.utility.alpha.get(g, 0.0) > 0 for a in self.agents):
+                self.warnings.append(f"no agent values {g!r}: every alpha on it is zero")
 
     @property
     def dims(self) -> tuple[str, ...]:

@@ -280,6 +280,17 @@ class TestCliExitCodes:
         assert code == 4
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("level", -1), ("amount", -2.5)])
+    def test_negative_registry_number_exits_4_at_its_key(self, tmp_path, write_config, capsys,
+                                                         key, value):
+        tree = replaced(packaged_tree("slavery"),
+                        ("registry", "maxims", "support_labor_rights", key), value)
+        code = main(["trace", "--config", str(write_config(tree)), "--out", str(tmp_path)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert f"malformed entry at maxims.support_labor_rights.{key}: " in err
+        assert "non-negative" in err
+
     def test_explicit_open_family_failure_exit_2(self, tmp_path, write_config, capsys):
         tree = minimal_tree()
         tree["base_space"] = ["y1", "y2"]

@@ -158,6 +158,24 @@ class TestLoadRegistry:
         assert err.value.path == f"maxims.{maxim_id}.{key}"
         assert f"maxims.{maxim_id}.{key}" in str(err.value)
 
+    @pytest.mark.parametrize("maxim_id,record,key", [
+        ("floor", {"class": "perfect", "kind": "REQUIRE_MIN", "target": "hours",
+                   "level": -1}, "level"),
+        ("debt", {"class": "perfect", "kind": "PRIOR_CLAIM", "amount": -0.5}, "amount"),
+        ("hours", {"class": "imperfect", "normalization_cap": 0.0}, "normalization_cap"),
+    ], ids=["level-negative", "amount-negative", "cap-zero"])
+    def test_a_registry_number_out_of_range_is_named(self, maxim_id, record, key):
+        """A number below its range is reported at the maxim's key, as a
+        number that is not one is."""
+        with pytest.raises(MalformedSpec) as err:
+            load_registry({
+                "goods": ["g"],
+                "imperfect_duties": ["hours"],
+                "maxims": {maxim_id: record},
+                "bundles": {},
+            })
+        assert err.value.path == f"maxims.{maxim_id}.{key}"
+
     def test_imperfect_indices_contiguous(self):
         reg = load_registry({
             "goods": ["g"],

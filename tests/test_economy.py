@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dutybound import economy
 from dutybound.duty import compile_constraints, load_registry
@@ -27,6 +29,7 @@ from dutybound.errors import (
     DimensionMismatch,
     InfeasibleDutySet,
     NegativeInput,
+    NoConvergence,
     NonPositivePrice,
 )
 from dutybound.preferences import EPSILON
@@ -278,23 +281,23 @@ KKT_REGIMES = {
 }
 
 
-def random_agent(rng, name="a", veblen=False):
-    """3 goods, 1 duty; a VEBLEN agent has a positive status weight."""
+def random_agent(rng, name="a", veblen=False, duties=("d1",)):
+    """3 goods and ``duties``; a VEBLEN agent has a positive status weight."""
     family = (UtilityFamily.VEBLEN_PRICE_DEPENDENT if veblen
               else UtilityFamily.COBB_DOUGLAS_EXTENDED)
     spec = UtilitySpec(family=family,
                        alpha=dict(zip(GOODS3, rng.uniform(0.1, 1.0, 3).tolist())),
-                       beta={"d1": float(rng.uniform(0.2, 1.5))},
-                       reference_premium={"d1": 1.0})
+                       beta={d: float(rng.uniform(0.2, 1.5)) for d in duties},
+                       reference_premium=dict.fromkeys(duties, 1.0))
     return Agent(id=name, utility=spec,
                  endowment=dict(zip(GOODS3, rng.uniform(1.0, 3.0, 3).tolist())),
                  lam=float(rng.uniform(0.2, 2.0)),
                  theta=float(rng.uniform(0.5, 2.0)) if veblen else 0.0)
 
 
-def random_prices(rng):
-    """Goods prices, then a duty price on either side of the reference 1.0."""
-    return np.concatenate([rng.uniform(0.3, 3.0, 3), rng.uniform(0.5, 2.0, 1)])
+def random_prices(rng, duties=1):
+    """Goods prices, then duty prices on either side of the reference 1.0."""
+    return np.concatenate([rng.uniform(0.3, 3.0, 3), rng.uniform(0.5, 2.0, duties)])
 
 
 class TestDemandKKT:
@@ -478,31 +481,46 @@ class TestClosedFormRows:
                 assert kkt_residual(agent, p, fiber, bundle) <= 1e-9
 
 
+def pole_tolerance(rows, p, want):
+    """How far two solvers may differ at ``want``. Each finds mu to a few
+    ulps, and a duty whose denominator mu p - tilt is a small difference of
+    large numbers magnifies that by mu p / (mu p - tilt) = 1 + tilt (e + 1) /
+    weight, so 1e-12 (1 + |q|) is multiplied by that factor (1 for goods and
+    for duties priced at or below their reference)."""
+    n = rows.fiber.n
+    tilt = rows.theta[:, None] * np.maximum(p[n:] - rows.p_bar, 0.0)
+    duty_weight = rows.weight[:, n:]
+    magnified = np.ones_like(want)
+    magnified[:, n:] += np.divide(tilt * (want[:, n:] + 1.0), duty_weight,
+                                  out=np.zeros_like(duty_weight), where=duty_weight > 0)
+    return 1e-12 * (1 + np.abs(want)) * magnified
+
+
+def counted(monkeypatch, name):
+    """The calls made to ``economy.<name>`` from now on, one entry each."""
+    calls, original = [], getattr(economy, name)
+    monkeypatch.setattr(economy, name, lambda *args: calls.append(1) or original(*args))
+    return calls
+
+
 class TestMultiplierRows:
-    """Status-tilted rows, whose income multiplier is found by Newton's
-    method, against the retired bisection and the first-order conditions."""
+    """Status-tilted rows against the retired bisection and the first-order
+    conditions. A row with one tilted duty takes the closed form of
+    ``_active_set_rows``; rows with two tilted duties, and pure-status rows
+    (zero log weight, positive tilt), take Newton's method on the income
+    multiplier in ``_multiplier_rows``."""
 
     @staticmethod
     def check(fiber, agents, prices, spends=None, kkt_tol=1e-9):
         """Every row of a batch call against the bisection, and every row
         that spends its budget (``spends``, per vector; all by default)
-        against the first-order conditions to ``kkt_tol``.
-
-        Both solvers find mu to a few ulps. A duty whose denominator
-        mu p - tilt is a small difference of large numbers magnifies that by
-        mu p / (mu p - tilt) = 1 + tilt (e + 1) / weight, so the tolerance
-        1e-12 (1 + |q|) is multiplied by that factor (1 for goods and for
-        duties priced at or below their reference)."""
+        against the first-order conditions to ``kkt_tol``; the bisection
+        to ``pole_tolerance``."""
         rows = AgentRows.pack(fiber, agents)
         batch = demand_rows(rows, prices)
         for m, (p, got) in enumerate(zip(prices, batch)):
             want = bisection_demand_rows(rows, p)
-            tilt = rows.theta[:, None] * np.maximum(p[3:] - rows.p_bar, 0.0)
-            duty_weight = rows.weight[:, 3:]
-            magnified = np.ones_like(want)
-            magnified[:, 3:] += np.divide(tilt * (want[:, 3:] + 1.0), duty_weight,
-                                          out=np.zeros_like(duty_weight), where=duty_weight > 0)
-            assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want)) * magnified)
+            assert np.all(np.abs(got - want) <= pole_tolerance(rows, p, want))
             for coords, agent in zip(got, agents):
                 if spends is None or spends[m]:
                     bundle = ExtendedBundle(x=coords[:3], e=coords[3:])
@@ -559,30 +577,155 @@ class TestMultiplierRows:
         self.check(fiber, agents, np.array([random_prices(rng) for _ in range(8)]),
                    kkt_tol=1e-9)
 
+    @pytest.mark.parametrize("regime", list(KKT_REGIMES))
+    def test_two_tilted_duties_take_newton(self, regime, monkeypatch):
+        duties = ("d1", "d2")
+        rng = np.random.default_rng(91 + list(KKT_REGIMES).index(regime))
+        fiber = fiber_with(*KKT_REGIMES[regime], goods=GOODS3, duties=duties)
+        agents = [random_agent(rng, name=f"a{k}", veblen=k % 2 == 1, duties=duties)
+                  for k in range(12)]
+        prices = np.array([random_prices(rng, duties=2) for _ in range(16)])
+        calls = counted(monkeypatch, "_multiplier_rows")
+        self.check(fiber, agents, prices)
+        assert calls
+
     def test_few_spending_evaluations_per_demand(self, monkeypatch):
-        """VEBLEN agents as the many-agent benchmark builds them: 3 goods and
-        one duty priced 1.2 against a reference of 1.0. Bisection to
-        rounding took 61 evaluations of spending per ``demand`` call. A
-        batch runs until its slowest row stops, so the worst row counts too."""
-        calls = []
-        spend = economy._spend
-        monkeypatch.setattr(economy, "_spend", lambda q, p: calls.append(1) or spend(q, p))
+        """VEBLEN agents as the many-agent benchmark builds them (3 goods,
+        reference 1.0), with two duties priced 1.2 and 0.8, so Newton's method
+        runs. Bisection to rounding took 61 evaluations of spending per
+        ``demand`` call; Newton takes a median of 12 here (worst 16). A batch
+        runs until its slowest row stops, so the worst row counts too."""
+        duties = ("d1", "d2")
+        calls = counted(monkeypatch, "_spend")
         rng = np.random.default_rng(61)
         counts = []
         for k in range(120):
             fiber = fiber_with(*list(KKT_REGIMES.values())[k % 4], goods=GOODS3,
-                               duties=("d1",))
+                               duties=duties)
             spec = UtilitySpec(family=UtilityFamily.VEBLEN_PRICE_DEPENDENT,
                                alpha=dict(zip(GOODS3, rng.dirichlet([2.0] * 3).tolist())),
-                               beta={"d1": float(rng.uniform(0.2, 1.0))},
-                               reference_premium={"d1": 1.0})
+                               beta={d: float(rng.uniform(0.2, 1.0)) for d in duties},
+                               reference_premium=dict.fromkeys(duties, 1.0))
             agent = Agent(id="a", utility=spec,
                           endowment=dict(zip(GOODS3, rng.uniform(0.5, 2.0, 3).tolist())),
                           lam=float(rng.uniform(0.2, 1.0)), theta=float(rng.uniform(0.5, 2.0)))
             calls.clear()
-            demand(agent, np.array([1.0, 1.0, 1.0, 1.2]), fiber)
+            demand(agent, np.array([1.0, 1.0, 1.0, 1.2, 0.8]), fiber)
             counts.append(len(calls))
         assert np.median(counts) <= 25 and max(counts) <= 25
+
+    @pytest.mark.parametrize("regime", list(KKT_REGIMES))
+    def test_one_tilted_duty_never_reaches_newton(self, regime, monkeypatch):
+        """Rows with one tilted duty and some untilted weight, at every
+        endowment scale the suite tests and on both sides of the reference."""
+        rng = np.random.default_rng(101 + list(KKT_REGIMES).index(regime))
+        calls = counted(monkeypatch, "_multiplier_rows")
+        for scale in 10.0 ** np.arange(-6, 8):
+            fiber = fiber_with(*scaled_regime(regime, scale), goods=GOODS3, duties=("d1",))
+            agents = [random_agent(rng, name=f"a{k}", veblen=True) for k in range(8)]
+            agents = [replace(a, endowment={g: q * scale for g, q in a.endowment.items()})
+                      for a in agents]
+            demand_rows(AgentRows.pack(fiber, agents),
+                        np.array([random_prices(rng) for _ in range(8)]))
+        assert calls == []
+
+    def test_floor_that_takes_most_of_the_budget(self):
+        """A REQUIRE_MIN floor on g0 costing 90-99.9% of disposable income
+        leaves spending a large constant plus a small part that moves with
+        mu. Newton's method on mu then cycled between two values a few ulps
+        apart and raised NoConvergence on about a fifth of these rows; the
+        closed form solves every one."""
+        goods = ("g0",) + GOODS3
+        fiber = fiber_with({"d1": {"class": "imperfect"},
+                            "c": {"class": "perfect", "kind": "REQUIRE_MIN", "target": "g0",
+                                  "level": 1.0}}, ["c"], goods=goods, duties=("d1",))
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            p = np.concatenate([rng.uniform(0.3, 3.0, 4), rng.uniform(0.5, 2.0, 1)])
+            agents = []
+            for k in range(100):
+                share = rng.uniform(0.9, 0.999)
+                held = np.concatenate([[0.0], rng.uniform(0.5, 2.0, 3)])
+                held *= p[0] / share / (held @ p[:4])  # one unit of g0 costs share
+                spec = UtilitySpec(family=UtilityFamily.VEBLEN_PRICE_DEPENDENT,
+                                   alpha=dict(zip(goods, rng.uniform(0.1, 1.0, 4).tolist())),
+                                   beta={"d1": float(rng.uniform(0.2, 1.5))},
+                                   reference_premium={"d1": 1.0})
+                agents.append(Agent(id=f"a{k}", utility=spec,
+                                    endowment=dict(zip(goods, held.tolist())),
+                                    lam=float(rng.uniform(0.2, 2.0)),
+                                    theta=float(rng.uniform(0.5, 2.0))))
+            rows = AgentRows.pack(fiber, agents)
+            got = demand_rows(rows, p)
+            w = rows.endowment @ p[:4]
+            assert np.all(np.abs(got @ p - w) <= 4 * np.finfo(float).eps * w)
+            for coords, agent in zip(got, agents):
+                bundle = ExtendedBundle(x=coords[:4], e=coords[4:])
+                assert kkt_residual(agent, p, fiber, bundle) <= 1e-9
+
+
+class TestTiltedClosedForm:
+    """Random rows with one duty, against Newton's method on the same rows,
+    the bisection oracle and the first-order conditions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(goods=st.integers(2, 5),
+           regime=st.sampled_from(["free", "forbid", "prior_claim", "floor_on_good",
+                                   "floor_on_duty"]),
+           share=st.floats(0.0, 0.999),
+           log_scale=st.floats(-4.0, 5.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_one_duty_rows(self, goods, regime, share, log_scale, seed):
+        """Half the agents VEBLEN, duty prices on both sides of the
+        reference, some zero weights (g0's never, so every row has untilted
+        weight), endowments at 10^log_scale, and a claim or floor that costs
+        ``share`` of the poorest agent's income."""
+        rng = np.random.default_rng(seed)
+        names = tuple(f"g{i}" for i in range(goods))
+        held = rng.uniform(0.5, 2.0, (6, goods)) * 10.0 ** log_scale
+        agents = []
+        for k, endowment in enumerate(held):
+            alpha = rng.uniform(0.1, 1.0, goods) * (rng.uniform(size=goods) > 0.25)
+            alpha[0] = max(alpha[0], 0.1)
+            veblen = k % 2 == 1
+            spec = UtilitySpec(family=UtilityFamily.VEBLEN_PRICE_DEPENDENT if veblen
+                               else UtilityFamily.COBB_DOUGLAS_EXTENDED,
+                               alpha=dict(zip(names, alpha.tolist())),
+                               beta={"d1": float(rng.uniform(0.2, 1.5) * (rng.uniform() > 0.25))},
+                               reference_premium={"d1": 1.0})
+            agents.append(Agent(id=f"a{k}", utility=spec,
+                                endowment=dict(zip(names, endowment.tolist())),
+                                lam=float(rng.uniform(0.2, 2.0)),
+                                theta=float(rng.uniform(0.5, 2.0)) if veblen else 0.0))
+        p = np.concatenate([rng.uniform(0.3, 3.0, goods), rng.uniform(0.5, 2.0, 1)])
+        cost = share * (held @ p[:goods]).min()
+        duty = {"forbid": {"kind": "FORBID", "target": names[-1]},
+                "prior_claim": {"kind": "PRIOR_CLAIM", "amount": cost},
+                "floor_on_good": {"kind": "REQUIRE_MIN", "target": "g0", "level": cost / p[0]},
+                "floor_on_duty": {"kind": "REQUIRE_MIN", "target": "d1",
+                                  "level": cost / p[goods]}}.get(regime)
+        maxims = {"d1": {"class": "imperfect"}}
+        if duty:
+            maxims["c"] = {"class": "perfect", **duty}
+        fiber = fiber_with(maxims, ["c"] if duty else [], goods=names, duties=("d1",))
+        rows = AgentRows.pack(fiber, agents)
+
+        got = demand_rows(rows, p)
+        want = bisection_demand_rows(rows, p)
+        assert np.all(np.abs(got - want) <= pole_tolerance(rows, p, want))
+        tilt = np.zeros(rows.weight.shape)
+        tilt[:, goods:] = rows.theta[:, None] * (p[goods:] - rows.p_bar)
+        _, w = economy._income(fiber, rows.endowment, p)
+        try:
+            with np.errstate(all="ignore"):
+                newton = economy._multiplier_rows(fiber, p, w, rows.weight, tilt)
+        except NoConvergence:
+            newton = None
+        if newton is not None:
+            assert np.all(np.abs(got - newton) <= pole_tolerance(rows, p, newton))
+        for coords, agent in zip(got, agents):
+            bundle = ExtendedBundle(x=coords[:goods], e=coords[goods:])
+            assert kkt_residual(agent, p, fiber, bundle) <= 1e-9
 
 
 class TestDemandJacobian:
@@ -693,6 +836,16 @@ class TestFiberEconomy:
         agent = Agent(id="a", endowment={"g1": 1.0}, utility=cd_spec({"g1": 1.0, "g2": 1.0}))
         economy = FiberEconomy(fiber=fiber, agents=(agent,))
         assert any("g2" in w for w in economy.warnings)
+
+    def test_unvalued_good_warning_fires(self):
+        fiber = plain_fiber(goods=("g1", "g2", "g3"))
+        agents = tuple(Agent(id=f"a{k}", endowment=dict.fromkeys(("g1", "g2", "g3"), 1.0),
+                             utility=cd_spec({"g1": 1.0, "g2": 0.5, "g3": 0.0}))
+                       for k in range(2))
+        economy = FiberEconomy(fiber=fiber, agents=agents)
+        assert economy.warnings == ["no agent values 'g3': every alpha on it is zero"]
+        valued = replace(agents[1], utility=cd_spec({"g1": 1.0, "g3": 0.1}))
+        assert FiberEconomy(fiber=fiber, agents=(agents[0], valued)).warnings == []
 
     def test_varying_fiber_dimensions(self):
         f1 = Fiber(y_id="y1", goods=("g1",), duties=("d1", "d2"))

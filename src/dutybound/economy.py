@@ -341,10 +341,9 @@ def demand_rows(rows: AgentRows, prices) -> np.ndarray:
     each clipped below at its REQUIRE_MIN bound (zero by default) and pinned
     to zero when forbidden. Rows with at most one status-tilted coordinate
     take the active-set closed form, which is exact (``_active_set_rows``
-    says why); the rest (two or more tilted coordinates, a pure-status
-    coordinate, or no untilted weight) pin mu by Newton's method on the
-    budget identity inside a bracket per row (total spending is
-    non-increasing in mu, ``_multiplier_rows``). Both utility families
+    says why, and flags the rows it leaves); the rest pin mu by Newton's
+    method on the budget identity inside a bracket per row (total spending
+    is non-increasing in mu, ``_multiplier_rows``). Both utility families
     spend the whole disposable budget, to rounding, whenever some free
     dimension has positive weight. Flat problems (all free weights zero)
     settle on the lexicographically smallest vector, i.e. every coordinate
@@ -355,7 +354,7 @@ def demand_rows(rows: AgentRows, prices) -> np.ndarray:
     """
     fiber = rows.fiber
     n = fiber.n
-    lb, forbidden, _, conflict = fiber.columns
+    lb, _, _, conflict = fiber.columns
     p = _as_price_array(prices, n + fiber.l, batch=True)
     if p.ndim == 2:
         p = p[:, None, :]  # broadcasts over the agents
@@ -370,21 +369,12 @@ def demand_rows(rows: AgentRows, prices) -> np.ndarray:
     tilt = np.zeros(w.shape + lb.shape)
     tilt[..., n:] = rows.theta[:, None] * (p[..., n:] - rows.p_bar)
     # The closed form runs on every row and is kept for all but the rows
-    # only the multiplier solve handles: two or more tilted coordinates, a
-    # pure-status coordinate (zero log weight, positive tilt, whose spending
-    # jumps where its premium starts to pay), or no positive untilted weight
-    # (which may leave budget unspent). Rows with no weight left divide zero
-    # by zero in the closed form (and are set to their bounds); the
-    # multiplier solve's outer probes at mu = 1e300 and 1e-300 overflow on
-    # purpose.
+    # only the multiplier solve handles (``_active_set_rows`` flags them).
+    # Rows with no weight left divide zero by zero in the closed form (and
+    # are set to their bounds); the multiplier solve's outer probes at
+    # mu = 1e300 and 1e-300 overflow on purpose.
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        coords = _active_set_rows(fiber, p, w, rows.weight, tilt)
-        todo = tilt.any(axis=-1)
-        if todo.any():
-            tilted = tilt != 0
-            todo &= ((tilted.sum(axis=-1) > 1)
-                     | ((tilt > 0) & (rows.weight == 0)).any(axis=-1)
-                     | ~(~forbidden & ~tilted & (rows.weight > 0)).any(axis=-1))
+        coords, todo = _active_set_rows(fiber, p, w, rows.weight, tilt)
         if todo.any():
             at = np.nonzero(todo)  # the rows' (vector and) agent indices
             coords[todo] = _multiplier_rows(fiber, p if p.ndim == 1 else p[at[0], 0], w[todo],
@@ -415,8 +405,9 @@ def _first_error(rows: AgentRows, p, income, w, fixed_cost, empty) -> DutyModelE
     return InfeasibleDutySet(rows.ids[k % count], reason)
 
 
-def _active_set_rows(fiber: Fiber, p, w, weight, tilt) -> np.ndarray:
-    """Exact KKT solution per row with at most one status-tilted coordinate.
+def _active_set_rows(fiber: Fiber, p, w, weight, tilt) -> tuple[np.ndarray, np.ndarray]:
+    """Exact KKT solution per row with at most one status-tilted coordinate,
+    and the mask of rows the closed form does not cover.
 
     With spending s_k = p_k (q_k + offset_k) the interior condition is
     s_k = p_k weight_k / (mu p_k - tilt_k), so mu has a closed form on any
@@ -444,66 +435,95 @@ def _active_set_rows(fiber: Fiber, p, w, weight, tilt) -> np.ndarray:
     or below zero, so the next round clips every coordinate: the row sits at
     its bounds, which then spend the whole budget.
 
-    A row whose tilted coordinate stays free puts its last rounding into its
-    steepest coordinate (``_settle_budget``), as ``_multiplier_rows`` does;
-    one whose tilted coordinate is clipped has solved the untilted form.
-    Rows that need ``_multiplier_rows`` (two or more tilted coordinates, a
-    pure-status one, or no untilted weight) get a meaningless answer here,
-    which the caller replaces.
+    Every round computes mu = A / P for every row, and the quadratic for the
+    rows whose tilted coordinate is still free, gathered, so a batch without
+    a tilt costs what the untilted form alone costs. A row whose tilted
+    coordinate stays free puts its last rounding into its steepest
+    coordinate (``_settle_budget``), as ``_multiplier_rows`` does; one whose
+    tilted coordinate is clipped has solved the untilted form.
+    Three kinds of tilted row are left to ``_multiplier_rows``, and flagged
+    in the mask with a meaningless answer: two or more tilted coordinates,
+    a pure-status coordinate (zero log weight, positive tilt, whose spending
+    jumps where its premium starts to pay), and no positive untilted weight
+    (which may leave budget unspent).
     """
     lb, forbidden, offset, _ = fiber.columns
-    clipped = np.zeros(w.shape + lb.shape, dtype=bool) | forbidden
-    any_tilt = tilt.any()
+    shape = w.shape + lb.shape
+    # the rows with a tilted coordinate, less those left to Newton, and
+    # their prices, weights and tilts
+    unsolved = np.zeros(w.shape, dtype=bool)
+    rows = tilt.any(axis=-1)
+    p_r = weight_r = tilt_r = np.zeros((0,) + lb.shape)
+    if rows.any():
+        p_r, weight_r, tilt_r = (np.broadcast_to(v, shape)[rows] for v in (p, weight, tilt))
+        tilted = tilt_r != 0
+        left = ((tilted.sum(axis=-1) > 1)
+                | ((tilt_r > 0) & (weight_r == 0)).any(axis=-1)
+                | ~(~forbidden & ~tilted & (weight_r > 0)).any(axis=-1))
+        unsolved[rows] = left
+        rows[rows] = ~left
+        p_r, weight_r, tilt_r = p_r[~left], weight_r[~left], tilt_r[~left]
+    tilted = tilt_r != 0
+    clipped = np.zeros(shape, dtype=bool) | forbidden
     while True:
-        free_weight = np.where(clipped, 0.0, weight)
+        total_weight = np.where(clipped, 0.0, weight).sum(axis=-1)
         pool = w + np.where(clipped, -p * lb, p * offset).sum(axis=-1)
-        if not any_tilt:
-            total_weight = free_weight.sum(axis=-1)
-            mu = total_weight / pool
-            wanted = weight / (mu[..., None] * p) - offset
-            flat = total_weight <= 0.0
-        else:
-            # A over the untilted free coordinates; p_d, B and t of the free
-            # tilted one (zero where there is none)
-            status = (tilt != 0) & ~clipped
-            total_weight = np.where(status, 0.0, free_weight).sum(axis=-1)
+        mu = total_weight / pool
+        denom = mu[..., None] * p
+        # where the tilted coordinate is free: A over the other free
+        # coordinates, and p_d, B and t of the tilted one
+        clipped_r = clipped[rows]
+        status = tilted & ~clipped_r
+        if status.any():
+            a_weight = np.where(clipped_r | status, 0.0, weight_r).sum(axis=-1)
             price, b_weight, t = (np.where(status, v, 0.0).sum(axis=-1)
-                                  for v in (p, p * weight, tilt))
-            mu = np.where(status.any(axis=-1),
-                          _larger_root(total_weight, pool, price, b_weight, t),
-                          total_weight / pool)
-            denom = mu[..., None] * p - tilt
-            wanted = weight / denom - offset
-            flat = (total_weight <= 0.0) & (b_weight <= 0.0)
+                                  for v in (p_r, p_r * weight_r, tilt_r))
+            root, net = _larger_root(a_weight, pool[rows], price, b_weight, t)
+            mu[rows] = mu_r = np.where(status.any(axis=-1), root, mu[rows])
+            denom[rows] = np.where(status, net[:, None], mu_r[:, None] * p_r)
+        wanted = weight / denom - offset
         violating = ~clipped & (wanted < lb)
         if not violating.any():
             break
         clipped |= violating
     # rows with no weight left sit at their bounds
-    coords = np.where(clipped | flat[..., None], lb, wanted)
-    if any_tilt:
-        # rows whose tilted coordinate was clipped solved the untilted form
-        settle = status.any(axis=-1)
-        share = weight / denom
-        rate = np.where(clipped | flat[..., None], 0.0, share / denom * p * p)
-        prices = np.broadcast_to(p, coords.shape)
+    at_bound = clipped | (total_weight <= 0.0)[..., None]
+    coords = np.where(at_bound, lb, wanted)
+    # rows whose tilted coordinate was clipped solved the untilted form
+    if status.any():
+        settle = rows.copy()
+        settle[rows] = status.any(axis=-1)
+        rate = np.where(at_bound, 0.0, weight / denom / denom * p * p)
+        prices = np.broadcast_to(p, shape)
         coords[settle] = _settle_budget(coords[settle], prices[settle], w[settle],
                                         rate[settle], lb)
-    return coords
+    return coords, unsolved
 
 
 def _larger_root(a_weight, pool, price, b_weight, t):
     """The larger root mu of P p_d mu^2 - (P t + A p_d + B) mu + A t = 0
     (``_active_set_rows``), with A = ``a_weight``, P = ``pool``,
-    p_d = ``price``, B = ``b_weight`` and t the tilt, free of cancellation:
-    the discriminant is a sum of non-negative terms in both signs of t, and
-    the root is q / a or c / q with q = (s + sign(s) sqrt(disc)) / 2."""
+    p_d = ``price``, B = ``b_weight`` and t the tilt, and the tilted
+    coordinate's net price z = mu p_d - t there.
+
+    z is the larger root of P z^2 - (A p_d + B - P t) z - B t = 0, whose
+    discriminant is the same. Both follow free of cancellation: the
+    discriminant is a sum of non-negative terms in both signs of t, and each
+    root is q / a or c / q with q = (s + sign(s) sqrt(disc)) / 2. Taking z
+    from its own quadratic matters where a large budget puts mu p_d within
+    rounding of t. The terms are first divided by the power of two that
+    brings the largest below one, so squaring them cannot overflow at any
+    budget, and rounds exactly as it would unscaled.
+    """
     u, v = pool * t, a_weight * price
-    s = u + v + b_weight
-    disc = np.where(u > 0, (u - v) ** 2 + b_weight * (b_weight + 2.0 * (u + v)),
-                    s * s - 4.0 * u * v)
-    q = 0.5 * (s + np.copysign(np.sqrt(disc), s))
-    return np.where(s >= 0, q / (pool * price), a_weight * t / q)
+    _, e = np.frexp(np.maximum(np.abs(u), v + b_weight))
+    u, v, b = (np.ldexp(x, -e) for x in (u, v, b_weight))
+    root = np.sqrt(np.where(u > 0, (u - v) ** 2 + b * (b + 2.0 * (u + v)),
+                            (u + v + b) ** 2 - 4.0 * u * v))
+    s, s_net = u + v + b, v + b - u
+    q, q_net = (np.ldexp(0.5 * (x + np.copysign(root, x)), e) for x in (s, s_net))
+    return (np.where(s >= 0, q / (pool * price), a_weight * t / q),
+            np.where(s_net >= 0, q_net / pool, -b_weight * t / q_net))
 
 
 def _settle_budget(q, p, w, rate, lb) -> np.ndarray:
@@ -528,10 +548,9 @@ _ULPS = 4 * np.finfo(float).eps  # a few units in the last place, relative
 
 
 def _multiplier_rows(fiber: Fiber, p, w, weight, tilt) -> np.ndarray:
-    """Rows the closed form of ``_active_set_rows`` does not cover (two or
-    more status-tilted coordinates, a pure-status one, or no untilted
-    weight), at one price vector ``p`` or at one per row, by safeguarded
-    Newton on the income multiplier mu.
+    """Rows the closed form of ``_active_set_rows`` does not cover, at one
+    price vector ``p`` or at one per row, by safeguarded Newton on the
+    income multiplier mu.
 
     A coordinate above its bound spends p_k (weight_k / (mu p_k - tilt_k) -
     offset_k), so mu times the excess spending is linear in mu where there

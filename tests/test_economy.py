@@ -617,16 +617,27 @@ class TestMultiplierRows:
     @pytest.mark.parametrize("regime", list(KKT_REGIMES))
     def test_one_tilted_duty_never_reaches_newton(self, regime, monkeypatch):
         """Rows with one tilted duty and some untilted weight, at every
-        endowment scale the suite tests and on both sides of the reference."""
+        endowment scale the suite tests and on both sides of the reference,
+        meet the first-order conditions without Newton's method. So do they
+        at 1e100 to 1e250: past a budget times tilt of about 1e154 the
+        quadratic's squares overflowed, and above the reference a large
+        budget puts mu p within rounding of the tilt, which left the duty a
+        net price of zero or below. The bisection oracle cannot follow there
+        (it resolves mu, not mu p - tilt, to rounding); the first-order
+        conditions certify the optimum."""
         rng = np.random.default_rng(101 + list(KKT_REGIMES).index(regime))
         calls = counted(monkeypatch, "_multiplier_rows")
-        for scale in 10.0 ** np.arange(-6, 8):
+        for scale in np.concatenate([10.0 ** np.arange(-6, 8), [1e100, 1e160, 1e250]]):
             fiber = fiber_with(*scaled_regime(regime, scale), goods=GOODS3, duties=("d1",))
             agents = [random_agent(rng, name=f"a{k}", veblen=True) for k in range(8)]
             agents = [replace(a, endowment={g: q * scale for g, q in a.endowment.items()})
                       for a in agents]
-            demand_rows(AgentRows.pack(fiber, agents),
-                        np.array([random_prices(rng) for _ in range(8)]))
+            prices = np.array([random_prices(rng) for _ in range(8)])
+            batch = demand_rows(AgentRows.pack(fiber, agents), prices)
+            for p, rows in zip(prices, batch):
+                for coords, agent in zip(rows, agents):
+                    bundle = ExtendedBundle(x=coords[:3], e=coords[3:])
+                    assert kkt_residual(agent, p, fiber, bundle) <= 1e-9, scale
         assert calls == []
 
     def test_floor_that_takes_most_of_the_budget(self):

@@ -44,7 +44,6 @@ from .equilibrium import (
     excess_demand,
     solve_grid_oracle,
     solve_tatonnement,
-    total_income,
     trade_volumes,
     walras_gap,
 )

@@ -203,7 +203,7 @@ class Agent:
 def _as_price_array(prices, dims: int, batch: bool = False) -> np.ndarray:
     """One price vector of length ``dims``; with ``batch``, also an
     ``(m, dims)`` array of them."""
-    p = np.asarray(getattr(prices, "values", prices), dtype=float)
+    p = np.asarray(prices, dtype=float)
     if p.shape != (dims,) and not (batch and p.ndim == 2 and p.shape[1] == dims):
         raise DimensionMismatch(dims, p.shape[-1] if p.ndim == 2 else p.size, "price vector")
     return p
@@ -693,9 +693,10 @@ def demand_jacobian(rows: AgentRows, p: np.ndarray, coords: np.ndarray, free) ->
 class FiberEconomy:
     """A fiber plus its agents and the configured duty prices.
 
-    Exposes the dimension layout the equilibrium solvers need: duty prices
-    are exogenous (perfectly elastic supply), forbidden goods carry no
-    market, and the numeraire is the first tradable good.
+    Provides every operation the equilibrium solvers call (``equilibrium``
+    lists them). Duty prices are exogenous (perfectly elastic supply),
+    forbidden goods carry no market, and the numeraire is the first
+    tradable good.
     """
 
     fiber: Fiber
@@ -766,3 +767,52 @@ class FiberEconomy:
     @cached_property
     def total_endowment(self) -> np.ndarray:
         return self.rows.endowment.sum(axis=0)
+
+    @cached_property
+    def units(self) -> np.ndarray:
+        """The unit each coordinate's excess demand is measured in: the total
+        endowment W_i of each good, and 1 for duties and for a good nobody
+        holds."""
+        held = self.total_endowment
+        return np.concatenate([np.where(held > 0, held, 1.0), np.ones(self.fiber.l)])
+
+    def excess_demand(self, p: np.ndarray) -> np.ndarray:
+        """Aggregate excess demand, sink included: a length-d vector at one
+        price vector, an ``(m, d)`` array at an ``(m, d)`` batch, one row per
+        vector.
+
+        Per good: total demand minus total endowment. Duty coordinates are
+        zero by construction (elastic supply), demonetized goods have no
+        market, and the sink's numeraire absorption closes the accounts so
+        that p.z = 0 holds identically whenever every agent exhausts its
+        budget. At one price vector the kernel's answer is the remembered one
+        (``demand_at``), which ``jacobian`` reads at the same point.
+        """
+        rows = self.rows
+        n = self.fiber.n
+        _, forbidden, _, _ = self.fiber.columns
+        coords = self.demand_at(p) if p.ndim == 1 else demand_rows(rows, p)
+
+        z = np.zeros(p.shape)
+        z[..., :n] = np.where(forbidden[:n], 0.0,
+                              coords[..., :n].sum(axis=-2) - self.total_endowment)
+        duty_spend = (coords[:, n:] @ p[n:]).sum() if p.ndim == 1 else \
+            np.einsum("kaj,kj->k", coords[..., n:], p[:, n:])
+        sink = self.fiber.constraints.prior_claim_total * len(rows.ids) + duty_spend
+        num = self.numeraire_index
+        # .T[num] is the numeraire entry of one vector and column of a batch
+        z.T[num] += sink / p.T[num]
+        return z
+
+    def jacobian(self, p: np.ndarray, free: Sequence[int]) -> np.ndarray:
+        """Jacobian of excess demand in the free prices (rows and columns
+        ``free``) at one price vector, exact: the sum of the agents' demand
+        derivatives (``demand_jacobian``, which states its rule at kinks) at
+        the kernel's coordinates at ``p``, which an excess-demand call at
+        ``p`` has already computed."""
+        return demand_jacobian(self.rows, p, self.demand_at(p), free)
+
+    def total_income(self, p: np.ndarray) -> float:
+        """Total disposable income at ``p``: the value of every agent's
+        tradable endowment less the regime's prior claims."""
+        return float(_income(self.fiber, self.rows.endowment, p)[1].sum())

@@ -17,10 +17,16 @@ depend on the unit endowments are in. Besides it there is an exhaustive
 price-grid oracle for low-dimensional fibers (the independent check used
 throughout the tests) and the equilibrium index, the sign of det(-J) of
 truncated excess demand - the desk-scale handle on multiplicity: indices
-over all equilibria of a regular economy sum to +1. All three use one
-Jacobian, ``_jacobian``, which is exact: the demand kernel's derivative
-(``economy.demand_jacobian``) at the coordinates the excess-demand call at
-the same price vector computed, or a custom economy's own ``jacobian``.
+over all equilibria of a regular economy sum to +1.
+
+The solvers work on price arrays and call only these operations of the
+economy, all provided by ``FiberEconomy``: ``dims``, ``numeraire_index``,
+``free_indices()`` (the prices that move), ``initial_prices()``, ``units``
+(W_i per good, 1 for duties and for goods nobody holds), ``excess_demand(p)``
+(one vector or an ``(m, d)`` batch, sink included, reached through this
+module's ``excess_demand``), ``jacobian(p, free)`` (exact; the one Jacobian
+of all three solvers), ``total_income(p)`` and ``demands(p)``. A
+``PriceVector`` reads as its array, so the public functions take either.
 """
 
 from __future__ import annotations
@@ -31,8 +37,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .economy import ExtendedBundle, FiberEconomy, _income, demand_jacobian, demand_rows
-from .errors import DimensionTooLarge, SingularJacobian
+from .economy import ExtendedBundle, FiberEconomy
+from .errors import DimensionTooLarge, InfeasibleDutySet, SingularJacobian
 
 FALLBACK_STEP = 0.1  # first step of the tatonnement fallback
 DEFAULT_TOL = 1e-8
@@ -60,6 +66,9 @@ class PriceVector:
             raise ValueError("price vector does not match its dimension list")
         if np.any(values <= 0):
             raise ValueError("prices must be strictly positive")
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.values, dtype=dtype, copy=copy)
 
     @classmethod
     def normalized(cls, values, dims, numeraire_index=0) -> "PriceVector":
@@ -90,80 +99,21 @@ class EquilibriumResult:
         return [rec.walras_gap for rec in self.diagnostics]
 
 
-def _z(economy, prices: np.ndarray) -> np.ndarray:
-    """Excess demand at one price vector, or at each row of an ``(m, d)``
-    batch. A custom economy may supply its own excess-demand map of one
-    vector; a batch maps it over the rows."""
-    custom = getattr(economy, "excess_demand", None)
-    if custom is None:
-        return excess_demand(economy, prices)
-    if np.ndim(prices) == 2:
-        return np.array([custom(p) for p in prices], dtype=float)
-    return np.asarray(custom(prices), dtype=float)
-
-
 def excess_demand(economy: FiberEconomy, prices) -> np.ndarray:
-    """Aggregate excess demand, sink included: a length-d vector at one price
-    vector, an ``(m, d)`` array at an ``(m, d)`` batch, one row per vector.
-
-    Per good: total demand minus total endowment. Duty coordinates are zero
-    by construction (elastic supply), demonetized goods have no market, and
-    the sink's numeraire absorption closes the accounts so that p.z = 0 holds
-    identically whenever every agent exhausts its budget.
-
-    At one price vector the kernel's answer is the economy's remembered one
-    (``FiberEconomy.demand_at``), which ``_jacobian`` reads at the same point.
-    """
-    p = np.asarray(getattr(prices, "values", prices), dtype=float)
-    rows = economy.rows
-    n = rows.fiber.n
-    _, forbidden, _, _ = rows.fiber.columns
-    coords = economy.demand_at(p) if p.ndim == 1 else demand_rows(rows, p)
-
-    z = np.zeros(p.shape)
-    z[..., :n] = np.where(forbidden[:n], 0.0,
-                          coords[..., :n].sum(axis=-2) - economy.total_endowment)
-    duty_spend = (coords[:, n:] @ p[n:]).sum() if p.ndim == 1 else \
-        np.einsum("kaj,kj->k", coords[..., n:], p[:, n:])
-    sink = rows.fiber.constraints.prior_claim_total * len(rows.ids) + duty_spend
-    num = economy.numeraire_index
-    # .T[num] is the numeraire entry of one vector and column of a batch
-    z.T[num] += sink / p.T[num]
-    return z
+    """``FiberEconomy.excess_demand`` at one price vector or an ``(m, d)``
+    batch; every solver evaluates excess demand through this function."""
+    return economy.excess_demand(np.asarray(prices, dtype=float))
 
 
 def walras_gap(prices: np.ndarray, z: np.ndarray, income: float) -> float:
     """Violation of Walras' law at one price vector, |p.z| / income with
     ``income`` the economy's ``total_income``: relative to the value traded,
     so it reads the same in any unit endowments are measured in. With no
-    positive income (a custom economy without ``rows``, or nothing of value
-    held) there is no value to compare with, and the gap is |p.z| itself."""
-    p = np.asarray(getattr(prices, "values", prices), dtype=float)
+    positive income (nothing of value held) there is no value to compare
+    with, and the gap is |p.z| itself."""
+    p = np.asarray(prices, dtype=float)
     gap = abs(float(p @ z))
     return gap / income if income > 0 else gap
-
-
-def total_income(economy, prices) -> float:
-    """Total disposable income at ``prices``: the value of every agent's
-    tradable endowment less the regime's prior claims; 0 for a custom
-    economy without ``rows``."""
-    rows = getattr(economy, "rows", None)
-    if rows is None:
-        return 0.0
-    p = np.asarray(getattr(prices, "values", prices), dtype=float)
-    return float(_income(rows.fiber, rows.endowment, p)[1].sum())
-
-
-def _units(economy, d: int) -> np.ndarray:
-    """The unit each of the d coordinates' excess demand is measured in: the
-    total endowment W_i of each good, and 1 for duty coordinates, for a good
-    nobody holds, and throughout for a custom economy without
-    ``total_endowment``."""
-    units = np.ones(d)
-    held = getattr(economy, "total_endowment", None)
-    if held is not None:
-        units[: len(held)] = np.where(held > 0, held, 1.0)
-    return units
 
 
 def relative_residual(z: np.ndarray, units: np.ndarray) -> float:
@@ -182,7 +132,7 @@ def _clamped(p: np.ndarray, free: Sequence[int], target: np.ndarray) -> np.ndarr
 
 def _newton_step(p: np.ndarray, z: np.ndarray, J: np.ndarray, free: Sequence[int]):
     """The clamped Newton point from ``p``: J dp = -z over the free prices,
-    with J = ``_jacobian`` at ``p``. None when J is singular."""
+    with J = ``economy.jacobian`` at ``p``. None when J is singular."""
     try:
         delta = np.linalg.solve(J, -z[free])
     except np.linalg.LinAlgError:
@@ -199,15 +149,18 @@ def solve_tatonnement(economy, p0=None, tol: float = DEFAULT_TOL,
     coordinates have zero excess demand; the numeraire market is implied by
     Walras' law). Excess demand is measured relative to total endowment,
     z_i / W_i, so the run stops once the residual max_i |z_i| / W_i is at
-    most ``tol`` (``relative_residual``; W = 1 for a custom economy without
-    ``total_endowment``) and neither the steps nor the tolerance depend on
-    the unit the endowments are in.
+    most ``tol`` (``relative_residual``, W the economy's ``units``) and
+    neither the steps nor the tolerance depend on the unit the endowments
+    are in.
 
     Each iteration first tries a Newton step: it solves J dp = -z on the free
-    prices, J the exact Jacobian (``_jacobian``), and clamps the update to the
-    band [p/2, 2p], positivity plus a trust region. The step is taken if it
-    lowers the residual. Otherwise, or when J is singular, the iteration
-    takes the tatonnement step p <- p + step * z / W, clamped the same way.
+    prices, J the exact Jacobian (``economy.jacobian``), and clamps the
+    update to the band [p/2, 2p], positivity plus a trust region. The step is
+    taken if it lowers the residual. A trial point at which some agent's duty
+    set is empty (its prior claims or required minima cost more than its
+    income there) counts as one that does not. Otherwise, or when J is
+    singular, the iteration takes the tatonnement step p <- p + step * z / W,
+    clamped the same way.
     The fallback is the only move at a singular Jacobian. Its step starts at
     ``FALLBACK_STEP``, halves whenever the residual fails to improve and
     creeps back toward ``FALLBACK_STEP`` while improving. The best iterate
@@ -216,12 +169,11 @@ def solve_tatonnement(economy, p0=None, tol: float = DEFAULT_TOL,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    p = economy.initial_prices() if p0 is None else np.asarray(
-        getattr(p0, "values", p0), dtype=float).copy()
+    p = economy.initial_prices() if p0 is None else np.asarray(p0, dtype=float)
     num = economy.numeraire_index
     p = p / p[num]
     free = economy.free_indices()
-    units = _units(economy, len(p))
+    units = economy.units
     step = FALLBACK_STEP
 
     diagnostics: list[IterateRecord] = []
@@ -229,11 +181,11 @@ def solve_tatonnement(economy, p0=None, tol: float = DEFAULT_TOL,
     prev_r = math.inf
     iterations = 0
     converged = False
-    z = _z(economy, p)
+    z = excess_demand(economy, p)
 
     for it in range(max_iter + 1):
         r = relative_residual(z, units)
-        diagnostics.append(IterateRecord(it, r, walras_gap(p, z, total_income(economy, p)),
+        diagnostics.append(IterateRecord(it, r, walras_gap(p, z, economy.total_income(p)),
                                          step))
         iterations = it
         if r < best_r:
@@ -252,18 +204,20 @@ def solve_tatonnement(economy, p0=None, tol: float = DEFAULT_TOL,
             step = min(step * 1.02, FALLBACK_STEP)
         prev_r = r
         if free:
-            trial = _newton_step(p, z, _jacobian(economy, p, free), free)
-            if trial is not None:
-                z_trial = _z(economy, trial)
-                if relative_residual(z_trial, units) < r:
-                    p, z = trial, z_trial
-                    continue
+            trial = _newton_step(p, z, economy.jacobian(p, free), free)
+            try:
+                z_trial = None if trial is None else excess_demand(economy, trial)
+            except InfeasibleDutySet:  # an emptied duty set does not improve
+                z_trial = None
+            if z_trial is not None and relative_residual(z_trial, units) < r:
+                p, z = trial, z_trial
+                continue
             p = _clamped(p, free, p[free] + step * z[free] / units[free])
-            z = _z(economy, p)
+            z = excess_demand(economy, p)
 
     final_p = best_p
     prices = PriceVector.normalized(final_p, economy.dims, num)
-    allocations = economy.demands(final_p) if hasattr(economy, "demands") else {}
+    allocations = economy.demands(final_p)
     return EquilibriumResult(prices=prices, allocations=allocations, residual=best_r,
                              iterations=iterations, converged=converged,
                              diagnostics=diagnostics)
@@ -293,17 +247,17 @@ def solve_grid_oracle(economy, resolution: int = 200) -> list[PriceVector]:
     num = economy.numeraire_index
     base = economy.initial_prices().astype(float)
     base = base / base[num]
-    units = _units(economy, len(base))
+    units = economy.units
     if not free:
         return [PriceVector(base, economy.dims, num)] \
-            if relative_residual(_z(economy, base), units) <= POLISH_TOL else []
+            if relative_residual(excess_demand(economy, base), units) <= POLISH_TOL else []
 
     k = len(free)
     grid = np.geomspace(GRID_LO, GRID_HI, resolution)
     # the whole grid in one batch, row-major over the free prices
     points = np.tile(base, (resolution ** k, 1))
     points[:, free] = np.stack(np.meshgrid(*[grid] * k, indexing="ij"), axis=-1).reshape(-1, k)
-    rs = np.max(np.abs(_z(economy, points)) / units, axis=1).reshape((resolution,) * k)
+    rs = np.max(np.abs(excess_demand(economy, points)) / units, axis=1).reshape((resolution,) * k)
     # the best residual over each point's 3^k neighbourhood; on a coarse grid
     # even the best cell of a basin can sit far from clearing, so every basin
     # is polished and only roots are kept. The window axes are moved to the
@@ -326,29 +280,16 @@ def solve_grid_oracle(economy, resolution: int = 200) -> list[PriceVector]:
     return [PriceVector.normalized(u, economy.dims, num) for u in sorted(unique, key=tuple)]
 
 
-def _jacobian(economy, p: np.ndarray, free: Sequence[int]) -> np.ndarray:
-    """Jacobian of excess demand in the free prices (rows and columns
-    ``free``) at one price vector. A custom economy supplies its own
-    ``jacobian(p, free)``; for a fiber economy it is exact, the sum of the
-    agents' demand derivatives (``demand_jacobian``, which states its rule
-    at kinks) at the kernel's coordinates at ``p``, which an excess-demand
-    call at ``p`` has already computed."""
-    custom = getattr(economy, "jacobian", None)
-    if custom is not None:
-        return np.asarray(custom(p, free), dtype=float)
-    return demand_jacobian(economy.rows, p, economy.demand_at(p), free)
-
-
 def _newton_polish(economy, p: np.ndarray, free: Sequence[int],
                    units: np.ndarray) -> np.ndarray | None:
     """Clamped Newton steps from ``p``: the price vector they reach once it
     clears to ``POLISH_TOL``, or None if it does not within ``POLISH_ITERS``
     steps."""
     for _ in range(POLISH_ITERS):
-        z = _z(economy, p)
+        z = excess_demand(economy, p)
         if relative_residual(z, units) <= POLISH_TOL:
             return p
-        p = _newton_step(p, z, _jacobian(economy, p, free), free)
+        p = _newton_step(p, z, economy.jacobian(p, free), free)
         if p is None:
             return None
     return None
@@ -356,7 +297,7 @@ def _newton_polish(economy, p: np.ndarray, free: Sequence[int],
 
 def equilibrium_index(economy, p_star) -> int:
     """Sign of det(-J) at an equilibrium, J the solver's exact Jacobian
-    (``_jacobian``) of truncated excess demand (numeraire row and column
+    (``economy.jacobian``) of truncated excess demand (numeraire row and column
     removed).
 
     The point must clear: its ``relative_residual``, the solver's, is at most
@@ -369,15 +310,15 @@ def equilibrium_index(economy, p_star) -> int:
     |det| falls below ``SINGULAR_RTOL`` times its Hadamard row bound, floored
     at one.
     """
-    p = np.asarray(getattr(p_star, "values", p_star), dtype=float)
-    units = _units(economy, len(p))
-    if relative_residual(_z(economy, p), units) > INDEX_RESIDUAL_TOL:
+    p = np.asarray(p_star, dtype=float)
+    units = economy.units
+    if relative_residual(excess_demand(economy, p), units) > INDEX_RESIDUAL_TOL:
         raise ValueError("equilibrium_index needs a market-clearing price vector")
     free = list(economy.free_indices())
     if not free:
         return +1
 
-    elasticity = -_jacobian(economy, p, free) * p[free] / units[free][:, None]
+    elasticity = -economy.jacobian(p, free) * p[free] / units[free][:, None]
     det = float(np.linalg.det(elasticity))
     # Hadamard row bound, floored at one so a vanishing Jacobian still counts
     # as singular
@@ -402,9 +343,8 @@ def trade_volumes(economy: FiberEconomy, allocations: dict[str, ExtendedBundle])
 def duty_expenditure_share(economy: FiberEconomy, prices,
                            allocations: dict[str, ExtendedBundle]) -> float:
     """Fraction of aggregate disposable income spent on imperfect duties."""
-    p = np.asarray(getattr(prices, "values", prices), dtype=float)
-    rows = economy.rows
-    n = rows.fiber.n
-    spend = sum(float(p[n:] @ allocations[a].e) for a in rows.ids)
-    income = total_income(economy, p)
+    p = np.asarray(prices, dtype=float)
+    n = economy.fiber.n
+    spend = sum(float(p[n:] @ allocations[a.id].e) for a in economy.agents)
+    income = economy.total_income(p)
     return spend / income if income > 0 else 0.0

@@ -8,16 +8,23 @@ import pytest
 from dutybound import economy as economy_module
 from dutybound import equilibrium
 from dutybound.duty import compile_constraints, load_registry
-from dutybound.economy import Agent, Fiber, FiberEconomy, UtilityFamily, UtilitySpec
+from dutybound.economy import (
+    Agent,
+    Fiber,
+    FiberEconomy,
+    UtilityFamily,
+    UtilitySpec,
+    demand,
+    disposable_income,
+)
 from dutybound.equilibrium import (
     PriceVector,
-    _jacobian,
+    duty_expenditure_share,
     equilibrium_index,
     excess_demand,
     relative_residual,
     solve_grid_oracle,
     solve_tatonnement,
-    total_income,
     trade_volumes,
     walras_gap,
 )
@@ -62,18 +69,16 @@ THREE_GOOD_ALPHA = [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]
 THREE_GOOD_W = [[2.0, 0.5, 1.0], [1.0, 1.5, 0.5], [0.5, 1.0, 1.5]]
 
 
-class TangentEconomy:
-    """z2 = (p2 - 1)^2 + offset: with offset 0 a double root at p2 = 1,
-    where z2 touches zero without changing sign; with a positive offset no
-    root at all. A second free price adds z3 = p3 - 1. Walras-consistent by
-    construction: z1 = -(p2 z2 + p3 z3). With no free price z1 is the
-    offset itself."""
+class CustomMarket:
+    """The solvers' market interface (listed in the ``equilibrium`` module
+    docstring) around a subclass's map of one price vector, ``z_at``, and
+    its ``jacobian``. Good 1 is the numeraire and every other price is free,
+    starting at one; excess demand is measured in units of 1; no agent holds
+    income, so ``walras_gap`` reads |p.z| itself; and there is no
+    allocation."""
 
     numeraire_index = 0
-
-    def __init__(self, free_prices: int, offset: float):
-        self.dims = ("g1", "g2", "g3")[: free_prices + 1]
-        self.offset = offset
+    dims: tuple[str, ...]
 
     def free_indices(self):
         return list(range(1, len(self.dims)))
@@ -81,8 +86,34 @@ class TangentEconomy:
     def initial_prices(self):
         return np.ones(len(self.dims))
 
+    @property
+    def units(self):
+        return np.ones(len(self.dims))
+
     def excess_demand(self, prices):
-        p = np.asarray(prices, dtype=float)
+        if prices.ndim == 2:
+            return np.array([self.z_at(p) for p in prices])
+        return self.z_at(prices)
+
+    def total_income(self, prices):
+        return 0.0
+
+    def demands(self, prices):
+        return {}
+
+
+class TangentEconomy(CustomMarket):
+    """z2 = (p2 - 1)^2 + offset: with offset 0 a double root at p2 = 1,
+    where z2 touches zero without changing sign; with a positive offset no
+    root at all. A second free price adds z3 = p3 - 1. Walras-consistent by
+    construction: z1 = -(p2 z2 + p3 z3). With no free price z1 is the
+    offset itself."""
+
+    def __init__(self, free_prices: int, offset: float):
+        self.dims = ("g1", "g2", "g3")[: free_prices + 1]
+        self.offset = offset
+
+    def z_at(self, p):
         if len(p) == 1:
             return np.array([self.offset])
         z = p - 1.0
@@ -90,14 +121,13 @@ class TangentEconomy:
         z[0] = -(p[1:] @ z[1:])
         return z
 
-    def jacobian(self, prices, free):
-        p = np.asarray(prices, dtype=float)
+    def jacobian(self, p, free):
         slopes = np.ones(len(free))  # dz3/dp3
         slopes[:1] = 2.0 * (p[1:2] - 1.0)  # dz2/dp2
         return np.diag(slopes)
 
 
-class SyntheticEconomy:
+class SyntheticEconomy(CustomMarket):
     """Two-good excess demand with three equilibria at p2 in {0.5, 1, 2}.
 
     Walras-consistent by construction: z1 = -p2 * z2. This is the classic
@@ -106,22 +136,15 @@ class SyntheticEconomy:
     """
 
     dims = ("g1", "g2")
-    numeraire_index = 0
 
-    def free_indices(self):
-        return [1]
-
-    def initial_prices(self):
-        return np.array([1.0, 1.0])
-
-    def excess_demand(self, prices):
-        p2 = float(np.asarray(prices)[1])
+    def z_at(self, p):
+        p2 = float(p[1])
         z2 = -(p2 - 0.5) * (p2 - 1.0) * (p2 - 2.0) / p2 ** 2
         return np.array([-p2 * z2, z2])
 
-    def jacobian(self, prices, free):
+    def jacobian(self, p, free):
         # z2 = -(p2 - 3.5 + 3.5 / p2 - 1 / p2^2)
-        p2 = float(np.asarray(prices)[1])
+        p2 = float(p[1])
         return np.array([[-(1.0 - 3.5 / p2 ** 2 + 2.0 / p2 ** 3)]])
 
 
@@ -191,7 +214,7 @@ class TestExcessDemand:
             z = excess_demand(economy, p)
             assert absolute_walras_gap(p, z) <= 1e-10
             # income is the endowments' value less each agent's claim
-            income = total_income(economy, p)
+            income = economy.total_income(p)
             assert income == pytest.approx(4.0 + 4.0 * p2 - 2 * 0.3, rel=1e-12)
             assert walras_gap(p, z, income) <= 1e-10
 
@@ -276,12 +299,6 @@ class TestExcessDemandBatch:
             np.testing.assert_allclose(z, excess_demand(economy, p), rtol=0.0, atol=1e-12)
             assert absolute_walras_gap(p, z) <= 1e-10
 
-    def test_custom_map_of_one_vector_is_mapped_over_a_batch(self):
-        economy = SyntheticEconomy()
-        prices = np.array([[1.0, 0.7], [1.0, 1.3]])
-        np.testing.assert_array_equal(equilibrium._z(economy, prices),
-                                      [economy.excess_demand(p) for p in prices])
-
 
 class TestJacobian:
     def test_matches_analytic_cobb_douglas(self):
@@ -302,7 +319,7 @@ class TestJacobian:
         pool = (w + EPSILON) @ p
         analytic = (alpha.T @ (w + EPSILON)) / p[:, None] - np.diag(alpha.T @ pool / p ** 2)
         free = economy.free_indices()
-        np.testing.assert_allclose(_jacobian(economy, p, free),
+        np.testing.assert_allclose(economy.jacobian(p, free),
                                    analytic[np.ix_(free, free)], rtol=1e-12, atol=0.0)
 
 
@@ -349,7 +366,6 @@ class TestDemandMemo:
             return excess_demand(economy, prices)
 
         monkeypatch.setattr(economy_module, "demand_rows", counting)
-        monkeypatch.setattr(equilibrium, "demand_rows", counting)
         monkeypatch.setattr(equilibrium, "excess_demand", recording)
         result = solve_tatonnement(economy)
         assert result.converged and result.iterations >= 2
@@ -405,7 +421,7 @@ class TestTatonnement:
         assert result.converged
         assert max(result.walras_gaps()) <= 1e-10
         p = result.prices.values
-        assert total_income(economy, p) == pytest.approx(float(p @ w.sum(axis=0)), rel=1e-12)
+        assert economy.total_income(p) == pytest.approx(float(p @ w.sum(axis=0)), rel=1e-12)
 
     @pytest.mark.parametrize("regime", MANY_AGENT_REGIMES)
     def test_walras_gap_of_veblen_economies_at_any_scale(self, regime):
@@ -515,7 +531,7 @@ class TestTatonnement:
         """dz2/dp2 of SyntheticEconomy vanishes at p2 = 0.6498320514927...
         The Newton step there overshoots to the band edge and raises the
         residual, so the first move is the tatonnement step p2 + step * z2
-        (W = 1 for a custom economy), and the run still reaches the root 0.5."""
+        (its units are 1), and the run still reaches the root 0.5."""
         economy = SyntheticEconomy()
         p0 = np.array([1.0, 0.649832051492727])
         result = solve_tatonnement(economy, p0=p0, tol=1e-12)
@@ -526,7 +542,7 @@ class TestTatonnement:
         assert abs(result.prices.values[1] - 0.5) <= 1e-10
 
     def test_singular_jacobian_takes_the_fallback_every_time(self, monkeypatch):
-        monkeypatch.setattr(equilibrium, "_jacobian",
+        monkeypatch.setattr(FiberEconomy, "jacobian",
                             lambda economy, p, free: np.zeros((len(free), len(free))))
         economy = cd_economy([[0.3, 0.7], [0.6, 0.4]], [[2.0, 0.5], [1.0, 3.0]])
         result = solve_tatonnement(economy, tol=1e-10)
@@ -535,6 +551,57 @@ class TestTatonnement:
             result.prices.values,
             cd_equilibrium_prices([[0.3, 0.7], [0.6, 0.4]], [[2.0, 0.5], [1.0, 3.0]]),
             rtol=1e-8, atol=0.0)
+
+    def test_newton_trial_that_empties_a_duty_set_is_not_taken(self):
+        """A holds only g2 and owes a prior claim of 0.29. From unit prices
+        the second Newton trial puts p2 at 0.26, where A's claim exceeds its
+        income; that trial used to end the solve with InfeasibleDutySet. It
+        now counts as a trial that does not improve, and two more like it
+        follow. The fiber clears where
+        0.85 (p2 - 0.29) + 0.25 (1.5 p2 + 0.61) + 2 * 0.29 = 0.9, i.e. at
+        p2 = 0.414 / 1.225."""
+        reg = load_registry({
+            "goods": ["g1", "g2"], "imperfect_duties": [],
+            "maxims": {"debt": {"class": "perfect", "kind": "PRIOR_CLAIM", "amount": 0.29}},
+            "bundles": {"y": {"label": "y", "active": ["debt"]}},
+        })
+        fiber = Fiber(y_id="y", goods=("g1", "g2"), duties=(),
+                      constraints=compile_constraints(reg.bundles["y"], reg))
+        economy = FiberEconomy(fiber=fiber, agents=(
+            Agent(id="A", endowment={"g2": 1.0}, utility=UtilitySpec(
+                family=UtilityFamily.COBB_DOUGLAS_EXTENDED, alpha={"g1": 0.85, "g2": 0.15})),
+            cd_agent("B", 0.25, 0.9, 1.5)))
+        result = solve_tatonnement(economy)
+        assert result.converged
+        assert max(result.walras_gaps()) <= 1e-10
+        assert result.prices.values[1] == pytest.approx(0.414 / 1.225, rel=1e-8)
+        assert equilibrium_index(economy, result.prices) == 1
+
+
+# every public function that takes prices, called at an equilibrium ``eq``
+# of ``claim_and_duty_economy`` or from a vector ``off`` that does not clear
+PRICE_CALLS = {
+    "excess_demand": lambda economy, eq, off: excess_demand(economy, off),
+    "walras_gap": lambda economy, eq, off: walras_gap(
+        off, excess_demand(economy, np.asarray(off)), 1.0),
+    "equilibrium_index": lambda economy, eq, off: equilibrium_index(economy, eq),
+    "duty_expenditure_share": lambda economy, eq, off: duty_expenditure_share(
+        economy, eq, economy.demands(np.asarray(eq))),
+    "solve_tatonnement": lambda economy, eq, off: solve_tatonnement(
+        economy, p0=off).prices.values,
+    "demand": lambda economy, eq, off: demand(economy.agents[0], off, economy.fiber).coords,
+    "disposable_income": lambda economy, eq, off: disposable_income(
+        economy.agents[0], off, economy.fiber),
+}
+
+
+@pytest.mark.parametrize("name", PRICE_CALLS)
+def test_price_vector_and_its_values_give_the_same_bits(name):
+    economy = claim_and_duty_economy()
+    eq = solve_tatonnement(economy).prices
+    off = PriceVector(eq.values * np.array([1.0, 1.5, 1.0]), eq.dims)
+    call = PRICE_CALLS[name]
+    np.testing.assert_array_equal(call(economy, eq, off), call(economy, eq.values, off.values))
 
 
 class TestGridOracle:
@@ -684,35 +751,23 @@ class TestEquilibriumIndex:
         assert equilibrium_index(economy, p) == 1
 
     def test_singular_jacobian_guard(self):
-        class FlatEconomy:
+        class FlatEconomy(CustomMarket):
             dims = ("g1", "g2")
-            numeraire_index = 0
 
-            def free_indices(self):
-                return [1]
-
-            def initial_prices(self):
-                return np.array([1.0, 1.0])
-
-            def excess_demand(self, prices):
-                p2 = float(np.asarray(prices)[1])
+            def z_at(self, p):
+                p2 = float(p[1])
                 # tangential equilibrium at p2 = 1: z2 = -(p2 - 1)^2
                 z2 = -((p2 - 1.0) ** 2)
                 return np.array([-p2 * z2, z2])
 
-            def jacobian(self, prices, free):
-                return np.array([[-2.0 * (float(np.asarray(prices)[1]) - 1.0)]])
+            def jacobian(self, p, free):
+                return np.array([[-2.0 * (float(p[1]) - 1.0)]])
 
         economy = FlatEconomy()
         with pytest.raises(SingularJacobian):
             equilibrium_index(economy, np.array([1.0, 1.0]))
 
     def test_autarky_defaults_to_plus_one(self):
-        economy = two_good_economy([cd_agent("solo", 0.5, 1.0, 1.0)])
-
-        class OneTradable:
-            pass
-
         # a one-good fiber has no free prices at all
         fiber = Fiber(y_id="y", goods=("g1",), duties=())
         spec = UtilitySpec(family=UtilityFamily.COBB_DOUGLAS_EXTENDED, alpha={"g1": 1.0})

@@ -295,7 +295,9 @@ class AgentRows:
     """A fiber's agents packed as arrays, one row per agent, for ``demand_rows``:
     goods endowments, the log weights (alpha on goods, then lam * beta on
     duties), the status weight (zero unless VEBLEN) and the reference duty
-    prices. The per-dimension arrays live on the fiber (``Fiber.columns``).
+    prices, and whether any row can carry a status tilt (a positive status
+    weight, in a fiber with a duty). The per-dimension arrays live on the
+    fiber (``Fiber.columns``).
     """
 
     fiber: Fiber
@@ -304,21 +306,23 @@ class AgentRows:
     weight: np.ndarray
     theta: np.ndarray
     p_bar: np.ndarray
+    tilts: bool
 
     @classmethod
     def pack(cls, fiber: Fiber, agents: Sequence[Agent]) -> "AgentRows":
         goods, duties, count = fiber.goods, fiber.duties, len(agents)
         weight = [np.concatenate([a.utility.alpha_for(goods), a.lam * a.utility.beta_for(duties)])
                   for a in agents]
-        theta = [a.theta if a.utility.family is UtilityFamily.VEBLEN_PRICE_DEPENDENT else 0.0
-                 for a in agents]
+        theta = np.array([a.theta if a.utility.family is UtilityFamily.VEBLEN_PRICE_DEPENDENT
+                          else 0.0 for a in agents])
         return cls(
             fiber=fiber,
             ids=tuple(a.id for a in agents),
             endowment=np.array([a.endowment_for(goods) for a in agents]).reshape(count, fiber.n),
             weight=np.array(weight),
-            theta=np.array(theta),
+            theta=theta,
             p_bar=np.array([a.utility.p_bar_for(duties) for a in agents]).reshape(count, fiber.l),
+            tilts=fiber.l > 0 and bool((theta > 0).any()),
         )
 
 
@@ -365,9 +369,12 @@ def demand_rows(rows: AgentRows, prices) -> np.ndarray:
     if np.any(p <= 0) or empty.any():
         raise _first_error(rows, p, income, w, fixed_cost, empty)
 
-    # status-premium tilt on duty prices; zero for goods and for theta = 0
-    tilt = np.zeros(w.shape + lb.shape)
-    tilt[..., n:] = rows.theta[:, None] * (p[..., n:] - rows.p_bar)
+    # status-premium tilt on duty prices, zero for goods and for theta = 0;
+    # none at all for a pack in which no row can tilt
+    tilt = None
+    if rows.tilts:
+        tilt = np.zeros(w.shape + lb.shape)
+        tilt[..., n:] = rows.theta[:, None] * (p[..., n:] - rows.p_bar)
     # The closed form runs on every row and is kept for all but the rows
     # only the multiplier solve handles (``_active_set_rows`` flags them).
     # Rows with no weight left divide zero by zero in the closed form (and
@@ -435,12 +442,16 @@ def _active_set_rows(fiber: Fiber, p, w, weight, tilt) -> tuple[np.ndarray, np.n
     or below zero, so the next round clips every coordinate: the row sits at
     its bounds, which then spend the whole budget.
 
-    Every round computes mu = A / P for every row, and the quadratic for the
-    rows whose tilted coordinate is still free, gathered, so a batch without
-    a tilt costs what the untilted form alone costs. A row whose tilted
-    coordinate stays free puts its last rounding into its steepest
-    coordinate (``_settle_budget``), as ``_multiplier_rows`` does; one whose
-    tilted coordinate is clipped has solved the untilted form.
+    Every round computes mu = A / P for every row. The clipped mask starts
+    as the fiber's forbidden mask, one entry per dimension, and broadcasts:
+    the first round sums A once per agent and the pool once per price
+    vector, and a mask of the full ``w.shape + (d,)`` appears only once some
+    coordinate clips. The quadratic runs on the rows whose tilted coordinate
+    is still free, gathered; ``tilt`` is None for a pack in which no row can
+    tilt, and such a pack runs none of the tilted-row code.
+    A row whose tilted coordinate stays free puts its last rounding into its
+    steepest coordinate (``_settle_budget``), as ``_multiplier_rows`` does;
+    one whose tilted coordinate is clipped has solved the untilted form.
     Three kinds of tilted row are left to ``_multiplier_rows``, and flagged
     in the mask with a meaningless answer: two or more tilted coordinates,
     a pure-status coordinate (zero log weight, positive tilt, whose spending
@@ -449,54 +460,55 @@ def _active_set_rows(fiber: Fiber, p, w, weight, tilt) -> tuple[np.ndarray, np.n
     """
     lb, forbidden, offset, _ = fiber.columns
     shape = w.shape + lb.shape
-    # the rows with a tilted coordinate, less those left to Newton, and
-    # their prices, weights and tilts
     unsolved = np.zeros(w.shape, dtype=bool)
-    rows = tilt.any(axis=-1)
-    p_r = weight_r = tilt_r = np.zeros((0,) + lb.shape)
-    if rows.any():
-        p_r, weight_r, tilt_r = (np.broadcast_to(v, shape)[rows] for v in (p, weight, tilt))
+    # the rows with a tilted coordinate, less those left to Newton (None if
+    # no row is left), and their prices, weights and tilts
+    rows = None
+    if tilt is not None and (tilting := tilt.any(axis=-1)).any():
+        p_r, weight_r, tilt_r = (np.broadcast_to(v, shape)[tilting] for v in (p, weight, tilt))
         tilted = tilt_r != 0
         left = ((tilted.sum(axis=-1) > 1)
                 | ((tilt_r > 0) & (weight_r == 0)).any(axis=-1)
                 | ~(~forbidden & ~tilted & (weight_r > 0)).any(axis=-1))
-        unsolved[rows] = left
-        rows[rows] = ~left
-        p_r, weight_r, tilt_r = p_r[~left], weight_r[~left], tilt_r[~left]
-    tilted = tilt_r != 0
-    clipped = np.zeros(shape, dtype=bool) | forbidden
+        unsolved[tilting] = left
+        tilting[tilting] = ~left
+        if tilting.any():
+            rows = tilting
+            p_r, weight_r, tilt_r, tilted = (v[~left] for v in (p_r, weight_r, tilt_r, tilted))
+    clipped, settle = forbidden, None
     while True:
         total_weight = np.where(clipped, 0.0, weight).sum(axis=-1)
         pool = w + np.where(clipped, -p * lb, p * offset).sum(axis=-1)
         mu = total_weight / pool
         denom = mu[..., None] * p
-        # where the tilted coordinate is free: A over the other free
-        # coordinates, and p_d, B and t of the tilted one
-        clipped_r = clipped[rows]
-        status = tilted & ~clipped_r
-        if status.any():
-            a_weight = np.where(clipped_r | status, 0.0, weight_r).sum(axis=-1)
-            price, b_weight, t = (np.where(status, v, 0.0).sum(axis=-1)
-                                  for v in (p_r, p_r * weight_r, tilt_r))
-            root, net = _larger_root(a_weight, pool[rows], price, b_weight, t)
-            mu[rows] = mu_r = np.where(status.any(axis=-1), root, mu[rows])
-            denom[rows] = np.where(status, net[:, None], mu_r[:, None] * p_r)
+        if rows is not None:
+            # where the tilted coordinate is free: A over the other free
+            # coordinates, and p_d, B and t of the tilted one
+            clipped_r = clipped if clipped.ndim == 1 else clipped[rows]
+            status = tilted & ~clipped_r
+            settle = status.any(axis=-1)
+            if settle.any():
+                a_weight = np.where(clipped_r | status, 0.0, weight_r).sum(axis=-1)
+                price, b_weight, t = (np.where(status, v, 0.0).sum(axis=-1)
+                                      for v in (p_r, p_r * weight_r, tilt_r))
+                root, net = _larger_root(a_weight, pool[rows], price, b_weight, t)
+                mu[rows] = mu_r = np.where(settle, root, mu[rows])
+                denom[rows] = np.where(status, net[:, None], mu_r[:, None] * p_r)
         wanted = weight / denom - offset
         violating = ~clipped & (wanted < lb)
         if not violating.any():
             break
-        clipped |= violating
+        clipped = clipped | violating
     # rows with no weight left sit at their bounds
     at_bound = clipped | (total_weight <= 0.0)[..., None]
     coords = np.where(at_bound, lb, wanted)
     # rows whose tilted coordinate was clipped solved the untilted form
-    if status.any():
-        settle = rows.copy()
-        settle[rows] = status.any(axis=-1)
+    if settle is not None and settle.any():
+        at = rows.copy()
+        at[rows] = settle
         rate = np.where(at_bound, 0.0, weight / denom / denom * p * p)
-        prices = np.broadcast_to(p, shape)
-        coords[settle] = _settle_budget(coords[settle], prices[settle], w[settle],
-                                        rate[settle], lb)
+        coords[at] = _settle_budget(coords[at], np.broadcast_to(p, shape)[at], w[at],
+                                    rate[at], lb)
     return coords, unsolved
 
 
@@ -793,11 +805,17 @@ class FiberEconomy:
         _, forbidden, _, _ = self.fiber.columns
         coords = self.demand_at(p) if p.ndim == 1 else demand_rows(rows, p)
 
+        # the sum over agents, a leading axis at one price vector; over a
+        # batch einsum adds in the same order several times faster than
+        # ``sum(axis=1)``
+        bought = coords[:, :n].sum(axis=0) if p.ndim == 1 else \
+            np.einsum("kaj->kj", coords[..., :n])
         z = np.zeros(p.shape)
-        z[..., :n] = np.where(forbidden[:n], 0.0,
-                              coords[..., :n].sum(axis=-2) - self.total_endowment)
-        duty_spend = (coords[:, n:] @ p[n:]).sum() if p.ndim == 1 else \
-            np.einsum("kaj,kj->k", coords[..., n:], p[:, n:])
+        z[..., :n] = np.where(forbidden[:n], 0.0, bought - self.total_endowment)
+        duty_spend = 0.0  # a fiber without duties spends nothing on them
+        if self.fiber.l:
+            duty_spend = (coords[:, n:] @ p[n:]).sum() if p.ndim == 1 else \
+                np.einsum("kaj,kj->k", coords[..., n:], p[:, n:])
         sink = self.fiber.constraints.prior_claim_total * len(rows.ids) + duty_spend
         num = self.numeraire_index
         # .T[num] is the numeraire entry of one vector and column of a batch

@@ -41,6 +41,7 @@ from .economy import ExtendedBundle, FiberEconomy
 from .errors import DimensionTooLarge, InfeasibleDutySet, SingularJacobian
 
 FALLBACK_STEP = 0.1  # first step of the tatonnement fallback
+MIN_STEP = 1e-14  # the fallback step's floor
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10_000
 PRICE_FLOOR = 1e-9
@@ -163,9 +164,13 @@ def solve_tatonnement(economy, p0=None, tol: float = DEFAULT_TOL,
     clamped the same way.
     The fallback is the only move at a singular Jacobian. Its step starts at
     ``FALLBACK_STEP``, halves whenever the residual fails to improve and
-    creeps back toward ``FALLBACK_STEP`` while improving. The best iterate
-    is kept, so a non-converged run still returns full diagnostics with
-    ``converged=False``; there is one diagnostics record per iterate.
+    creeps back toward ``FALLBACK_STEP`` while improving. A fallback point
+    at which some agent's duty set is empty is not taken either: the step
+    halves and is retried from the same p, and if the point is still
+    infeasible at the step's floor ``MIN_STEP`` the run stops there. The
+    best iterate is kept, so a non-converged run still returns full
+    diagnostics with ``converged=False``; there is one diagnostics record
+    per iterate.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -199,7 +204,7 @@ def solve_tatonnement(economy, p0=None, tol: float = DEFAULT_TOL,
         # increases the residual, so >= is what breaks limit cycles), with
         # gentle recovery toward the first step on progress
         if r >= prev_r * (1.0 - 1e-12):
-            step = max(step * 0.5, 1e-14)
+            step = max(step * 0.5, MIN_STEP)
         else:
             step = min(step * 1.02, FALLBACK_STEP)
         prev_r = r
@@ -212,8 +217,10 @@ def solve_tatonnement(economy, p0=None, tol: float = DEFAULT_TOL,
             if z_trial is not None and relative_residual(z_trial, units) < r:
                 p, z = trial, z_trial
                 continue
-            p = _clamped(p, free, p[free] + step * z[free] / units[free])
-            z = excess_demand(economy, p)
+            moved = _fallback_step(economy, p, z, free, units, step)
+            if moved is None:
+                break
+            p, z, step = moved
 
     final_p = best_p
     prices = PriceVector.normalized(final_p, economy.dims, num)
@@ -221,6 +228,21 @@ def solve_tatonnement(economy, p0=None, tol: float = DEFAULT_TOL,
     return EquilibriumResult(prices=prices, allocations=allocations, residual=best_r,
                              iterations=iterations, converged=converged,
                              diagnostics=diagnostics)
+
+
+def _fallback_step(economy, p: np.ndarray, z: np.ndarray, free: Sequence[int],
+                   units: np.ndarray, step: float):
+    """The tatonnement point from ``p``, its excess demand and the step
+    that reached it, halving the step while the point empties some agent's
+    duty set; None if it still does at ``MIN_STEP``."""
+    while True:
+        q = _clamped(p, free, p[free] + step * z[free] / units[free])
+        try:
+            return q, excess_demand(economy, q), step
+        except InfeasibleDutySet:
+            if step <= MIN_STEP:
+                return None
+            step = max(step * 0.5, MIN_STEP)
 
 
 def solve_grid_oracle(economy, resolution: int = 200) -> list[PriceVector]:
@@ -257,7 +279,10 @@ def solve_grid_oracle(economy, resolution: int = 200) -> list[PriceVector]:
     # the whole grid in one batch, row-major over the free prices
     points = np.tile(base, (resolution ** k, 1))
     points[:, free] = np.stack(np.meshgrid(*[grid] * k, indexing="ij"), axis=-1).reshape(-1, k)
-    rs = np.max(np.abs(excess_demand(economy, points)) / units, axis=1).reshape((resolution,) * k)
+    # each point's relative residual, a max over the coordinates of a
+    # contiguous transpose: numpy reduces over leading axes several times faster
+    z = np.ascontiguousarray(excess_demand(economy, points).T)
+    rs = np.max(np.abs(z) / units[:, None], axis=0).reshape((resolution,) * k)
     # the best residual over each point's 3^k neighbourhood; on a coarse grid
     # even the best cell of a basin can sit far from clearing, so every basin
     # is polished and only roots are kept. The window axes are moved to the
@@ -331,13 +356,10 @@ def equilibrium_index(economy, p_star) -> int:
 
 def trade_volumes(economy: FiberEconomy, allocations: dict[str, ExtendedBundle]) -> dict[str, float]:
     """Units of each good changing hands: the gross purchases across agents."""
-    volumes: dict[str, float] = {}
-    for i, g in enumerate(economy.fiber.goods):
-        bought = 0.0
-        for a in economy.agents:
-            bought += max(allocations[a.id].x[i] - a.endowment.get(g, 0.0), 0.0)
-        volumes[g] = bought
-    return volumes
+    x = np.array([allocations[a.id].x for a in economy.agents])
+    bought = np.maximum(x - economy.rows.endowment, 0.0)
+    # cumsum adds the agents in order, as a loop would; sum may add pairwise
+    return dict(zip(economy.fiber.goods, np.cumsum(bought, axis=0)[-1]))
 
 
 def duty_expenditure_share(economy: FiberEconomy, prices,
@@ -345,6 +367,9 @@ def duty_expenditure_share(economy: FiberEconomy, prices,
     """Fraction of aggregate disposable income spent on imperfect duties."""
     p = np.asarray(prices, dtype=float)
     n = economy.fiber.n
-    spend = sum(float(p[n:] @ allocations[a.id].e) for a in economy.agents)
+    e = np.array([allocations[a.id].e for a in economy.agents])
+    # one vector-vector product per agent, rounded as ``p @ e`` rounds it,
+    # added in agent order
+    spend = float(np.cumsum((e[:, None, :] @ p[n:])[:, 0])[-1])
     income = economy.total_income(p)
     return spend / income if income > 0 else 0.0

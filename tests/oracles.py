@@ -11,7 +11,8 @@ paths stay here as references for the code that replaced them: the
 pair-by-pair topology check, the scan-plus-bisection critical mass, the
 period-by-period sugar simulation, the sweep that runs the simulator once
 per cell, the Walras gap relative to |p||z|, demand by bisection on the
-income multiplier, and the central-difference Jacobian of excess demand.
+income multiplier, the central-difference Jacobian of excess demand, and
+the agent-by-agent loops behind trade volumes and duty spending.
 """
 
 from __future__ import annotations
@@ -203,6 +204,26 @@ def absolute_walras_gap(prices, z) -> float:
     (the library's Walras gap before it was taken relative to income)."""
     p = np.asarray(getattr(prices, "values", prices), dtype=float)
     return abs(float(p @ z)) / (1.0 + float(np.abs(p) @ np.abs(z)))
+
+
+def trade_volumes_by_loop(economy, allocations) -> dict[str, float]:
+    """Gross purchases of each good, one agent at a time (the library's
+    ``trade_volumes`` before it was an array expression)."""
+    volumes = {}
+    for i, g in enumerate(economy.fiber.goods):
+        bought = 0.0
+        for a in economy.agents:
+            bought += max(allocations[a.id].x[i] - a.endowment.get(g, 0.0), 0.0)
+        volumes[g] = bought
+    return volumes
+
+
+def duty_spend_by_loop(economy, prices, allocations) -> float:
+    """Total spending on duties, one agent at a time (the numerator of the
+    library's ``duty_expenditure_share`` before it was an array expression)."""
+    p = np.asarray(prices, dtype=float)
+    n = economy.fiber.n
+    return sum(float(p[n:] @ allocations[a.id].e) for a in economy.agents)
 
 
 def central_difference_jacobian(z, prices, free, h=1e-6):

@@ -373,15 +373,31 @@ def first_error(solve, vectors):
 class TestDemandRowsBatch:
     """A batch of price vectors against one call per vector."""
 
-    @pytest.mark.parametrize("regime", list(KKT_REGIMES))
-    def test_each_row_is_the_single_vector_call(self, regime):
-        rng = np.random.default_rng(11 + list(KKT_REGIMES).index(regime))
-        fiber = fiber_with(*KKT_REGIMES[regime], goods=GOODS3, duties=("d1",))
-        agents = [random_agent(rng, name=f"a{k}", veblen=k % 3 == 0) for k in range(9)]
+    CASES = list(KKT_REGIMES) + ["goods_only", "floor_binds_at_some_vectors"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_each_row_is_the_single_vector_call(self, case):
+        """Each of ``KKT_REGIMES`` with one duty; a goods-only fiber, where
+        no row can tilt; and a REQUIRE_MIN floor on the duty that binds at
+        the vectors with a dear duty only, so the kernel's clipped mask
+        grows from one entry per dimension to one per row partway through
+        the call."""
+        rng = np.random.default_rng(11 + self.CASES.index(case))
+        duties = () if case == "goods_only" else ("d1",)
+        regime = {"goods_only": "free", "floor_binds_at_some_vectors": "require_min"}.get(case, case)
+        fiber = fiber_with(*KKT_REGIMES[regime], goods=GOODS3, duties=duties)
+        agents = [random_agent(rng, name=f"a{k}", veblen=k % 3 == 0, duties=duties)
+                  for k in range(9)]
         rows = AgentRows.pack(fiber, agents)
-        prices = np.array([random_prices(rng) for _ in range(16)])
+        prices = np.array([random_prices(rng, duties=len(duties)) for _ in range(16)])
+        if case == "floor_binds_at_some_vectors":
+            prices[:, :3] += 1.0
+            prices[::2, 3] *= 4.0
         batch = demand_rows(rows, prices)
-        assert batch.shape == (16, 9, 4)
+        assert batch.shape == (16, 9, 3 + len(duties))
+        if case == "floor_binds_at_some_vectors":
+            binds = (batch[..., 3] == 0.4).any(axis=1)
+            assert binds.any() and not binds.all()
         for p, got in zip(prices, batch):
             np.testing.assert_allclose(got, demand_rows(rows, p), rtol=0.0, atol=1e-12)
 
@@ -428,6 +444,52 @@ class TestDemandRowsBatch:
                                                     utility=cd_spec({"g1": 1.0}))])
         with pytest.raises(DimensionMismatch):
             demand_rows(rows, np.ones((4, 3)))
+
+
+class TestUntiltedPacks:
+    """A pack in which no row can carry a status tilt (no duty in the fiber,
+    or no VEBLEN agent) runs none of the tilted-row code: no quadratic, no
+    budget settling, no multiplier solve."""
+
+    @pytest.fixture
+    def tilted_code_raises(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("tilted-row code ran")
+        for name in ("_larger_root", "_settle_budget", "_multiplier_rows"):
+            monkeypatch.setattr(economy, name, refuse)
+
+    def test_goods_only_grid_sized_batch(self, tilted_code_raises):
+        """3,600 vectors, as the grid oracle sends at resolution 60; one agent
+        is VEBLEN, which cannot tilt without a duty."""
+        rng = np.random.default_rng(3)
+        agents = [random_agent(rng, name=f"a{k}", veblen=k == 0, duties=()) for k in range(3)]
+        rows = AgentRows.pack(plain_fiber(GOODS3), agents)
+        assert not rows.tilts
+        batch = demand_rows(rows, rng.uniform(0.05, 20.0, (3600, 3)))
+        assert batch.shape == (3600, 3, 3) and np.all(batch > 0)
+
+    @pytest.mark.parametrize("regime", list(KKT_REGIMES))
+    def test_cobb_douglas_pack_in_a_fiber_with_a_duty(self, regime, tilted_code_raises):
+        rng = np.random.default_rng(17)
+        fiber = fiber_with(*KKT_REGIMES[regime], goods=GOODS3, duties=("d1",))
+        rows = AgentRows.pack(fiber, [random_agent(rng, name=f"a{k}") for k in range(6)])
+        assert not rows.tilts
+        demand_rows(rows, np.array([random_prices(rng) for _ in range(32)]))
+
+    def test_one_agent_demand(self, tilted_code_raises):
+        fiber = fiber_with(*KKT_REGIMES["require_min"], goods=GOODS3, duties=("d1",))
+        bundle = demand(random_agent(np.random.default_rng(4)), [1.0, 1.2, 0.8, 1.5], fiber)
+        assert bundle.e[0] >= 0.4
+
+    def test_half_veblen_pack_still_takes_the_quadratic(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        fiber = fiber_with(*KKT_REGIMES["free"], goods=GOODS3, duties=("d1",))
+        rows = AgentRows.pack(fiber, [random_agent(rng, name=f"a{k}", veblen=k % 2 == 0)
+                                      for k in range(6)])
+        assert rows.tilts
+        calls = counted(monkeypatch, "_larger_root")
+        demand_rows(rows, np.array([random_prices(rng) for _ in range(8)]))
+        assert calls
 
 
 def scaled_regime(regime, scale):

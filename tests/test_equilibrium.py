@@ -10,6 +10,7 @@ from dutybound import equilibrium
 from dutybound.duty import compile_constraints, load_registry
 from dutybound.economy import (
     Agent,
+    ExtendedBundle,
     Fiber,
     FiberEconomy,
     UtilityFamily,
@@ -36,7 +37,13 @@ from dutybound.errors import (
 )
 from dutybound.preferences import EPSILON
 
-from oracles import absolute_walras_gap, cd_equilibrium_2good, cd_equilibrium_prices
+from oracles import (
+    absolute_walras_gap,
+    cd_equilibrium_2good,
+    cd_equilibrium_prices,
+    duty_spend_by_loop,
+    trade_volumes_by_loop,
+)
 
 
 def cd_agent(name, alpha1, w1, w2):
@@ -552,6 +559,23 @@ class TestTatonnement:
             cd_equilibrium_prices([[0.3, 0.7], [0.6, 0.4]], [[2.0, 0.5], [1.0, 3.0]]),
             rtol=1e-8, atol=0.0)
 
+    @staticmethod
+    def claim_economy(amount, alpha_a, held_a, b):
+        """A, with g1 weight ``alpha_a``, holds only ``held_a`` of g2; B is
+        ``b``; both owe a prior claim of ``amount``."""
+        reg = load_registry({
+            "goods": ["g1", "g2"], "imperfect_duties": [],
+            "maxims": {"debt": {"class": "perfect", "kind": "PRIOR_CLAIM", "amount": amount}},
+            "bundles": {"y": {"label": "y", "active": ["debt"]}},
+        })
+        fiber = Fiber(y_id="y", goods=("g1", "g2"), duties=(),
+                      constraints=compile_constraints(reg.bundles["y"], reg))
+        return FiberEconomy(fiber=fiber, agents=(
+            Agent(id="A", endowment={"g2": held_a}, utility=UtilitySpec(
+                family=UtilityFamily.COBB_DOUGLAS_EXTENDED,
+                alpha={"g1": alpha_a, "g2": 1.0 - alpha_a})),
+            b))
+
     def test_newton_trial_that_empties_a_duty_set_is_not_taken(self):
         """A holds only g2 and owes a prior claim of 0.29. From unit prices
         the second Newton trial puts p2 at 0.26, where A's claim exceeds its
@@ -560,22 +584,53 @@ class TestTatonnement:
         follow. The fiber clears where
         0.85 (p2 - 0.29) + 0.25 (1.5 p2 + 0.61) + 2 * 0.29 = 0.9, i.e. at
         p2 = 0.414 / 1.225."""
-        reg = load_registry({
-            "goods": ["g1", "g2"], "imperfect_duties": [],
-            "maxims": {"debt": {"class": "perfect", "kind": "PRIOR_CLAIM", "amount": 0.29}},
-            "bundles": {"y": {"label": "y", "active": ["debt"]}},
-        })
-        fiber = Fiber(y_id="y", goods=("g1", "g2"), duties=(),
-                      constraints=compile_constraints(reg.bundles["y"], reg))
-        economy = FiberEconomy(fiber=fiber, agents=(
-            Agent(id="A", endowment={"g2": 1.0}, utility=UtilitySpec(
-                family=UtilityFamily.COBB_DOUGLAS_EXTENDED, alpha={"g1": 0.85, "g2": 0.15})),
-            cd_agent("B", 0.25, 0.9, 1.5)))
+        economy = self.claim_economy(0.29, 0.85, 1.0, cd_agent("B", 0.25, 0.9, 1.5))
         result = solve_tatonnement(economy)
         assert result.converged
         assert max(result.walras_gaps()) <= 1e-10
         assert result.prices.values[1] == pytest.approx(0.414 / 1.225, rel=1e-8)
         assert equilibrium_index(economy, result.prices) == 1
+
+    def test_fallback_point_that_empties_a_duty_set_is_not_taken(self):
+        """A holds only 0.5 of g2 and owes a prior claim of 0.3, so its duty
+        set is empty below p2 = 0.6, and the fiber would clear only where
+        0.8 (0.5 p2 - 0.3) + 0.2 (0.5 + 2 p2 - 0.3) + 2 * 0.3 = 0.5, at
+        p2 = 0.125: it has no feasible equilibrium. The fallback step used to
+        walk past p2 = 0.6 and end the solve with InfeasibleDutySet. It now
+        halves instead, and stops at its floor against A's bound, with the
+        best iterate and one diagnostics record per iterate."""
+        economy = self.claim_economy(0.3, 0.8, 0.5, cd_agent("B", 0.2, 0.5, 2.0))
+        result = solve_tatonnement(economy)
+        assert not result.converged
+        assert len(result.diagnostics) == result.iterations + 1 < equilibrium.DEFAULT_MAX_ITER
+        assert result.diagnostics[-1].step == equilibrium.MIN_STEP
+        assert result.residual == min(rec.residual for rec in result.diagnostics)
+        assert 0.6 <= result.prices.values[1] <= 0.6 * (1 + 1e-9)
+        assert max(result.walras_gaps()) <= 1e-10
+
+
+@pytest.mark.parametrize("goods,duties,agents", [(1, 0, 40), (3, 1, 200), (2, 3, 9)])
+def test_trade_accounts_equal_the_agent_loops(goods, duties, agents):
+    """``trade_volumes`` and the duty spending of ``duty_expenditure_share``
+    are array expressions; they add the agents in the loops' order and
+    round each agent's duty spending as ``p @ e`` does, so they equal the
+    loops bit for bit. Quantities span twelve orders of magnitude, where a
+    pairwise sum or a fused product would round differently."""
+    rng = np.random.default_rng(goods * 100 + duties)
+    fiber = Fiber(y_id="y", goods=tuple(f"g{i}" for i in range(goods)),
+                  duties=tuple(f"d{j}" for j in range(duties)))
+    spread = lambda size: rng.uniform(0.0, 2.0, size) * 10.0 ** rng.uniform(-6, 6, size)
+    economy = FiberEconomy(fiber=fiber, agents=tuple(
+        Agent(id=f"a{k}", endowment=dict(zip(fiber.goods, spread(goods).tolist())),
+              utility=UtilitySpec(family=UtilityFamily.COBB_DOUGLAS_EXTENDED,
+                                  alpha=dict.fromkeys(fiber.goods, 1.0)))
+        for k in range(agents)))
+    allocations = {a.id: ExtendedBundle(x=spread(goods), e=spread(duties))
+                   for a in economy.agents}
+    p = rng.uniform(0.1, 3.0, goods + duties)
+    assert trade_volumes(economy, allocations) == trade_volumes_by_loop(economy, allocations)
+    assert duty_expenditure_share(economy, p, allocations) == \
+        duty_spend_by_loop(economy, p, allocations) / economy.total_income(p)
 
 
 # every public function that takes prices, called at an equilibrium ``eq``

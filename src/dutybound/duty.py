@@ -43,12 +43,14 @@ class PerfectDutySpec:
     description: str = ""
 
     def __post_init__(self):
-        if not math.isfinite(self.level) or self.level < 0:
-            raise MalformedSpec(self.id, f"level must be finite and non-negative, got {self.level}")
-        if not math.isfinite(self.amount) or self.amount < 0:
-            raise MalformedSpec(self.id, f"amount must be finite and non-negative, got {self.amount}")
+        path = f"maxims.{self.id}"
+        for key in ("level", "amount"):
+            value = getattr(self, key)
+            if not math.isfinite(value) or value < 0:
+                raise MalformedSpec(f"{path}.{key}",
+                                    f"must be finite and non-negative, got {value}")
         if self.kind in (DutyKind.FORBID, DutyKind.REQUIRE_MIN) and not self.target:
-            raise MalformedSpec(self.id, f"{self.kind.value} needs a target dimension")
+            raise MalformedSpec(f"{path}.target", f"{self.kind.value} needs a target dimension")
 
 
 @dataclass(frozen=True)
@@ -61,10 +63,12 @@ class ImperfectDutyDef:
     normalization_cap: float | None = None
 
     def __post_init__(self):
+        path = f"maxims.{self.id}"
         if self.index < 0:
-            raise MalformedSpec(self.id, f"index must be non-negative, got {self.index}")
+            raise MalformedSpec(f"{path}.index", f"must be non-negative, got {self.index}")
         if self.normalization_cap is not None and not self.normalization_cap > 0:
-            raise MalformedSpec(self.id, "normalization_cap must be strictly positive")
+            raise MalformedSpec(f"{path}.normalization_cap",
+                                f"must be strictly positive, got {self.normalization_cap}")
 
     def normalized(self, raw: float) -> float:
         """Map a raw fulfillment level onto the 0-1 scale (1 at or above the cap)."""

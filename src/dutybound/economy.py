@@ -102,7 +102,7 @@ class ExtendedBundle:
         e = np.atleast_1d(np.asarray(self.e, dtype=float))
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "e", e)
-        if np.any(x < 0) or np.any(e < 0):
+        if (x < 0).any() or (e < 0).any():
             raise NegativeInput("bundle coordinates")
 
     @property
@@ -295,9 +295,11 @@ class AgentRows:
     """A fiber's agents packed as arrays, one row per agent, for ``demand_rows``:
     goods endowments, the log weights (alpha on goods, then lam * beta on
     duties), the status weight (zero unless VEBLEN) and the reference duty
-    prices, and whether any row can carry a status tilt (a positive status
-    weight, in a fiber with a duty). The per-dimension arrays live on the
-    fiber (``Fiber.columns``).
+    prices, and ``tilted``, the indices of the rows that can carry a status
+    tilt (a positive status weight, in a fiber with a duty), in ascending
+    order and empty when no row can. The kernel solves the tilted rows'
+    quadratic on those rows only. The per-dimension arrays live on the fiber
+    (``Fiber.columns``).
     """
 
     fiber: Fiber
@@ -306,23 +308,25 @@ class AgentRows:
     weight: np.ndarray
     theta: np.ndarray
     p_bar: np.ndarray
-    tilts: bool
+    tilted: np.ndarray
 
     @classmethod
     def pack(cls, fiber: Fiber, agents: Sequence[Agent]) -> "AgentRows":
         goods, duties, count = fiber.goods, fiber.duties, len(agents)
-        weight = [np.concatenate([a.utility.alpha_for(goods), a.lam * a.utility.beta_for(duties)])
-                  for a in agents]
         theta = np.array([a.theta if a.utility.family is UtilityFamily.VEBLEN_PRICE_DEPENDENT
                           else 0.0 for a in agents])
         return cls(
             fiber=fiber,
             ids=tuple(a.id for a in agents),
-            endowment=np.array([a.endowment_for(goods) for a in agents]).reshape(count, fiber.n),
-            weight=np.array(weight),
+            endowment=np.array([[a.endowment.get(g, 0.0) for g in goods] for a in agents],
+                               dtype=float).reshape(count, fiber.n),
+            weight=np.array([[a.utility.alpha.get(g, 0.0) for g in goods]
+                             + [a.lam * a.utility.beta.get(d, 0.0) for d in duties]
+                             for a in agents], dtype=float).reshape(count, fiber.n + fiber.l),
             theta=theta,
-            p_bar=np.array([a.utility.p_bar_for(duties) for a in agents]).reshape(count, fiber.l),
-            tilts=fiber.l > 0 and bool((theta > 0).any()),
+            p_bar=np.array([[a.utility.reference_premium.get(d, 1.0) for d in duties]
+                            for a in agents], dtype=float).reshape(count, fiber.l),
+            tilted=np.nonzero((theta > 0) & (fiber.l > 0))[0],
         )
 
 
@@ -365,27 +369,29 @@ def demand_rows(rows: AgentRows, prices) -> np.ndarray:
 
     income, w = _income(fiber, rows.endowment, p)
     fixed_cost = p @ lb
-    empty = (w < 0) | (fixed_cost > w * (1 + 1e-12) + 1e-12) | (conflict is not None)
-    if np.any(p <= 0) or empty.any():
-        raise _first_error(rows, p, income, w, fixed_cost, empty)
+    empty = (w < 0) | (fixed_cost > w * (1 + 1e-12) + 1e-12)
+    if conflict is not None or (p <= 0).any() or empty.any():
+        raise _first_error(rows, p, income, w, fixed_cost, empty | (conflict is not None))
 
-    # status-premium tilt on duty prices, zero for goods and for theta = 0;
-    # none at all for a pack in which no row can tilt
-    tilt = None
-    if rows.tilts:
-        tilt = np.zeros(w.shape + lb.shape)
-        tilt[..., n:] = rows.theta[:, None] * (p[..., n:] - rows.p_bar)
+    # the status-premium tilt on the duty prices of the rows that can tilt,
+    # ``(..., len(tilted), l)``; none at all for a pack in which no row can
+    tilted, tilt = rows.tilted, None
+    if tilted.size:
+        tilt = rows.theta[tilted, None] * (p[..., n:] - rows.p_bar[tilted])
     # The closed form runs on every row and is kept for all but the rows
     # only the multiplier solve handles (``_active_set_rows`` flags them).
     # Rows with no weight left divide zero by zero in the closed form (and
     # are set to their bounds); the multiplier solve's outer probes at
     # mu = 1e300 and 1e-300 overflow on purpose.
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        coords, todo = _active_set_rows(fiber, p, w, rows.weight, tilt)
-        if todo.any():
-            at = np.nonzero(todo)  # the rows' (vector and) agent indices
-            coords[todo] = _multiplier_rows(fiber, p if p.ndim == 1 else p[at[0], 0], w[todo],
-                                            rows.weight[at[-1]], tilt[todo])
+        coords, left = _active_set_rows(fiber, p, w, rows.weight, tilted, tilt)
+        if left is not None and left.any():
+            sel = np.nonzero(left)
+            at = (*sel[:-1], tilted[sel[-1]])  # the rows' (vector and) agent indices
+            tilt_at = np.zeros((sel[-1].size, n + fiber.l))
+            tilt_at[:, n:] = tilt[sel]
+            coords[at] = _multiplier_rows(fiber, p if p.ndim == 1 else p[sel[0], 0], w[at],
+                                          rows.weight[at[-1]], tilt_at)
     return coords
 
 
@@ -412,9 +418,11 @@ def _first_error(rows: AgentRows, p, income, w, fixed_cost, empty) -> DutyModelE
     return InfeasibleDutySet(rows.ids[k % count], reason)
 
 
-def _active_set_rows(fiber: Fiber, p, w, weight, tilt) -> tuple[np.ndarray, np.ndarray]:
+def _active_set_rows(fiber: Fiber, p, w, weight, tilted, tilt):
     """Exact KKT solution per row with at most one status-tilted coordinate,
-    and the mask of rows the closed form does not cover.
+    and the mask of the rows that can tilt (``tilted``, with their duty
+    tilts ``tilt``) that the closed form does not cover, or None if no row
+    can tilt.
 
     With spending s_k = p_k (q_k + offset_k) the interior condition is
     s_k = p_k weight_k / (mu p_k - tilt_k), so mu has a closed form on any
@@ -442,13 +450,21 @@ def _active_set_rows(fiber: Fiber, p, w, weight, tilt) -> tuple[np.ndarray, np.n
     or below zero, so the next round clips every coordinate: the row sits at
     its bounds, which then spend the whole budget.
 
-    Every round computes mu = A / P for every row. The clipped mask starts
-    as the fiber's forbidden mask, one entry per dimension, and broadcasts:
-    the first round sums A once per agent and the pool once per price
-    vector, and a mask of the full ``w.shape + (d,)`` appears only once some
-    coordinate clips. The quadratic runs on the rows whose tilted coordinate
-    is still free, gathered; ``tilt`` is None for a pack in which no row can
-    tilt, and such a pack runs none of the tilted-row code.
+    Cost. Each round computes mu = A / P, the denominators and the wanted
+    coordinates for every row. The clipped mask starts as the fiber's
+    forbidden mask, one entry per dimension, and broadcasts: the first round
+    sums A once per agent and the pool once per price vector, and a mask of
+    the full ``w.shape + (d,)`` appears only once some coordinate clips. The
+    tilted rows are taken by agent index, and everything about their one
+    tilted coordinate that does not move with the active set (where it is,
+    p_d, B and t) is found once per call; rows whose tilt is zero at these
+    prices, or that are left to ``_multiplier_rows``, drop out there. The
+    quadratic is solved on the rows whose tilted coordinate is free, in the
+    first round and again only in a round after one of those rows clipped a
+    coordinate; otherwise its roots stand, and a round writes them into mu
+    and the tilted coordinate's denominator. ``tilt`` is None for a pack in
+    which no row can tilt, and such a pack runs none of the tilted-row code.
+
     A row whose tilted coordinate stays free puts its last rounding into its
     steepest coordinate (``_settle_budget``), as ``_multiplier_rows`` does;
     one whose tilted coordinate is clipped has solved the untilted form.
@@ -459,57 +475,71 @@ def _active_set_rows(fiber: Fiber, p, w, weight, tilt) -> tuple[np.ndarray, np.n
     (which may leave budget unspent).
     """
     lb, forbidden, offset, _ = fiber.columns
-    shape = w.shape + lb.shape
-    unsolved = np.zeros(w.shape, dtype=bool)
-    # the rows with a tilted coordinate, less those left to Newton (None if
-    # no row is left), and their prices, weights and tilts
-    rows = None
-    if tilt is not None and (tilting := tilt.any(axis=-1)).any():
-        p_r, weight_r, tilt_r = (np.broadcast_to(v, shape)[tilting] for v in (p, weight, tilt))
-        tilted = tilt_r != 0
-        left = ((tilted.sum(axis=-1) > 1)
-                | ((tilt_r > 0) & (weight_r == 0)).any(axis=-1)
-                | ~(~forbidden & ~tilted & (weight_r > 0)).any(axis=-1))
-        unsolved[tilting] = left
-        tilting[tilting] = ~left
-        if tilting.any():
-            rows = tilting
-            p_r, weight_r, tilt_r, tilted = (v[~left] for v in (p_r, weight_r, tilt_r, tilted))
-    clipped, settle = forbidden, None
+    n = fiber.n
+    # what a clipped coordinate takes out of the pool, and a free one adds
+    bound_cost, offset_cost = -p * lb, p * offset
+    left = at = None
+    if tilt is not None:
+        weight_t = weight[tilted]
+        on = np.zeros(tilt.shape[:-1] + lb.shape, dtype=bool)  # the tilted coordinates
+        on[..., n:] = tilt != 0
+        count = on.sum(axis=-1)
+        # the weight on free untilted coordinates, A of the first round
+        a_weight = np.where(on | forbidden, 0.0, weight_t).sum(axis=-1)
+        # the closed form solves the rows with one tilted coordinate c, some
+        # untilted weight and no pure-status coordinate
+        closed = ((count == 1) & (a_weight > 0)
+                  & ~((tilt > 0) & (weight_t[:, n:] == 0)).any(axis=-1))
+        left = (count > 0) & ~closed
+        # their (vector and) agent indices, and p_d, B and t of c
+        sel = np.nonzero(closed)
+        if sel[-1].size:
+            at = (*sel[:-1], tilted[sel[-1]])
+            hot, a_weight = on[sel], a_weight[sel]
+            c = hot.argmax(axis=-1)
+            price = p[c] if p.ndim == 1 else p[sel[0], 0, c]
+            b_weight, t = price * weight[at[-1], c], tilt[(*sel, c - n)]
+            weight_at = weight[at[-1]]
+    clipped, solve = forbidden, True
     while True:
         total_weight = np.where(clipped, 0.0, weight).sum(axis=-1)
-        pool = w + np.where(clipped, -p * lb, p * offset).sum(axis=-1)
+        pool = w + np.where(clipped, bound_cost, offset_cost).sum(axis=-1)
         mu = total_weight / pool
+        if at is not None:
+            if solve:
+                root, net = _larger_root(a_weight, pool[at], price, b_weight, t)
+            mu[at] = root
         denom = mu[..., None] * p
-        if rows is not None:
-            # where the tilted coordinate is free: A over the other free
-            # coordinates, and p_d, B and t of the tilted one
-            clipped_r = clipped if clipped.ndim == 1 else clipped[rows]
-            status = tilted & ~clipped_r
-            settle = status.any(axis=-1)
-            if settle.any():
-                a_weight = np.where(clipped_r | status, 0.0, weight_r).sum(axis=-1)
-                price, b_weight, t = (np.where(status, v, 0.0).sum(axis=-1)
-                                      for v in (p_r, p_r * weight_r, tilt_r))
-                root, net = _larger_root(a_weight, pool[rows], price, b_weight, t)
-                mu[rows] = mu_r = np.where(settle, root, mu[rows])
-                denom[rows] = np.where(status, net[:, None], mu_r[:, None] * p_r)
+        if at is not None:
+            denom[(*at, c)] = net
         wanted = weight / denom - offset
         violating = ~clipped & (wanted < lb)
         if not violating.any():
             break
         clipped = clipped | violating
+        solve = at is not None and violating[at].any()
+        if solve:
+            # a row whose tilted coordinate clipped has the untilted form
+            free = ~clipped[(*at, c)]
+            if not free.all():
+                at = tuple(i[free] for i in at) if free.any() else None
+                hot, c, price, b_weight, t, weight_at = (
+                    v[free] for v in (hot, c, price, b_weight, t, weight_at))
+            if at is not None:
+                a_weight = np.where(clipped[at] | hot, 0.0, weight_at).sum(axis=-1)
     # rows with no weight left sit at their bounds
     at_bound = clipped | (total_weight <= 0.0)[..., None]
     coords = np.where(at_bound, lb, wanted)
-    # rows whose tilted coordinate was clipped solved the untilted form
-    if settle is not None and settle.any():
-        at = rows.copy()
-        at[rows] = settle
-        rate = np.where(at_bound, 0.0, weight / denom / denom * p * p)
-        coords[at] = _settle_budget(coords[at], np.broadcast_to(p, shape)[at], w[at],
-                                    rate[at], lb)
-    return coords, unsolved
+    if at is not None:
+        # a price vector per row, so ``_settle_budget`` rounds spending as in
+        # a batch; ``at_bound`` lacks the vector axis of a batch in which
+        # nothing clipped
+        p_at = p[None].repeat(c.size, axis=0) if p.ndim == 1 else p[at[0], 0]
+        denom_at = denom[at]
+        rate = np.where(at_bound[at] if at_bound.ndim > w.ndim else at_bound[at[-1]], 0.0,
+                        weight_at / denom_at / denom_at * p_at * p_at)
+        coords[at] = _settle_budget(coords[at], p_at, w[at], rate, lb)
+    return coords, left
 
 
 def _larger_root(a_weight, pool, price, b_weight, t):
@@ -529,10 +559,11 @@ def _larger_root(a_weight, pool, price, b_weight, t):
     """
     u, v = pool * t, a_weight * price
     _, e = np.frexp(np.maximum(np.abs(u), v + b_weight))
-    u, v, b = (np.ldexp(x, -e) for x in (u, v, b_weight))
-    root = np.sqrt(np.where(u > 0, (u - v) ** 2 + b * (b + 2.0 * (u + v)),
-                            (u + v + b) ** 2 - 4.0 * u * v))
-    s, s_net = u + v + b, v + b - u
+    down = -e
+    u, v, b = np.ldexp(u, down), np.ldexp(v, down), np.ldexp(b_weight, down)
+    uv = u + v
+    s, s_net = uv + b, v + b - u
+    root = np.sqrt(np.where(u > 0, (u - v) ** 2 + b * (b + 2.0 * uv), s ** 2 - 4.0 * u * v))
     q, q_net = (np.ldexp(0.5 * (x + np.copysign(root, x)), e) for x in (s, s_net))
     return (np.where(s >= 0, q / (pool * price), a_weight * t / q),
             np.where(s_net >= 0, q_net / pool, -b_weight * t / q_net))
@@ -548,11 +579,11 @@ def _settle_budget(q, p, w, rate, lb) -> np.ndarray:
     row meets its budget to rounding at any scale (a coordinate barely above
     its bound stays on it). A row with no positive rate is left as it is.
     """
-    prices = np.broadcast_to(p, q.shape)
-    steep = np.argmax(rate, axis=1)
+    steep = rate.argmax(axis=1)
     k = np.flatnonzero(rate[np.arange(len(w)), steep] > 0)
-    q[k, steep[k]] = np.maximum(
-        q[k, steep[k]] + (w - _spend(q, p))[k] / prices[k, steep[k]], lb[steep[k]])
+    at = (k, steep[k])
+    q[at] = np.maximum(q[at] + (w - _spend(q, p))[k] / (p[at[1]] if p.ndim == 1 else p[at]),
+                       lb[at[1]])
     return q
 
 

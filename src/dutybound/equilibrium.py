@@ -167,10 +167,12 @@ def solve_tatonnement(economy, p0=None, tol: float = DEFAULT_TOL,
     creeps back toward ``FALLBACK_STEP`` while improving. A fallback point
     at which some agent's duty set is empty is not taken either: the step
     halves and is retried from the same p, and if the point is still
-    infeasible at the step's floor ``MIN_STEP`` the run stops there. The
-    best iterate is kept, so a non-converged run still returns full
-    diagnostics with ``converged=False``; there is one diagnostics record
-    per iterate.
+    infeasible at the step's floor ``MIN_STEP`` the run stops there. The run
+    also stops, stalled, at an iterate that fails to improve the residual
+    while the step sits at ``MIN_STEP``: each further iterate would move p
+    by about ``MIN_STEP`` z / W. The best iterate is kept, so a
+    non-converged run still returns full diagnostics with
+    ``converged=False``; there is one diagnostics record per iterate.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -202,8 +204,11 @@ def solve_tatonnement(economy, p0=None, tol: float = DEFAULT_TOL,
             break
         # halve on non-improvement (an exact oscillation never strictly
         # increases the residual, so >= is what breaks limit cycles), with
-        # gentle recovery toward the first step on progress
+        # gentle recovery toward the first step on progress; a step already
+        # at its floor that does not improve has stalled
         if r >= prev_r * (1.0 - 1e-12):
+            if step <= MIN_STEP:
+                break
             step = max(step * 0.5, MIN_STEP)
         else:
             step = min(step * 1.02, FALLBACK_STEP)

@@ -11,8 +11,9 @@ paths stay here as references for the code that replaced them: the
 pair-by-pair topology check, the scan-plus-bisection critical mass, the
 period-by-period sugar simulation, the sweep that runs the simulator once
 per cell, the Walras gap relative to |p||z|, demand by bisection on the
-income multiplier, the central-difference Jacobian of excess demand, and
-the agent-by-agent loops behind trade volumes and duty spending.
+income multiplier, the demand kernel's closed form with its tilted rows
+gathered by mask every round, the central-difference Jacobian of excess
+demand, and the agent-by-agent loops behind trade volumes and duty spending.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from dataclasses import replace
 
+from dutybound import economy
 from dutybound.economy import ExtendedBundle, UtilityFamily, utility_value
 from dutybound.preferences import EPSILON
 from dutybound.reporting import CheckReport
@@ -417,6 +419,99 @@ def bisection_demand_rows(rows, prices) -> np.ndarray:
     final[k, best[k]] += residual[k] / p[best[k]]
     out[rest] = final
     return out
+
+
+def gathered_demand_rows(rows, prices) -> np.ndarray:
+    """``demand_rows`` at one feasible price vector or an ``(m, d)`` batch,
+    by the kernel's closed form as it stood before its tilted rows were
+    taken by agent index: a full-size tilt array, the tilted rows gathered
+    by boolean mask, and their quadratic re-solved every round. Rows the
+    closed form leaves go to the library's multiplier solve, as they did."""
+    fiber = rows.fiber
+    n = fiber.n
+    lb = fiber.columns[0]
+    p = np.asarray(prices, dtype=float)
+    if p.ndim == 2:
+        p = p[:, None, :]
+    _, w = economy._income(fiber, rows.endowment, p)
+    tilt = None
+    if rows.tilted.size:
+        tilt = np.zeros(w.shape + lb.shape)
+        tilt[..., n:] = rows.theta[:, None] * (p[..., n:] - rows.p_bar)
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        coords, todo = _gathered_active_set_rows(fiber, p, w, rows.weight, tilt)
+        if todo.any():
+            at = np.nonzero(todo)
+            coords[todo] = economy._multiplier_rows(
+                fiber, p if p.ndim == 1 else p[at[0], 0], w[todo], rows.weight[at[-1]],
+                tilt[todo])
+    return coords
+
+
+def _gathered_active_set_rows(fiber, p, w, weight, tilt):
+    lb, forbidden, offset, _ = fiber.columns
+    shape = w.shape + lb.shape
+    unsolved = np.zeros(w.shape, dtype=bool)
+    rows = None
+    if tilt is not None and (tilting := tilt.any(axis=-1)).any():
+        p_r, weight_r, tilt_r = (np.broadcast_to(v, shape)[tilting] for v in (p, weight, tilt))
+        tilted = tilt_r != 0
+        left = ((tilted.sum(axis=-1) > 1)
+                | ((tilt_r > 0) & (weight_r == 0)).any(axis=-1)
+                | ~(~forbidden & ~tilted & (weight_r > 0)).any(axis=-1))
+        unsolved[tilting] = left
+        tilting[tilting] = ~left
+        if tilting.any():
+            rows = tilting
+            p_r, weight_r, tilt_r, tilted = (v[~left] for v in (p_r, weight_r, tilt_r, tilted))
+    clipped, settle = forbidden, None
+    while True:
+        total_weight = np.where(clipped, 0.0, weight).sum(axis=-1)
+        pool = w + np.where(clipped, -p * lb, p * offset).sum(axis=-1)
+        mu = total_weight / pool
+        denom = mu[..., None] * p
+        if rows is not None:
+            clipped_r = clipped if clipped.ndim == 1 else clipped[rows]
+            status = tilted & ~clipped_r
+            settle = status.any(axis=-1)
+            if settle.any():
+                a_weight = np.where(clipped_r | status, 0.0, weight_r).sum(axis=-1)
+                price, b_weight, t = (np.where(status, v, 0.0).sum(axis=-1)
+                                      for v in (p_r, p_r * weight_r, tilt_r))
+                root, net = _gathered_larger_root(a_weight, pool[rows], price, b_weight, t)
+                mu[rows] = mu_r = np.where(settle, root, mu[rows])
+                denom[rows] = np.where(status, net[:, None], mu_r[:, None] * p_r)
+        wanted = weight / denom - offset
+        violating = ~clipped & (wanted < lb)
+        if not violating.any():
+            break
+        clipped = clipped | violating
+    at_bound = clipped | (total_weight <= 0.0)[..., None]
+    coords = np.where(at_bound, lb, wanted)
+    if settle is not None and settle.any():
+        at = rows.copy()
+        at[rows] = settle
+        rate = np.where(at_bound, 0.0, weight / denom / denom * p * p)
+        q, p_at, w_at, rate_at = coords[at], np.broadcast_to(p, shape)[at], w[at], rate[at]
+        steep = np.argmax(rate_at, axis=1)
+        k = np.flatnonzero(rate_at[np.arange(len(w_at)), steep] > 0)
+        q[k, steep[k]] = np.maximum(
+            q[k, steep[k]] + (w_at - np.einsum("...j,...j->...", q, p_at))[k] / p_at[k, steep[k]],
+            lb[steep[k]])
+        coords[at] = q
+    return coords, unsolved
+
+
+def _gathered_larger_root(a_weight, pool, price, b_weight, t):
+    u, v = pool * t, a_weight * price
+    _, e = np.frexp(np.maximum(np.abs(u), v + b_weight))
+    u, v, b = (np.ldexp(x, -e) for x in (u, v, b_weight))
+    root = np.sqrt(np.where(u > 0, (u - v) ** 2 + b * (b + 2.0 * (u + v)),
+                            (u + v + b) ** 2 - 4.0 * u * v))
+    s, s_net = u + v + b, v + b - u
+    q, q_net = (np.ldexp(0.5 * (x + np.copysign(root, x)), e) for x in (s, s_net))
+    return (np.where(s >= 0, q / (pool * price), a_weight * t / q),
+            np.where(s_net >= 0, q_net / pool, -b_weight * t / q_net))
 
 
 def kkt_residual(agent, prices, fiber, bundle):

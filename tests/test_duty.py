@@ -176,6 +176,27 @@ class TestLoadRegistry:
             })
         assert err.value.path == f"maxims.{maxim_id}.{key}"
 
+    @pytest.mark.parametrize("make,path", [
+        (lambda: PerfectDutySpec(id="floor", kind=DutyKind.REQUIRE_MIN, target="d",
+                                 level=float("nan")), "maxims.floor.level"),
+        (lambda: PerfectDutySpec(id="floor", kind=DutyKind.REQUIRE_MIN, target="d",
+                                 level=-1.0), "maxims.floor.level"),
+        (lambda: PerfectDutySpec(id="debt", kind=DutyKind.PRIOR_CLAIM,
+                                 amount=float("inf")), "maxims.debt.amount"),
+        (lambda: PerfectDutySpec(id="ban", kind=DutyKind.FORBID), "maxims.ban.target"),
+        (lambda: ImperfectDutyDef(id="hours", index=-1), "maxims.hours.index"),
+        (lambda: ImperfectDutyDef(id="hours", index=0, normalization_cap=float("nan")),
+         "maxims.hours.normalization_cap"),
+    ], ids=["level-nan", "level-negative", "amount-inf", "target-missing", "index-negative",
+            "cap-nan"])
+    def test_a_record_built_in_code_names_its_key(self, make, path):
+        """A record built without the registry reports its bad field at
+        ``maxims.<id>.<key>``, as a config error does."""
+        with pytest.raises(MalformedSpec) as err:
+            make()
+        assert err.value.path == path
+        assert f"malformed entry at {path}: " in str(err.value)
+
     def test_imperfect_indices_contiguous(self):
         reg = load_registry({
             "goods": ["g"],

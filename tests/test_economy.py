@@ -37,6 +37,7 @@ from dutybound.preferences import EPSILON
 from oracles import (
     bisection_demand_rows,
     central_difference_jacobian,
+    gathered_demand_rows,
     grid_search_demand,
     kkt_residual,
 )
@@ -464,7 +465,7 @@ class TestUntiltedPacks:
         rng = np.random.default_rng(3)
         agents = [random_agent(rng, name=f"a{k}", veblen=k == 0, duties=()) for k in range(3)]
         rows = AgentRows.pack(plain_fiber(GOODS3), agents)
-        assert not rows.tilts
+        assert rows.tilted.size == 0
         batch = demand_rows(rows, rng.uniform(0.05, 20.0, (3600, 3)))
         assert batch.shape == (3600, 3, 3) and np.all(batch > 0)
 
@@ -473,7 +474,7 @@ class TestUntiltedPacks:
         rng = np.random.default_rng(17)
         fiber = fiber_with(*KKT_REGIMES[regime], goods=GOODS3, duties=("d1",))
         rows = AgentRows.pack(fiber, [random_agent(rng, name=f"a{k}") for k in range(6)])
-        assert not rows.tilts
+        assert rows.tilted.size == 0
         demand_rows(rows, np.array([random_prices(rng) for _ in range(32)]))
 
     def test_one_agent_demand(self, tilted_code_raises):
@@ -486,10 +487,100 @@ class TestUntiltedPacks:
         fiber = fiber_with(*KKT_REGIMES["free"], goods=GOODS3, duties=("d1",))
         rows = AgentRows.pack(fiber, [random_agent(rng, name=f"a{k}", veblen=k % 2 == 0)
                                       for k in range(6)])
-        assert rows.tilts
+        np.testing.assert_array_equal(rows.tilted, [0, 2, 4])
         calls = counted(monkeypatch, "_larger_root")
         demand_rows(rows, np.array([random_prices(rng) for _ in range(8)]))
         assert calls
+
+
+class TestTiltedRowsByIndex:
+    """The kernel takes the rows that can tilt by agent index, finds each
+    one's tilted coordinate, p_d, B and t once per call, and solves the
+    quadratic again only in a round after one of its rows clipped a
+    coordinate. ``gathered_demand_rows`` keeps the form that gathered the
+    tilted rows by mask and solved the quadratic every round; both do the
+    same arithmetic on every row."""
+
+    @staticmethod
+    def mixed_pack(rng, regime, duties, scale):
+        """1-13 agents, about half VEBLEN and a fifth of those pure-status
+        on d1 (no log weight there), under ``regime`` scaled by ``scale``."""
+        fiber = fiber_with(*scaled_regime(regime, scale), goods=GOODS3, duties=duties)
+        agents = []
+        for k in range(int(rng.integers(1, 14))):
+            agent = random_agent(rng, name=f"a{k}", veblen=rng.uniform() < 0.5, duties=duties)
+            if agent.theta and rng.uniform() < 0.2:
+                agent = replace(agent, utility=replace(
+                    agent.utility, beta={**agent.utility.beta, "d1": 0.0}))
+            agents.append(replace(agent, endowment={g: q * scale
+                                                    for g, q in agent.endowment.items()}))
+        return fiber, agents
+
+    def test_byte_for_byte_against_the_gathered_form(self):
+        """Random mixed packs under each of ``KKT_REGIMES`` at scales 1e-6 to
+        1e7, one vector and a 6-vector batch each, with d1 priced exactly at
+        its reference in some vectors. Every case the kernel tells apart
+        occurs on the way: rows with two tilted duties (left to Newton),
+        pure-status rows, and a tilted row whose REQUIRE_MIN floor on its
+        tilted duty clips it after the first round."""
+        rng = np.random.default_rng(2024)
+        seen = dict.fromkeys(["two_tilted", "pure_status", "at_reference", "floor_clips"], 0)
+        for k in range(160):
+            regime = list(KKT_REGIMES)[k % len(KKT_REGIMES)]
+            duties = ("d1", "d2")[: 1 + (k // len(KKT_REGIMES)) % 2]
+            scale = 10.0 ** int(rng.integers(-6, 8))
+            fiber, agents = self.mixed_pack(rng, regime, duties, scale)
+            rows = AgentRows.pack(fiber, agents)
+            prices = np.array([random_prices(rng, duties=len(duties)) for _ in range(6)])
+            prices[::3, 3] = 1.0
+            for p in (prices[0], prices[1], prices):
+                got = demand_rows(rows, p)
+                assert got.tobytes() == gathered_demand_rows(rows, p).tobytes(), (k, p)
+            tilt = rows.theta[:, None, None] * (prices[None, :, 3:] - rows.p_bar[:, None, :])
+            tilted = (tilt != 0).sum(axis=-1)  # (agents, vectors)
+            seen["two_tilted"] += int((tilted == 2).sum())
+            seen["pure_status"] += int(((tilt[..., 0] > 0) & (rows.weight[:, None, 3] == 0)).sum())
+            seen["at_reference"] += int((rows.theta[:, None] * (prices[:, 3] == 1.0) > 0).sum())
+            if regime == "require_min":
+                floor = (got[..., 3] == 0.4 * scale).T  # (agents, vectors)
+                seen["floor_clips"] += int((floor & (tilted == 1) & (tilt[..., 0] != 0)).sum())
+        assert all(seen.values()), seen
+
+    @staticmethod
+    def floor_pack(*veblen):
+        """Under a REQUIRE_MIN of 0.4 on d1: a VEBLEN agent whose lam beta on
+        d1 (3.0) keeps it above the floor, then one agent per entry of
+        ``veblen`` (VEBLEN when the entry is true) with lam beta 0.04 on d1,
+        which wants less than zero of it at a duty price of 0.8."""
+        fiber = fiber_with(*KKT_REGIMES["require_min"], goods=GOODS3, duties=("d1",))
+
+        def agent(name, veblen, beta):
+            family = (UtilityFamily.VEBLEN_PRICE_DEPENDENT if veblen
+                      else UtilityFamily.COBB_DOUGLAS_EXTENDED)
+            return Agent(id=name, endowment=dict.fromkeys(GOODS3, 3.0), lam=1.0,
+                         theta=1.0 if veblen else 0.0,
+                         utility=UtilitySpec(family=family, alpha=dict.fromkeys(GOODS3, 1.0),
+                                             beta={"d1": beta},
+                                             reference_premium={"d1": 1.0}))
+        agents = [agent("v", True, 3.0)] + [agent(f"a{k}", flag, 0.04)
+                                           for k, flag in enumerate(veblen)]
+        return AgentRows.pack(fiber, agents)
+
+    @pytest.mark.parametrize("veblen,calls", [(False, 1), (True, 2)],
+                             ids=["cobb_douglas_row_clips", "tilted_row_clips"])
+    def test_quadratic_solves(self, veblen, calls, monkeypatch):
+        """One vector, two rounds: the first clips the low-weight agent's
+        duty to its floor. When that agent is Cobb-Douglas no tilted row
+        moved, and the first round's roots stand; when it is VEBLEN its
+        tilted duty clipped, so the quadratic is solved again for the row
+        still free."""
+        rows = self.floor_pack(veblen)
+        p = np.array([1.0, 1.0, 1.0, 0.8])
+        solved = counted(monkeypatch, "_larger_root")
+        got = demand_rows(rows, p)
+        assert len(solved) == calls
+        assert got[1, 3] == 0.4 and got[0, 3] > 0.4
+        assert got.tobytes() == gathered_demand_rows(rows, p).tobytes()
 
 
 def scaled_regime(regime, scale):

@@ -608,6 +608,22 @@ class TestTatonnement:
         assert 0.6 <= result.prices.values[1] <= 0.6 * (1 + 1e-9)
         assert max(result.walras_gaps()) <= 1e-10
 
+    def test_fallback_stalled_at_its_floor_stops(self):
+        """A holds only 1.36 of g2 and owes a prior claim of 0.3338; no
+        positive p2 clears this fiber. From iteration 57 the fallback step
+        sits at ``MIN_STEP`` and the residual stays at 0.521, where the solve
+        used to run on to all 10,000 iterations (2.1 s). It now stops there,
+        stalled, with the best iterate and one diagnostics record per
+        iterate."""
+        economy = self.claim_economy(0.3338, 0.1543, 1.36, cd_agent("B", 0.749, 1.342, 1.859))
+        result = solve_tatonnement(economy)
+        assert not result.converged
+        assert len(result.diagnostics) == result.iterations + 1 < 100
+        assert result.diagnostics[-1].step == equilibrium.MIN_STEP
+        assert result.diagnostics[-1].residual >= result.diagnostics[-2].residual * (1 - 1e-12)
+        assert result.residual == min(rec.residual for rec in result.diagnostics)
+        assert result.residual == pytest.approx(0.521, abs=5e-4)
+
 
 @pytest.mark.parametrize("goods,duties,agents", [(1, 0, 40), (3, 1, 200), (2, 3, 9)])
 def test_trade_accounts_equal_the_agent_loops(goods, duties, agents):

@@ -75,8 +75,10 @@ class UtilitySpec:
 
     def __post_init__(self):
         weights = list(self.alpha.values()) + list(self.beta.values())
-        if any(w < 0 for w in weights):
-            raise NegativeInput("utility weights")
+        if not all(0 <= w < math.inf for w in weights):
+            raise NegativeInput("utility weights must be finite and non-negative")
+        if not all(math.isfinite(v) for v in self.reference_premium.values()):
+            raise ValueError("reference premiums must be finite")
         if not sum(self.alpha.values()) > 0:
             raise ValueError("alpha weights must sum to a positive value")
 
@@ -102,7 +104,7 @@ class ExtendedBundle:
         e = np.atleast_1d(np.asarray(self.e, dtype=float))
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "e", e)
-        if (x < 0).any() or (e < 0).any():
+        if not ((x >= 0).all() and (e >= 0).all()):  # NaN fails too
             raise NegativeInput("bundle coordinates")
 
     @property
@@ -193,8 +195,9 @@ class Agent:
         for g, q in self.endowment.items():
             if not math.isfinite(q) or q < 0:
                 raise NegativeInput(f"endowment of {g!r} for agent {self.id!r}")
-        if self.lam < 0 or self.theta < 0:
-            raise NegativeInput(f"lambda/theta for agent {self.id!r}")
+        if not (0 <= self.lam < math.inf and 0 <= self.theta < math.inf):
+            raise NegativeInput(f"lambda/theta for agent {self.id!r} must be finite and "
+                                "non-negative")
 
     def endowment_for(self, goods: Sequence[str]) -> np.ndarray:
         return np.array([self.endowment.get(g, 0.0) for g in goods])
@@ -210,9 +213,9 @@ def _as_price_array(prices, dims: int, batch: bool = False) -> np.ndarray:
 
 
 def _spend(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Cost p . q of each row of ``q``, at one price vector or at prices that
-    broadcast against the rows."""
-    return q @ p if p.ndim == 1 else np.einsum("...j,...j->...", q, p)
+    """Cost p . q of each row of ``q`` at prices that broadcast against the
+    rows, summed in the same order whatever the number of rows."""
+    return np.einsum("...j,...j->...", q, p)
 
 
 def _income(fiber: Fiber, endowment: np.ndarray, p: np.ndarray):
@@ -272,7 +275,7 @@ def utility_value(spec: UtilitySpec, x, e, prices, fiber: Fiber,
         p = _as_price_array(prices, fiber.n + fiber.l)
         p_duty = p[fiber.n:]
         for d, pe in zip(fiber.duties, p_duty):
-            if pe <= 0:
+            if not pe > 0:
                 raise NonPositivePrice(d, float(pe))
         p_bar = spec.p_bar_for(fiber.duties)
         value += theta * float(np.dot(np.asarray(e, dtype=float), p_duty - p_bar))
@@ -340,6 +343,8 @@ def demand(agent: Agent, prices, fiber: Fiber) -> ExtendedBundle:
 def demand_rows(rows: AgentRows, prices) -> np.ndarray:
     """Demand of every packed agent, one row per agent: ``(agents, d)`` at one
     price vector of length d, ``(m, agents, d)`` at an ``(m, d)`` batch of them.
+    A single vector is a batch of one, so each row of a batch equals the
+    one-vector call at its prices bit for bit.
 
     First-order conditions per coordinate, given the income multiplier mu:
 
@@ -357,24 +362,24 @@ def demand_rows(rows: AgentRows, prices) -> np.ndarray:
     settle on the lexicographically smallest vector, i.e. every coordinate
     at its bound.
 
-    In a batch the agents' arrays broadcast against each price vector, and
-    the error raised is the one a loop over the vectors would raise first.
+    The prices take one shape below this point, ``(m, 1, d)``, which
+    broadcasts against the agents' arrays; the error raised is the one a
+    loop over the vectors would raise first.
     """
     fiber = rows.fiber
     n = fiber.n
     lb, _, _, conflict = fiber.columns
-    p = _as_price_array(prices, n + fiber.l, batch=True)
-    if p.ndim == 2:
-        p = p[:, None, :]  # broadcasts over the agents
+    prices = _as_price_array(prices, n + fiber.l, batch=True)
+    p = prices.reshape(-1, 1, n + fiber.l)
 
     income, w = _income(fiber, rows.endowment, p)
     fixed_cost = p @ lb
     empty = (w < 0) | (fixed_cost > w * (1 + 1e-12) + 1e-12)
-    if conflict is not None or (p <= 0).any() or empty.any():
+    if conflict is not None or not (p > 0).all() or empty.any():
         raise _first_error(rows, p, income, w, fixed_cost, empty | (conflict is not None))
 
     # the status-premium tilt on the duty prices of the rows that can tilt,
-    # ``(..., len(tilted), l)``; none at all for a pack in which no row can
+    # ``(m, len(tilted), l)``; none at all for a pack in which no row can
     tilted, tilt = rows.tilted, None
     if tilted.size:
         tilt = rows.theta[tilted, None] * (p[..., n:] - rows.p_bar[tilted])
@@ -387,12 +392,12 @@ def demand_rows(rows: AgentRows, prices) -> np.ndarray:
         coords, left = _active_set_rows(fiber, p, w, rows.weight, tilted, tilt)
         if left is not None and left.any():
             sel = np.nonzero(left)
-            at = (*sel[:-1], tilted[sel[-1]])  # the rows' (vector and) agent indices
-            tilt_at = np.zeros((sel[-1].size, n + fiber.l))
+            at = (sel[0], tilted[sel[1]])  # the rows' vector and agent indices
+            tilt_at = np.zeros((sel[1].size, n + fiber.l))
             tilt_at[:, n:] = tilt[sel]
-            coords[at] = _multiplier_rows(fiber, p if p.ndim == 1 else p[sel[0], 0], w[at],
-                                          rows.weight[at[-1]], tilt_at)
-    return coords
+            coords[at] = _multiplier_rows(fiber, p[sel[0], 0], w[at], rows.weight[at[1]],
+                                          tilt_at)
+    return coords[0] if prices.ndim == 1 else coords
 
 
 def _first_error(rows: AgentRows, p, income, w, fixed_cost, empty) -> DutyModelError:
@@ -401,9 +406,9 @@ def _first_error(rows: AgentRows, p, income, w, fixed_cost, empty) -> DutyModelE
     empty, that is the bad price, or else the first such agent in row order."""
     fiber, count = rows.fiber, len(rows.ids)
     _, _, _, conflict = fiber.columns
-    vectors = p.reshape(-1, p.shape[-1])
+    vectors = p[:, 0]
     k = int(np.argmax(empty)) if empty.any() else empty.size
-    bad_vectors = np.flatnonzero((vectors[: k // count + 1] <= 0).any(axis=1))
+    bad_vectors = np.flatnonzero(~(vectors[: k // count + 1] > 0).all(axis=1))
     if bad_vectors.size:
         v = vectors[bad_vectors[0]]
         bad = int(np.argmin(v))
@@ -491,15 +496,15 @@ def _active_set_rows(fiber: Fiber, p, w, weight, tilted, tilt):
         closed = ((count == 1) & (a_weight > 0)
                   & ~((tilt > 0) & (weight_t[:, n:] == 0)).any(axis=-1))
         left = (count > 0) & ~closed
-        # their (vector and) agent indices, and p_d, B and t of c
+        # their vector and agent indices, and p_d, B and t of c
         sel = np.nonzero(closed)
-        if sel[-1].size:
-            at = (*sel[:-1], tilted[sel[-1]])
+        if sel[1].size:
+            at = (sel[0], tilted[sel[1]])
             hot, a_weight = on[sel], a_weight[sel]
             c = hot.argmax(axis=-1)
-            price = p[c] if p.ndim == 1 else p[sel[0], 0, c]
-            b_weight, t = price * weight[at[-1], c], tilt[(*sel, c - n)]
-            weight_at = weight[at[-1]]
+            price = p[sel[0], 0, c]
+            b_weight, t = price * weight[at[1], c], tilt[(*sel, c - n)]
+            weight_at = weight[at[1]]
     clipped, solve = forbidden, True
     while True:
         total_weight = np.where(clipped, 0.0, weight).sum(axis=-1)
@@ -531,12 +536,9 @@ def _active_set_rows(fiber: Fiber, p, w, weight, tilted, tilt):
     at_bound = clipped | (total_weight <= 0.0)[..., None]
     coords = np.where(at_bound, lb, wanted)
     if at is not None:
-        # a price vector per row, so ``_settle_budget`` rounds spending as in
-        # a batch; ``at_bound`` lacks the vector axis of a batch in which
-        # nothing clipped
-        p_at = p[None].repeat(c.size, axis=0) if p.ndim == 1 else p[at[0], 0]
-        denom_at = denom[at]
-        rate = np.where(at_bound[at] if at_bound.ndim > w.ndim else at_bound[at[-1]], 0.0,
+        # ``at_bound`` lacks the vector axis while nothing has clipped
+        p_at, denom_at = p[at[0], 0], denom[at]
+        rate = np.where(np.broadcast_to(at_bound, w.shape + lb.shape)[at], 0.0,
                         weight_at / denom_at / denom_at * p_at * p_at)
         coords[at] = _settle_budget(coords[at], p_at, w[at], rate, lb)
     return coords, left
@@ -570,7 +572,8 @@ def _larger_root(a_weight, pool, price, b_weight, t):
 
 
 def _settle_budget(q, p, w, rate, lb) -> np.ndarray:
-    """Rows ``q`` with what is left of each budget ``w`` put into the
+    """Rows ``q`` at their own price vectors ``p``, one per row in a batch of
+    one as in any other, with what is left of each budget ``w`` put into the
     coordinate whose spending falls fastest in mu (``rate``).
 
     What is left is rounding, which a duty near its pole magnifies by
@@ -582,8 +585,7 @@ def _settle_budget(q, p, w, rate, lb) -> np.ndarray:
     steep = rate.argmax(axis=1)
     k = np.flatnonzero(rate[np.arange(len(w)), steep] > 0)
     at = (k, steep[k])
-    q[at] = np.maximum(q[at] + (w - _spend(q, p))[k] / (p[at[1]] if p.ndim == 1 else p[at]),
-                       lb[at[1]])
+    q[at] = np.maximum(q[at] + (w - _spend(q, p))[k] / p[at], lb[at[1]])
     return q
 
 
@@ -591,9 +593,9 @@ _ULPS = 4 * np.finfo(float).eps  # a few units in the last place, relative
 
 
 def _multiplier_rows(fiber: Fiber, p, w, weight, tilt) -> np.ndarray:
-    """Rows the closed form of ``_active_set_rows`` does not cover, at one
-    price vector ``p`` or at one per row, by safeguarded Newton on the
-    income multiplier mu.
+    """Rows the closed form of ``_active_set_rows`` does not cover, each at
+    its own price vector (a row of ``p``, as in a batch of one), by
+    safeguarded Newton on the income multiplier mu.
 
     A coordinate above its bound spends p_k (weight_k / (mu p_k - tilt_k) -
     offset_k), so mu times the excess spending is linear in mu where there
@@ -629,7 +631,7 @@ def _multiplier_rows(fiber: Fiber, p, w, weight, tilt) -> np.ndarray:
 
     # the bounds exhaust the budget exactly: nothing left to allocate
     out = coords_at(np.full(len(w), 1e300))[0]
-    rest = w - p @ lb > 0
+    rest = w - _spend(p, lb) > 0
     # nothing worth buying beyond the bounds: lexicographically smallest point
     lazy = coords_at(np.full(len(w), 1e-300))[0]
     idle = rest & (_spend(lazy, p) <= w * (1 + 1e-12) + 1e-12)
@@ -637,9 +639,8 @@ def _multiplier_rows(fiber: Fiber, p, w, weight, tilt) -> np.ndarray:
     rest &= ~idle
     if not rest.any():
         return out
-    p = p if p.ndim == 1 else p[rest]  # one price vector, or one per row
-    w, weight, tilt, big, floor, unweighted = \
-        w[rest], weight[rest], tilt[rest], big[rest], floor[rest], unweighted[rest]
+    p, w, weight, tilt, big, floor, unweighted = \
+        p[rest], w[rest], weight[rest], tilt[rest], big[rest], floor[rest], unweighted[rest]
 
     # probe by factors of 8 from mu = 1 until every row's budget is
     # bracketed (a bracketed row steps back and forth across its bracket);
@@ -681,13 +682,12 @@ def _multiplier_rows(fiber: Fiber, p, w, weight, tilt) -> np.ndarray:
     # coordinate. That coordinate takes the row's rounding too: it moves no
     # first-order condition, where the steepest one would move a good's.
     final, rate = coords_at(np.where(inside, step, mu_hi))
-    prices = np.broadcast_to(p, final.shape)
     residual = w - _spend(final, p)
     ratio = np.where(unweighted & (tilt > 0) & allowed, tilt / p, -np.inf)
     best = np.argmax(ratio, axis=1)
     k = np.flatnonzero((residual > 1e-9 * (1 + w))
                        & (ratio[np.arange(len(w)), best] > 0))
-    final[k, best[k]] += residual[k] / prices[k, best[k]]
+    final[k, best[k]] += residual[k] / p[k, best[k]]
     rate[k] = 0.0
     out[rest] = _settle_budget(final, p, w, rate, lb)
     return out
@@ -755,7 +755,7 @@ class FiberEconomy:
         if not self.agents:
             raise ValueError("an economy needs at least one agent")
         for d in self.fiber.duties:
-            if self.duty_prices.get(d, 1.0) <= 0:
+            if not self.duty_prices.get(d, 1.0) > 0:
                 raise NonPositivePrice(d, self.duty_prices.get(d, 1.0))
         if not self.fiber.tradable_goods():
             raise ValueError(f"fiber {self.fiber.y_id!r} has no tradable good to serve "
@@ -822,7 +822,8 @@ class FiberEconomy:
     def excess_demand(self, p: np.ndarray) -> np.ndarray:
         """Aggregate excess demand, sink included: a length-d vector at one
         price vector, an ``(m, d)`` array at an ``(m, d)`` batch, one row per
-        vector.
+        vector. A single vector is a batch of one, so each row of a batch
+        equals the one-vector call at its prices bit for bit.
 
         Per good: total demand minus total endowment. Duty coordinates are
         zero by construction (elastic supply), demonetized goods have no
@@ -831,27 +832,23 @@ class FiberEconomy:
         budget. At one price vector the kernel's answer is the remembered one
         (``demand_at``), which ``jacobian`` reads at the same point.
         """
-        rows = self.rows
         n = self.fiber.n
         _, forbidden, _, _ = self.fiber.columns
-        coords = self.demand_at(p) if p.ndim == 1 else demand_rows(rows, p)
+        coords = self.demand_at(p)[None] if p.ndim == 1 else demand_rows(self.rows, p)
+        prices = p.reshape(coords.shape[0], -1)
 
-        # the sum over agents, a leading axis at one price vector; over a
-        # batch einsum adds in the same order several times faster than
-        # ``sum(axis=1)``
-        bought = coords[:, :n].sum(axis=0) if p.ndim == 1 else \
-            np.einsum("kaj->kj", coords[..., :n])
-        z = np.zeros(p.shape)
-        z[..., :n] = np.where(forbidden[:n], 0.0, bought - self.total_endowment)
+        # the sums over agents: einsum adds them in the same order as
+        # ``sum(axis=1)``, several times faster
+        z = np.zeros(prices.shape)
+        z[:, :n] = np.where(forbidden[:n], 0.0,
+                            np.einsum("kaj->kj", coords[..., :n]) - self.total_endowment)
         duty_spend = 0.0  # a fiber without duties spends nothing on them
         if self.fiber.l:
-            duty_spend = (coords[:, n:] @ p[n:]).sum() if p.ndim == 1 else \
-                np.einsum("kaj,kj->k", coords[..., n:], p[:, n:])
-        sink = self.fiber.constraints.prior_claim_total * len(rows.ids) + duty_spend
+            duty_spend = np.einsum("kaj,kj->k", coords[..., n:], prices[:, n:])
+        sink = self.fiber.constraints.prior_claim_total * len(self.agents) + duty_spend
         num = self.numeraire_index
-        # .T[num] is the numeraire entry of one vector and column of a batch
-        z.T[num] += sink / p.T[num]
-        return z
+        z[:, num] += sink / prices[:, num]
+        return z.reshape(p.shape)
 
     def jacobian(self, p: np.ndarray, free: Sequence[int]) -> np.ndarray:
         """Jacobian of excess demand in the free prices (rows and columns

@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .economy import ExtendedBundle, FiberEconomy
-from .errors import DimensionTooLarge, InfeasibleDutySet, SingularJacobian
+from .errors import DimensionTooLarge, InfeasibleDutySet, NonPositivePrice, SingularJacobian
 
 FALLBACK_STEP = 0.1  # first step of the tatonnement fallback
 MIN_STEP = 1e-14  # the fallback step's floor
@@ -65,8 +65,9 @@ class PriceVector:
         object.__setattr__(self, "values", values)
         if values.shape != (len(self.dims),):
             raise ValueError("price vector does not match its dimension list")
-        if np.any(values <= 0):
-            raise ValueError("prices must be strictly positive")
+        bad = np.flatnonzero(~(values > 0))
+        if bad.size:
+            raise NonPositivePrice(self.dims[bad[0]], float(values[bad[0]]))
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.values, dtype=dtype, copy=copy)

@@ -443,8 +443,8 @@ def gathered_demand_rows(rows, prices) -> np.ndarray:
         if todo.any():
             at = np.nonzero(todo)
             coords[todo] = economy._multiplier_rows(
-                fiber, p if p.ndim == 1 else p[at[0], 0], w[todo], rows.weight[at[-1]],
-                tilt[todo])
+                fiber, np.broadcast_to(p, w.shape + p.shape[-1:])[todo], w[todo],
+                rows.weight[at[-1]], tilt[todo])
     return coords
 
 

@@ -338,8 +338,7 @@ class TestDemandRows:
             p = random_prices(rng)
             batch = demand_rows(rows, p)
             for row, agent in zip(batch, agents):
-                np.testing.assert_allclose(row, demand(agent, p, fiber).coords,
-                                           rtol=0.0, atol=1e-12)
+                np.testing.assert_array_equal(row, demand(agent, p, fiber).coords)
 
 
 CLAIM_AND_FORBID = ({"c": {"class": "perfect", "kind": "PRIOR_CLAIM", "amount": 0.3},
@@ -400,7 +399,7 @@ class TestDemandRowsBatch:
             binds = (batch[..., 3] == 0.4).any(axis=1)
             assert binds.any() and not binds.all()
         for p, got in zip(prices, batch):
-            np.testing.assert_allclose(got, demand_rows(rows, p), rtol=0.0, atol=1e-12)
+            np.testing.assert_array_equal(got, demand_rows(rows, p))
 
     def test_rows_idle_at_their_bounds_mix_with_bisected_rows(self):
         """A status-only agent (all log weight on a forbidden good) buys
@@ -410,7 +409,7 @@ class TestDemandRowsBatch:
         rows = AgentRows.pack(*status_only_agents())
         batch = demand_rows(rows, STATUS_PRICES)
         for p, got in zip(STATUS_PRICES, batch):
-            np.testing.assert_allclose(got, demand_rows(rows, p), rtol=0.0, atol=1e-12)
+            np.testing.assert_array_equal(got, demand_rows(rows, p))
         assert np.all(batch[[0, 2], 1] == 0.0) and batch[1, 1, 3] > 0
 
     def claim_rows(self):
@@ -428,12 +427,14 @@ class TestDemandRowsBatch:
         ("ok", "all_fail", "nonpositive"),
         ("ok", "ok", "all_fail"),
         ("nonpositive_twice", "all_fail"),
+        ("ok", "nan", "poor_fails"),
     ])
     def test_batch_raises_what_a_loop_raises_first(self, order):
         rows = self.claim_rows()
         vectors = {"ok": [1.0, 1.0, 1.0, 1.0], "poor_fails": [0.2, 0.2, 0.2, 1.0],
                    "all_fail": [1e-3, 1e-3, 1e-3, 1.0], "nonpositive": [1.0, 1.0, -2.0, 1.0],
-                   "nonpositive_twice": [1.0, 0.0, -3.0, 1.0]}
+                   "nonpositive_twice": [1.0, 0.0, -3.0, 1.0],
+                   "nan": [1.0, 1.0, np.nan, 1.0]}
         prices = np.array([vectors[name] for name in order])
         expected = first_error(lambda p: demand_rows(rows, p), prices)
         with pytest.raises(type(expected)) as raised:
@@ -882,7 +883,8 @@ class TestTiltedClosedForm:
         _, w = economy._income(fiber, rows.endowment, p)
         try:
             with np.errstate(all="ignore"):
-                newton = economy._multiplier_rows(fiber, p, w, rows.weight, tilt)
+                newton = economy._multiplier_rows(fiber, np.broadcast_to(p, tilt.shape), w,
+                                                  rows.weight, tilt)
         except NoConvergence:
             newton = None
         if newton is not None:
@@ -992,6 +994,53 @@ class TestIncomeRule:
                 demand(agent, poor, fiber)
             assert str(from_income.value) == str(from_demand.value)
             assert "prior claims 0.3 exceed income" in str(from_demand.value)
+
+
+class TestNonFiniteInputs:
+    """A sign test such as ``x < 0`` is False for NaN and passes infinity,
+    so each check rejects non-finite values explicitly. The config path
+    rejects them already; built in code, they would reach demand."""
+
+    @pytest.mark.parametrize("field", ["lam", "theta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_agent_intensities(self, field, value):
+        spec = UtilitySpec(family=UtilityFamily.VEBLEN_PRICE_DEPENDENT,
+                           alpha={"g1": 1.0}, beta={"d1": 1.0})
+        with pytest.raises(NegativeInput, match="finite"):
+            Agent(id="a", endowment={"g1": 1.0}, utility=spec, **{field: value})
+
+    @pytest.mark.parametrize("weights", [
+        {"alpha": {"g1": np.nan}},
+        {"alpha": {"g1": 1.0, "g2": np.inf}},
+        {"alpha": {"g1": 1.0}, "beta": {"d1": np.nan}},
+        {"alpha": {"g1": 1.0}, "beta": {"d1": np.inf}},
+    ])
+    def test_utility_weights(self, weights):
+        with pytest.raises(NegativeInput, match="finite"):
+            UtilitySpec(family=UtilityFamily.VEBLEN_PRICE_DEPENDENT, **weights)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_reference_premium(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            UtilitySpec(family=UtilityFamily.VEBLEN_PRICE_DEPENDENT, alpha={"g1": 1.0},
+                        reference_premium={"d1": value})
+
+    @pytest.mark.parametrize("coords", [([np.nan], [0.0]), ([1.0], [np.nan])])
+    def test_bundle_coordinates(self, coords):
+        with pytest.raises(NegativeInput):
+            ExtendedBundle(*coords)
+
+    def test_nan_price_rejected_by_demand(self):
+        fiber = plain_fiber(goods=("g1", "g2"), duties=("d1",))
+        agent = Agent(id="a", endowment={"g1": 1.0}, utility=cd_spec({"g1": 1.0, "g2": 1.0}))
+        with pytest.raises(NonPositivePrice, match="'g2'"):
+            demand(agent, np.array([1.0, np.nan, 1.0]), fiber)
+
+    def test_nan_duty_price_rejected_by_the_economy(self):
+        fiber = plain_fiber(goods=("g1",), duties=("d1",))
+        agent = Agent(id="a", endowment={"g1": 1.0}, utility=cd_spec({"g1": 1.0}))
+        with pytest.raises(NonPositivePrice, match="'d1'"):
+            FiberEconomy(fiber=fiber, agents=(agent,), duty_prices={"d1": np.nan})
 
 
 class TestFiberEconomy:

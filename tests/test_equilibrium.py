@@ -175,6 +175,11 @@ class TestExcessDemand:
         with pytest.raises(NonPositivePrice, match="'g2'"):
             excess_demand(symmetric_economy(), np.array([1.0, -0.5]))
 
+    @pytest.mark.parametrize("value", [0.0, np.nan])
+    def test_price_vector_names_the_nonpositive_price(self, value):
+        with pytest.raises(NonPositivePrice, match="'g2'"):
+            PriceVector(np.array([1.0, value]), ("g1", "g2"))
+
     def test_symmetric_clears_at_unit_prices(self):
         z = excess_demand(symmetric_economy(), np.array([1.0, 1.0]))
         assert np.allclose(z, 0.0, atol=1e-9)
@@ -295,16 +300,31 @@ def many_agent_economy(regime: str, scale: float) -> FiberEconomy:
 
 
 class TestExcessDemandBatch:
-    def test_each_row_is_the_single_vector_call(self):
-        economy = claim_and_duty_economy()
-        rng = np.random.default_rng(9)
-        prices = np.column_stack([np.ones(12), rng.uniform(0.3, 3.0, 12),
-                                  rng.uniform(0.5, 2.0, 12)])
+    """A batch of price vectors against one call per vector, bit for bit."""
+
+    @staticmethod
+    def check_rows(economy, prices):
         batch = excess_demand(economy, prices)
-        assert batch.shape == (12, 3)
+        assert batch.shape == prices.shape
         for p, z in zip(prices, batch):
-            np.testing.assert_allclose(z, excess_demand(economy, p), rtol=0.0, atol=1e-12)
+            np.testing.assert_array_equal(z, excess_demand(economy, p))
             assert absolute_walras_gap(p, z) <= 1e-10
+
+    def test_each_row_is_the_single_vector_call(self):
+        rng = np.random.default_rng(9)
+        self.check_rows(claim_and_duty_economy(),
+                        np.column_stack([np.ones(12), rng.uniform(0.3, 3.0, 12),
+                                         rng.uniform(0.5, 2.0, 12)]))
+
+    @pytest.mark.parametrize("regime", MANY_AGENT_REGIMES)
+    def test_many_agent_rows_are_the_single_vector_call(self, regime):
+        """The 40-agent economies shaped like the many-agent benchmark's,
+        where the agents' sums are long enough for a different summation
+        order to show."""
+        rng = np.random.default_rng(9)
+        self.check_rows(many_agent_economy(regime, 1.0),
+                        np.column_stack([np.ones(12), rng.uniform(0.3, 3.0, (12, 2)),
+                                         rng.uniform(0.5, 2.0, 12)]))
 
 
 class TestJacobian:

@@ -4,6 +4,9 @@ Subcommands: check-topology, check-preferences, solve, trace,
 scenario {sugar|slavery|veblen}, sweep. Exit codes: 0 success,
 2 verification failure, 3 solver non-convergence, 4 configuration error.
 
+Every command reads its input file, check-preferences' relation file too,
+through ``config.parse_and_validate``: one reader and one number rule.
+
 Every run writes its CSV artifacts plus a manifest into the output
 directory and prints the main table to stdout. Identical config and seed
 give byte-identical CSV output.
@@ -12,7 +15,6 @@ give byte-identical CSV output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -40,7 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("check-preferences", help="check rationality axioms of a relation")
-    p.add_argument("--relation", required=True, help="relation file (points + pairs or utility)")
+    p.add_argument("--relation", dest="config", required=True,
+                   help="relation file (points + pairs or utility)")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("solve", help="solve one fiber's equilibrium")
@@ -71,13 +74,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        if args.command == "check-preferences":
-            return _cmd_check_preferences(args, started)
         config = parse_and_validate(args.config)
         if args.out:
             config.output_dir = args.out
         if args.command == "check-topology":
             return _cmd_check_topology(args, config, started)
+        if args.command == "check-preferences":
+            return _cmd_check_preferences(config, started)
         if args.command == "solve":
             return _cmd_solve(args, config, started)
         if args.command == "trace":
@@ -151,46 +154,20 @@ def _cmd_check_topology(args, config: RunConfig, started: float) -> int:
     return EXIT_OK if axioms.passed and continuity.passed else EXIT_VERIFICATION
 
 
-def _load_relation(path: str) -> preferences.PreferenceRelation:
-    try:
-        tree = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ParseError(path, str(exc)) from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}", exc.msg) from None
-    if "points" not in tree:
-        raise ParseError(path, "relation file needs 'points'")
-    grid = preferences.ChoiceGrid(coords=np.asarray(tree["points"], dtype=float))
-    if "pairs" in tree:
-        holds = np.zeros((grid.size, grid.size), dtype=bool)
-        for a, b in tree["pairs"]:
-            holds[int(a), int(b)] = True
-        return preferences.PreferenceRelation(grid=grid, holds=holds)
-    if "utility" in tree:
-        spec = tree["utility"]
-        alpha = np.asarray(spec.get("alpha", []), dtype=float)
-        beta = np.asarray(spec.get("beta", []), dtype=float)
-        lam = float(spec.get("lambda", 1.0))
-        n = alpha.size
-
-        def u(point):
-            return preferences.axiom1_utility(point[:n], point[n:], alpha, beta, lam)
-
-        return preferences.induced_relation(u, grid)
-    raise ParseError(path, "relation file needs 'pairs' or 'utility'")
-
-
-def _cmd_check_preferences(args, started: float) -> int:
-    rel = _load_relation(args.relation)
+def _cmd_check_preferences(config: RunConfig, started: float) -> int:
+    rel = config.relation
+    if rel is None:
+        print("config error: check-preferences needs points plus pairs or utility",
+              file=sys.stderr)
+        return EXIT_CONFIG
     reports = [preferences.check_reflexive(rel), preferences.check_complete(rel),
                preferences.check_transitive(rel), preferences.check_monotone(rel)]
     for report in reports:
         print(str(report))
     rational = reports[1].passed and reports[2].passed
 
-    outdir = args.out or "out"
     rows = [[r.name, r.passed, r.checked, r.detail] for r in reports]
-    path, _ = _emit(outdir, "preference_report.csv",
+    path, _ = _emit(config.output_dir, "preference_report.csv",
                     ["check", "passed", "checked", "detail"], rows)
     outputs = [path]
     if rational:
@@ -198,11 +175,10 @@ def _cmd_check_preferences(args, started: float) -> int:
         rank_rows = [[i] + [c for c in rel.grid.coords[i]] + [ranks.ranks[i]]
                      for i in range(rel.grid.size)]
         header = ["point"] + [f"coord_{d}" for d in range(rel.grid.dims)] + ["rank"]
-        rank_path, text = _emit(outdir, "preference_ranks.csv", header, rank_rows)
+        rank_path, text = _emit(config.output_dir, "preference_ranks.csv", header, rank_rows)
         print(text, end="")
         outputs.append(rank_path)
-    output.write_manifest(outdir, "check-preferences", args.relation, 0,
-                          [p.name for p in outputs], started)
+    _finish(config, "check-preferences", outputs, started)
     return EXIT_OK if all(r.passed for r in reports[:3]) else EXIT_VERIFICATION
 
 
@@ -215,7 +191,8 @@ def _cmd_solve(args, config: RunConfig, started: float) -> int:
     economy = template.economy_at(y_id, template.agents)
     result = equilibrium.solve_tatonnement(
         economy, tol=template.solver_tol, max_iter=template.solver_max_iter)
-    if result.converged:
+    # a solve to a looser tol than the index's own clearing test gets no index
+    if result.converged and result.residual <= equilibrium.INDEX_RESIDUAL_TOL:
         try:
             result.index = equilibrium.equilibrium_index(economy, result.prices)
         except SingularJacobian:

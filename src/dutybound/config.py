@@ -2,9 +2,11 @@
 
 One JSON file describes a whole run: the maxim registry, the base space and
 its fibers, the agents, solver settings, an optional path/profile, and the
-scenario sections; the economy sections become one ``EconomyTemplate``. Parsing
-collects every validation failure it can find before giving up, so a bad
-config reports all its problems at once.
+scenario sections; the economy sections become one ``EconomyTemplate``. A
+``check-preferences`` relation file (points plus pairs or a utility spec) is
+read the same way, into ``RunConfig.relation``. Parsing collects every
+validation failure it can find before giving up, so a bad config reports
+all its problems at once.
 """
 
 from __future__ import annotations
@@ -15,10 +17,13 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
+import numpy as np
+
 from .duty import _is_number, load_registry
 from .economy import Agent, UtilityFamily, UtilitySpec
 from .equilibrium import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .errors import DutyModelError, ParseError, ValidationErrors
+from .preferences import ChoiceGrid, PreferenceRelation, axiom1_utility, induced_relation
 from .scenarios import SugarMarketConfig
 from .topology import BaseSpace
 from .transition import BasePath, EconomyTemplate, FiberSpec, GenerationProfile, build_path
@@ -52,6 +57,7 @@ class RunConfig:
     sugar: SugarMarketConfig | None = None
     veblen: VeblenProbeConfig | None = None
     sweep: SweepConfig | None = None
+    relation: PreferenceRelation | None = None
     output_dir: str = "out"
     output_formats: tuple[str, ...] = ("csv",)
     source_path: str | None = None
@@ -165,6 +171,7 @@ def validate_tree(tree: Mapping[str, Any]) -> RunConfig:
             errors.extend(exc.errors)
     _validate_path(tree, config, errors)
     _validate_scenarios(tree, config, agents, specs, errors)
+    _validate_relation(tree, config, errors)
 
     out = tree.get("output", {})
     if isinstance(out, Mapping):
@@ -398,6 +405,60 @@ def _validate_scenarios(tree, config, agents, specs, errors):
                     config.sugar.price_conventional + p > 0 for p in config.sweep.premiums):
                 errors.append("scenarios.sweep.premiums: each must exceed "
                               "-price_conventional, so that the ethical price is positive")
+
+
+def _validate_relation(tree, config, errors):
+    """A relation file's ``points``, rows of numbers of one width, and
+    exactly one of ``pairs`` (``[a, b]``: point a is weakly preferred to
+    point b, by integer index below the point count) and ``utility`` (one
+    weight per point coordinate: ``alpha`` on the first ones, ``beta`` on
+    the rest, both empty by default, and ``lambda``, 1 by default)."""
+    if not {"points", "pairs", "utility"} & set(tree):
+        return
+    points = tree.get("points")
+    if not (isinstance(points, list) and all(
+            isinstance(row, list) and row and all(map(_is_number, row)) for row in points)
+            and len({len(row) for row in points}) == 1):
+        errors.append("points: must be a non-empty list of rows of numbers of one width")
+        return
+    try:
+        grid = ChoiceGrid(coords=np.array(points, dtype=float))
+    except (DutyModelError, ValueError) as exc:
+        errors.append(f"points: {exc}")
+        return
+    if ("pairs" in tree) == ("utility" in tree):
+        errors.append("relation: needs exactly one of 'pairs' and 'utility'")
+    elif "pairs" in tree:
+        pairs = tree["pairs"]
+        bad = [pair for pair in (pairs if isinstance(pairs, list) else [pairs]) if not (
+            isinstance(pair, list) and len(pair) == 2 and all(
+                isinstance(i, int) and not isinstance(i, bool) and 0 <= i < grid.size
+                for i in pair))]
+        if bad:
+            errors.append(f"pairs: must be a list of [a, b] with integer indices "
+                          f"0 <= i < {grid.size}, got {bad[0]!r}")
+            return
+        holds = np.zeros((grid.size, grid.size), dtype=bool)
+        for a, b in pairs:
+            holds[a, b] = True
+        config.relation = PreferenceRelation(grid=grid, holds=holds)
+    else:
+        spec = tree["utility"]
+        try:
+            spec = {"alpha": [], "beta": [], "lambda": 1.0, **spec}
+            alpha, beta = (np.array(_numbers(spec, key)) for key in ("alpha", "beta"))
+            lam = spec["lambda"]
+            if not _is_number(lam):
+                raise TypeError(f"lambda: must be a number, got {lam!r}")
+            if alpha.size + beta.size != grid.dims:
+                raise ValueError(f"{alpha.size} alpha and {beta.size} beta weights for "
+                                 f"{grid.dims} point coordinates")
+            config.relation = induced_relation(
+                lambda x: axiom1_utility(x[: alpha.size], x[alpha.size:], alpha, beta,
+                                         float(lam)),
+                grid)
+        except (DutyModelError, TypeError, ValueError) as exc:
+            errors.append(f"utility: {exc}")
 
 
 def packaged_config_path(name: str) -> Path:

@@ -203,13 +203,29 @@ class Agent:
         return np.array([self.endowment.get(g, 0.0) for g in goods])
 
 
-def _as_price_array(prices, dims: int, batch: bool = False) -> np.ndarray:
-    """One price vector of length ``dims``; with ``batch``, also an
-    ``(m, dims)`` array of them."""
+def _is_price(p):
+    """The one test of a price, elementwise: 0 < p < inf, which NaN fails."""
+    return (0 < p) & (p < np.inf)
+
+
+def _check_prices(p: np.ndarray, dims: Sequence[str]) -> np.ndarray:
+    """``p``, one price vector over ``dims``, if every price passes
+    ``_is_price``; else NonPositivePrice names the first that does not."""
+    bad = np.flatnonzero(~_is_price(p))
+    if bad.size:
+        raise NonPositivePrice(dims[bad[0]], float(p[bad[0]]))
+    return p
+
+
+def _as_price_array(prices, fiber: Fiber, batch: bool = False) -> np.ndarray:
+    """One price vector over the fiber's dimensions, checked by
+    ``_check_prices``; with ``batch``, also an ``(m, d)`` array of them,
+    unchecked: ``demand_rows`` checks a batch in a loop's order."""
     p = np.asarray(prices, dtype=float)
+    dims = fiber.n + fiber.l
     if p.shape != (dims,) and not (batch and p.ndim == 2 and p.shape[1] == dims):
         raise DimensionMismatch(dims, p.shape[-1] if p.ndim == 2 else p.size, "price vector")
-    return p
+    return p if batch else _check_prices(p, fiber.dims)
 
 
 def _spend(q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -243,7 +259,7 @@ def disposable_income(agent: Agent, prices, fiber: Fiber) -> float:
     prior claims leave an agent to spend. Acceptance criterion 7 calls it
     through the package root.
     """
-    p = _as_price_array(prices, fiber.n + fiber.l)
+    p = _as_price_array(prices, fiber)
     income, w = _income(fiber, agent.endowment_for(fiber.goods), p)
     if w < 0:
         raise InfeasibleDutySet(agent.id, _unmet_claims(fiber, income))
@@ -256,7 +272,7 @@ def feasible(agent: Agent, prices, fiber: Fiber, candidate: ExtendedBundle) -> b
     Part of the model's public API: the solver never calls it, but it is how
     a caller tests a candidate bundle against a regime's perfect duties.
     """
-    p = _as_price_array(prices, fiber.n + fiber.l)
+    p = _as_price_array(prices, fiber)
     values = fiber.values_of(candidate)
     if not fiber.constraints.feasible(values):
         return False
@@ -267,16 +283,14 @@ def feasible(agent: Agent, prices, fiber: Fiber, candidate: ExtendedBundle) -> b
 
 def utility_value(spec: UtilitySpec, x, e, prices, fiber: Fiber,
                   lam: float = 1.0, theta: float = 0.0) -> float:
-    """Evaluate a utility spec at a bundle (prices matter only for VEBLEN)."""
+    """Evaluate a utility spec at a bundle (prices matter only for VEBLEN,
+    but are checked for every family)."""
+    p = _as_price_array(prices, fiber)
     alpha = spec.alpha_for(fiber.goods)
     beta = spec.beta_for(fiber.duties)
     value = axiom1_utility(x, e, alpha, beta, lam)
     if spec.family is UtilityFamily.VEBLEN_PRICE_DEPENDENT and fiber.l:
-        p = _as_price_array(prices, fiber.n + fiber.l)
         p_duty = p[fiber.n:]
-        for d, pe in zip(fiber.duties, p_duty):
-            if not pe > 0:
-                raise NonPositivePrice(d, float(pe))
         p_bar = spec.p_bar_for(fiber.duties)
         value += theta * float(np.dot(np.asarray(e, dtype=float), p_duty - p_bar))
     return value
@@ -369,13 +383,19 @@ def demand_rows(rows: AgentRows, prices) -> np.ndarray:
     fiber = rows.fiber
     n = fiber.n
     lb, _, _, conflict = fiber.columns
-    prices = _as_price_array(prices, n + fiber.l, batch=True)
+    prices = _as_price_array(prices, fiber, batch=True)
     p = prices.reshape(-1, 1, n + fiber.l)
 
-    income, w = _income(fiber, rows.endowment, p)
-    fixed_cost = p @ lb
+    # a loop over the vectors stops at the first with a price failing
+    # ``_is_price``, so budgets go up to it; all pass if the smallest and the
+    # largest do (NaN passes neither), two reductions cheaper than the mask,
+    # with a valid price as their initial value, for an empty batch
+    priced = _is_price(prices.min(initial=1.0)) and _is_price(prices.max(initial=1.0))
+    p_ok = p if priced else p[: np.argmin(_is_price(p).all(axis=-1))]
+    income, w = _income(fiber, rows.endowment, p_ok)
+    fixed_cost = p_ok @ lb
     empty = (w < 0) | (fixed_cost > w * (1 + 1e-12) + 1e-12)
-    if conflict is not None or not (p > 0).all() or empty.any():
+    if not priced or conflict is not None or empty.any():
         raise _first_error(rows, p, income, w, fixed_cost, empty | (conflict is not None))
 
     # the status-premium tilt on the duty prices of the rows that can tilt,
@@ -401,18 +421,18 @@ def demand_rows(rows: AgentRows, prices) -> np.ndarray:
 
 
 def _first_error(rows: AgentRows, p, income, w, fixed_cost, empty) -> DutyModelError:
-    """What a loop over the price vectors would raise first. At the first
-    vector that has a non-positive price or an agent whose feasible set is
-    empty, that is the bad price, or else the first such agent in row order."""
+    """What a loop over the price vectors would raise first, from the budgets
+    up to the first vector with a price that fails ``_is_price`` (all of
+    them if none does): the first agent in row order whose feasible set is
+    empty at the first vector where one is, or else that bad price, the
+    first of its vector."""
     fiber, count = rows.fiber, len(rows.ids)
     _, _, _, conflict = fiber.columns
-    vectors = p[:, 0]
-    k = int(np.argmax(empty)) if empty.any() else empty.size
-    bad_vectors = np.flatnonzero(~(vectors[: k // count + 1] > 0).all(axis=1))
-    if bad_vectors.size:
-        v = vectors[bad_vectors[0]]
-        bad = int(np.argmin(v))
+    if not empty.any():
+        v = p[len(w), 0]
+        bad = int(np.argmin(_is_price(v)))
         return NonPositivePrice(fiber.dims[bad], float(v[bad]))
+    k = int(np.argmax(empty))
     if w.flat[k] < 0:
         reason = _unmet_claims(fiber, income.flat[k])
     elif conflict is not None:
@@ -754,9 +774,7 @@ class FiberEconomy:
         self.agents = tuple(self.agents)
         if not self.agents:
             raise ValueError("an economy needs at least one agent")
-        for d in self.fiber.duties:
-            if not self.duty_prices.get(d, 1.0) > 0:
-                raise NonPositivePrice(d, self.duty_prices.get(d, 1.0))
+        _check_prices(self.initial_prices(), self.dims)
         if not self.fiber.tradable_goods():
             raise ValueError(f"fiber {self.fiber.y_id!r} has no tradable good to serve "
                              "as numeraire")

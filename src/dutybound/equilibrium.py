@@ -21,7 +21,8 @@ over all equilibria of a regular economy sum to +1.
 
 The solvers work on price arrays and call only these operations of the
 economy, all provided by ``FiberEconomy``: ``dims``, ``numeraire_index``,
-``free_indices()`` (the prices that move), ``initial_prices()``, ``units``
+``free_indices()`` (the prices that move), ``initial_prices()`` (with the
+numeraire at 1, and the duty prices, which never move), ``units``
 (W_i per good, 1 for duties and for goods nobody holds), ``excess_demand(p)``
 (one vector or an ``(m, d)`` batch, sink included, reached through this
 module's ``excess_demand``), ``jacobian(p, free)`` (exact; the one Jacobian
@@ -37,8 +38,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .economy import ExtendedBundle, FiberEconomy
-from .errors import DimensionTooLarge, InfeasibleDutySet, NonPositivePrice, SingularJacobian
+from .economy import ExtendedBundle, FiberEconomy, _check_prices
+from .errors import DimensionTooLarge, InfeasibleDutySet, SingularJacobian
 
 FALLBACK_STEP = 0.1  # first step of the tatonnement fallback
 MIN_STEP = 1e-14  # the fallback step's floor
@@ -54,7 +55,7 @@ SINGULAR_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class PriceVector:
-    """Strictly positive prices over a fiber's dimensions, numeraire pinned at 1."""
+    """Positive, finite prices over a fiber's dimensions, numeraire pinned at 1."""
 
     values: np.ndarray
     dims: tuple[str, ...]
@@ -65,18 +66,10 @@ class PriceVector:
         object.__setattr__(self, "values", values)
         if values.shape != (len(self.dims),):
             raise ValueError("price vector does not match its dimension list")
-        bad = np.flatnonzero(~(values > 0))
-        if bad.size:
-            raise NonPositivePrice(self.dims[bad[0]], float(values[bad[0]]))
+        _check_prices(values, self.dims)
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.values, dtype=dtype, copy=copy)
-
-    @classmethod
-    def normalized(cls, values, dims, numeraire_index=0) -> "PriceVector":
-        values = np.asarray(values, dtype=float)
-        return cls(values=values / values[numeraire_index], dims=tuple(dims),
-                   numeraire_index=numeraire_index)
 
 
 @dataclass
@@ -177,9 +170,10 @@ def solve_tatonnement(economy, p0=None, tol: float = DEFAULT_TOL,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    p = economy.initial_prices() if p0 is None else np.asarray(p0, dtype=float)
+    p = (economy.initial_prices() if p0 is None
+         else _check_prices(np.asarray(p0, dtype=float), economy.dims))
     num = economy.numeraire_index
-    p = p / p[num]
+    p = p / p[num]  # and stays 1 there: ``_clamped`` moves the free prices only
     free = economy.free_indices()
     units = economy.units
     step = FALLBACK_STEP
@@ -228,9 +222,8 @@ def solve_tatonnement(economy, p0=None, tol: float = DEFAULT_TOL,
                 break
             p, z, step = moved
 
-    final_p = best_p
-    prices = PriceVector.normalized(final_p, economy.dims, num)
-    allocations = economy.demands(final_p)
+    prices = PriceVector(best_p, economy.dims, num)
+    allocations = economy.demands(best_p)
     return EquilibriumResult(prices=prices, allocations=allocations, residual=best_r,
                              iterations=iterations, converged=converged,
                              diagnostics=diagnostics)
@@ -273,8 +266,7 @@ def solve_grid_oracle(economy, resolution: int = 200) -> list[PriceVector]:
         raise DimensionTooLarge(priced, 3)
 
     num = economy.numeraire_index
-    base = economy.initial_prices().astype(float)
-    base = base / base[num]
+    base = economy.initial_prices()
     units = economy.units
     if not free:
         return [PriceVector(base, economy.dims, num)] \
@@ -308,7 +300,7 @@ def solve_grid_oracle(economy, resolution: int = 200) -> list[PriceVector]:
             continue
         unique.append(cand)
 
-    return [PriceVector.normalized(u, economy.dims, num) for u in sorted(unique, key=tuple)]
+    return [PriceVector(u, economy.dims, num) for u in sorted(unique, key=tuple)]
 
 
 def _newton_polish(economy, p: np.ndarray, free: Sequence[int],

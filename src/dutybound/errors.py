@@ -79,7 +79,7 @@ class NegativeInput(DutyModelError):
 
 class NonPositivePrice(DutyModelError):
     def __init__(self, dim: str, value: float):
-        super().__init__(f"price of {dim!r} must be positive, got {value}")
+        super().__init__(f"price of {dim!r} must be positive and finite, got {value}")
         self.dim = dim
         self.value = value
 

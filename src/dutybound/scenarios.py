@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .economy import Agent, Fiber, demand
+from .economy import Agent, Fiber, _is_price, demand
 from .errors import NonMonotoneSurvival
 from .transition import BasePath, EconomyTemplate, GenerationProfile, TraceRecord, run_path
 
@@ -44,9 +44,9 @@ class SugarMarketConfig:
     def __post_init__(self):
         if not 0 <= self.phi <= 1:
             raise ValueError(f"phi must lie in [0, 1], got {self.phi}")
-        if min(self.price_ethical, self.price_conventional,
-               self.price_conventional_after) <= 0:
-            raise ValueError("prices must be positive")
+        if not all(_is_price(p) for p in (self.price_ethical, self.price_conventional,
+                                          self.price_conventional_after)):
+            raise ValueError("prices must be positive and finite")
         if not 0 < self.viability_threshold < 1:
             raise ValueError("viability threshold must lie strictly between 0 and 1")
         if self.shock_period > self.horizon:
@@ -258,12 +258,11 @@ def veblen_demand_curve(agent: Agent, fiber: Fiber, duty_id: str,
 
     Reports every maximal strictly-increasing interval: with the status
     weight at zero the curve is never upward sloping, so a detected segment
-    is the conspicuous-ethics signature.
+    is the conspicuous-ethics signature. A swept price that is not positive
+    and finite is refused by ``demand``, which names the duty.
     """
     if duty_id not in fiber.duties:
         raise ValueError(f"{duty_id!r} is not a duty dimension of fiber {fiber.y_id!r}")
-    if any(p <= 0 for p in sweep):
-        raise ValueError("swept prices must be positive")
     j = fiber.n + fiber.duties.index(duty_id)
     base = (np.ones(fiber.n + fiber.l) if base_prices is None
             else np.asarray(base_prices, dtype=float).copy())

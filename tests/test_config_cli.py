@@ -22,8 +22,9 @@ from dutybound.errors import ParseError, ValidationErrors
 @pytest.fixture
 def write_config(tmp_path):
     def _write(tree, name="run.json"):
+        """``tree`` as JSON, or as it stands if it is already text."""
         path = tmp_path / name
-        path.write_text(json.dumps(tree))
+        path.write_text(tree if isinstance(tree, str) else json.dumps(tree))
         return path
     return _write
 
@@ -103,6 +104,27 @@ NON_FINITE = [
     (["trace", "--config"], "slavery", ("agents", 0, "utility", "beta", "labor_rights"), math.nan),
     (["solve", "--config"], "exchange", ("agents", 0, "utility", "alpha", "ale"), math.inf),
 ]
+
+# check-preferences relation files that the command once answered, or
+# crashed on with a traceback
+POINTS3 = [[0.0], [1.0], [2.0]]
+BAD_RELATIONS = {
+    "pair-out-of-range": {"points": POINTS3, "pairs": [[9, 0]]},
+    "pair-negative": {"points": POINTS3, "pairs": [[-1, -1]]},
+    "pair-booleans": {"points": POINTS3, "pairs": [[True, False]]},
+    "pair-fractions": {"points": POINTS3, "pairs": [[0.7, 1.2]]},
+    "pair-of-three": {"points": POINTS3, "pairs": [[0, 1, 2]]},
+    "lambda-text": {"points": [[0.0, 0.0], [1.0, 0.5]],
+                    "utility": {"alpha": [0.5, 0.5], "lambda": "x"}},
+    "alpha-short": {"points": [[0.0, 0.0], [1.0, 0.5]], "utility": {"alpha": [0.5]}},
+    "ragged-points": {"points": [[0.0, 0.0], [1.0]], "pairs": [[0, 0]]},
+    "text-coordinate": {"points": [[0.0, "1"], [1.0, 0.0]], "pairs": [[0, 0]]},
+    "duplicate-points": {"points": [[1.0], [1.0]], "pairs": [[0, 0]]},
+    "points-not-a-list": {"points": 5, "pairs": [[0, 0]]},
+    "infinite-coordinate": {"points": [[0.0], [math.inf]], "pairs": [[0, 0]]},
+    "duplicate-pairs-key": '{"points": [[0.0], [1.0]], "pairs": [[0, 0]], "pairs": [[1, 1]]}',
+    "pairs-and-utility": {"points": POINTS3, "pairs": [[0, 0]], "utility": {"alpha": [1.0]}},
+}
 
 # (packaged config, entry, value): a boolean read as 1, or a fraction truncated
 BOOL_OR_FRACTION = [
@@ -327,6 +349,15 @@ class TestCliExitCodes:
                      "--out", str(tmp_path)])
         assert code == 3
 
+    def test_solve_to_a_loose_tol_leaves_the_index_empty(self, tmp_path, write_config):
+        """The index needs a residual of at most ``INDEX_RESIDUAL_TOL`` (1e-6),
+        which a solve that converged to 1e-4 need not have reached."""
+        tree = packaged_tree("slavery", solver={"tol": 1e-4})
+        code = main(["solve", "--config", str(write_config(tree)), "--out", str(tmp_path)])
+        assert code == 0
+        rows = (tmp_path / "solve_y1.csv").read_text().splitlines()
+        assert "converged,,,true" in rows and "index,,," in rows
+
     def test_solve_unknown_fiber_exit_4(self, tmp_path, capsys):
         code = main(["solve", "--config", str(packaged_config_path("exchange")),
                      "--fiber", "nowhere", "--out", str(tmp_path)])
@@ -445,13 +476,16 @@ class TestCliExitCodes:
         *[(argv, lambda name=name, path=path, value=value:
            replaced(packaged_tree(name), path, value))
           for argv, name, path, value in NON_FINITE],
+        *[(["check-preferences", "--relation"], lambda tree=tree: tree)
+          for tree in BAD_RELATIONS.values()],
     ], ids=["sweep-premium", "solve-no-agents", "trace-no-agents", "veblen-no-agents",
             "relation-no-points", "veblen-text-reference-price", "sugar-text-w-max",
             "sugar-negative-seed", "sweep-negative-seed", "sugar-negative-w-max",
             "sweep-negative-w-max", "veblen-every-good-forbidden", "trace-integer-beyond-float",
             "trace-registry-level-true", "trace-registry-level-text",
             "trace-registry-amount-text",
-            *[f"{argv[-2]}-{key_path(path)}-{value}" for argv, _, path, value in NON_FINITE]])
+            *[f"{argv[-2]}-{key_path(path)}-{value}" for argv, _, path, value in NON_FINITE],
+            *[f"relation-{name}" for name in BAD_RELATIONS]])
     def test_malformed_input_exit_4(self, tmp_path, capsys, write_config, argv, make_tree):
         """A documented config error, never a traceback."""
         code = main(argv + [str(write_config(make_tree())), "--out", str(tmp_path / "out")])

@@ -32,7 +32,9 @@ from dutybound.errors import (
     NoConvergence,
     NonPositivePrice,
 )
+from dutybound.equilibrium import PriceVector, solve_tatonnement
 from dutybound.preferences import EPSILON
+from dutybound.scenarios import veblen_demand_curve
 
 from oracles import (
     bisection_demand_rows,
@@ -428,13 +430,15 @@ class TestDemandRowsBatch:
         ("ok", "ok", "all_fail"),
         ("nonpositive_twice", "all_fail"),
         ("ok", "nan", "poor_fails"),
+        ("ok", "inf", "poor_fails"),
+        ("poor_fails", "inf"),
     ])
     def test_batch_raises_what_a_loop_raises_first(self, order):
         rows = self.claim_rows()
         vectors = {"ok": [1.0, 1.0, 1.0, 1.0], "poor_fails": [0.2, 0.2, 0.2, 1.0],
                    "all_fail": [1e-3, 1e-3, 1e-3, 1.0], "nonpositive": [1.0, 1.0, -2.0, 1.0],
                    "nonpositive_twice": [1.0, 0.0, -3.0, 1.0],
-                   "nan": [1.0, 1.0, np.nan, 1.0]}
+                   "nan": [1.0, 1.0, np.nan, 1.0], "inf": [1.0, np.inf, 1.0, 1.0]}
         prices = np.array([vectors[name] for name in order])
         expected = first_error(lambda p: demand_rows(rows, p), prices)
         with pytest.raises(type(expected)) as raised:
@@ -446,6 +450,11 @@ class TestDemandRowsBatch:
                                                     utility=cd_spec({"g1": 1.0}))])
         with pytest.raises(DimensionMismatch):
             demand_rows(rows, np.ones((4, 3)))
+
+    def test_empty_batch_gives_no_rows(self):
+        """The price check reduces over the batch, which must not fail on none."""
+        rows = self.claim_rows()
+        assert demand_rows(rows, np.ones((0, 4))).shape == (0, 3, 4)
 
 
 class TestUntiltedPacks:
@@ -1041,6 +1050,54 @@ class TestNonFiniteInputs:
         agent = Agent(id="a", endowment={"g1": 1.0}, utility=cd_spec({"g1": 1.0}))
         with pytest.raises(NonPositivePrice, match="'d1'"):
             FiberEconomy(fiber=fiber, agents=(agent,), duty_prices={"d1": np.nan})
+
+
+PRICED_FIBER = plain_fiber(goods=("g1", "g2"), duties=("d1",))
+PRICED_AGENT = Agent(id="a", endowment={"g1": 1.0, "g2": 1.0}, lam=1.0, theta=1.0,
+                     utility=UtilitySpec(family=UtilityFamily.VEBLEN_PRICE_DEPENDENT,
+                                         alpha={"g1": 0.5, "g2": 0.5}, beta={"d1": 1.0}))
+# each entry point of the package that takes prices, at the vector ``p``
+PRICE_ENTRY_POINTS = {
+    "disposable_income": lambda p: disposable_income(PRICED_AGENT, p, PRICED_FIBER),
+    "feasible": lambda p: feasible(PRICED_AGENT, p, PRICED_FIBER,
+                                   ExtendedBundle(x=[0.1, 0.1], e=[0.0])),
+    "utility_value": lambda p: utility_value(PRICED_AGENT.utility, [1.0, 1.0], [0.5], p,
+                                             PRICED_FIBER, theta=1.0),
+    "demand": lambda p: demand(PRICED_AGENT, p, PRICED_FIBER),
+    "demand_rows": lambda p: demand_rows(AgentRows.pack(PRICED_FIBER, [PRICED_AGENT]), p),
+    "demand_rows_batch": lambda p: demand_rows(AgentRows.pack(PRICED_FIBER, [PRICED_AGENT]),
+                                               np.array([[1.0, 1.0, 1.0], p])),
+    "fiber_economy": lambda p: FiberEconomy(fiber=PRICED_FIBER, agents=(PRICED_AGENT,),
+                                            duty_prices={"d1": p[2]}),
+    "price_vector": lambda p: PriceVector(p, PRICED_FIBER.dims),
+    "solve_tatonnement_p0": lambda p: solve_tatonnement(
+        FiberEconomy(fiber=PRICED_FIBER, agents=(PRICED_AGENT,)), p0=p),
+    # the duty's swept price, or a good's in the base vector
+    "veblen_sweep": lambda p: veblen_demand_curve(PRICED_AGENT, PRICED_FIBER, "d1",
+                                                  [1.5, p[2]], base_prices=p),
+}
+
+
+class TestEveryPriceEntryPoint:
+    """Each entry point refuses a price that is not positive and finite
+    (0 < p < inf, which NaN fails) with NonPositivePrice, naming its
+    dimension. It does so before any arithmetic on the price, so no
+    RuntimeWarning appears (the suite turns one into an error)."""
+
+    @pytest.mark.parametrize("entry,dim", [
+        (entry, dim) for entry in PRICE_ENTRY_POINTS for dim in ("g1", "d1")
+        if (entry, dim) != ("fiber_economy", "g1")])  # its goods prices are not an input
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_names_the_dimension(self, entry, dim, value):
+        p = np.array([1.0, 1.0, 1.0])
+        p[PRICED_FIBER.dims.index(dim)] = value
+        with pytest.raises(NonPositivePrice, match=f"'{dim}'.*positive and finite"):
+            PRICE_ENTRY_POINTS[entry](p)
+
+    def test_the_first_bad_dimension_is_named(self):
+        for entry in ("demand_rows", "demand_rows_batch", "price_vector", "utility_value"):
+            with pytest.raises(NonPositivePrice, match="'g2'"):
+                PRICE_ENTRY_POINTS[entry](np.array([1.0, 0.0, -3.0]))
 
 
 class TestFiberEconomy:

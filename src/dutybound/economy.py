@@ -807,7 +807,15 @@ class FiberEconomy:
         return p
 
     def demands(self, prices) -> dict[str, ExtendedBundle]:
-        return {a.id: demand(a, prices, self.fiber) for a in self.agents}
+        """Every agent's bundle at one price vector, by agent id: the rows of
+        the kernel pass at ``prices`` (``demand_at``), copied, so the bundles
+        are writable and share nothing with the remembered answer. After a
+        converged solve that pass is the one at the returned prices, and no
+        further pass is made. Each row equals the one-agent ``demand`` bit
+        for bit."""
+        coords = self.demand_at(_as_price_array(prices, self.fiber)).copy()
+        n = self.fiber.n
+        return {a: ExtendedBundle(x=row[:n], e=row[n:]) for a, row in zip(self.rows.ids, coords)}
 
     @cached_property
     def rows(self) -> AgentRows:

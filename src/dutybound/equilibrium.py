@@ -26,8 +26,11 @@ numeraire at 1, and the duty prices, which never move), ``units``
 (W_i per good, 1 for duties and for goods nobody holds), ``excess_demand(p)``
 (one vector or an ``(m, d)`` batch, sink included, reached through this
 module's ``excess_demand``), ``jacobian(p, free)`` (exact; the one Jacobian
-of all three solvers), ``total_income(p)`` and ``demands(p)``. A
-``PriceVector`` reads as its array, so the public functions take either.
+of all three solvers), ``total_income(p)`` and ``demands(p)`` (each agent's
+bundle, copied from the kernel pass at ``p``; after a converged solve that is
+the pass of its last iterate, so building the allocations solves no agent
+again). A ``PriceVector`` reads as its array, so the public functions take
+either.
 """
 
 from __future__ import annotations

@@ -401,6 +401,93 @@ class TestDemandMemo:
         np.testing.assert_array_equal(passes, evaluated)
 
 
+class TestAllocations:
+    """A solve's allocations are the rows of the kernel pass at its returned
+    prices, copied, with no agent solved on its own again."""
+
+    @pytest.mark.parametrize("max_iter", [1, 2, equilibrium.DEFAULT_MAX_ITER])
+    @pytest.mark.parametrize("regime", MANY_AGENT_REGIMES)
+    def test_each_bundle_is_the_agents_own_demand(self, regime, max_iter):
+        """Converged or not, every bundle equals the one-agent ``demand`` at
+        the returned prices bit for bit."""
+        economy = many_agent_economy(regime, 1.0)
+        result = solve_tatonnement(economy, max_iter=max_iter)
+        assert result.converged == (max_iter == equilibrium.DEFAULT_MAX_ITER)
+        assert list(result.allocations) == [a.id for a in economy.agents]
+        for a in economy.agents:
+            own = demand(a, result.prices, economy.fiber)
+            assert result.allocations[a.id].coords.tobytes() == own.coords.tobytes()
+
+    @staticmethod
+    def counted_solve(monkeypatch, economy, **kwargs):
+        """The solve, with every ``demand_rows`` pass, every price vector the
+        solver evaluates and every one-agent ``demand`` call recorded."""
+        passes, evaluated, one_agent = [], [], []
+        kernel, single = economy_module.demand_rows, economy_module.demand
+
+        def counting(rows, prices):
+            passes.append(np.array(prices))
+            return kernel(rows, prices)
+
+        def recording(economy, prices):
+            evaluated.append(np.array(prices))
+            return excess_demand(economy, prices)
+
+        def counting_single(agent, prices, fiber):
+            one_agent.append(agent.id)
+            return single(agent, prices, fiber)
+
+        monkeypatch.setattr(economy_module, "demand_rows", counting)
+        monkeypatch.setattr(economy_module, "demand", counting_single)
+        monkeypatch.setattr(equilibrium, "excess_demand", recording)
+        result = solve_tatonnement(economy, **kwargs)
+        return result, passes, evaluated, one_agent
+
+    @pytest.mark.parametrize("regime", MANY_AGENT_REGIMES)
+    def test_converged_solve_makes_no_pass_after_its_last_iterate(self, monkeypatch, regime):
+        result, passes, evaluated, one_agent = self.counted_solve(
+            monkeypatch, many_agent_economy(regime, 1.0))
+        assert result.converged
+        assert len(passes) == len(evaluated)
+        np.testing.assert_array_equal(evaluated[-1], result.prices.values)
+        assert one_agent == []
+
+    def test_best_iterate_before_the_last_costs_one_pass(self, monkeypatch):
+        """With no Newton step and a fallback step of 10, the first move
+        overshoots: the residual rises from 0.256 to 0.529, so the best
+        iterate is the starting point and not the last point evaluated."""
+        monkeypatch.setattr(FiberEconomy, "jacobian",
+                            lambda economy, p, free: np.zeros((len(free), len(free))))
+        monkeypatch.setattr(equilibrium, "FALLBACK_STEP", 10.0)
+        economy = many_agent_economy("free", 1.0)
+        result, passes, evaluated, one_agent = self.counted_solve(monkeypatch, economy,
+                                                                 max_iter=1)
+        assert not result.converged
+        assert result.diagnostics[1].residual > result.diagnostics[0].residual
+        assert not np.array_equal(evaluated[-1], result.prices.values)
+        assert len(passes) == len(evaluated) + 1
+        np.testing.assert_array_equal(passes[-1], result.prices.values)
+        assert one_agent == []
+        for a in economy.agents:
+            own = demand(a, result.prices, economy.fiber)
+            assert result.allocations[a.id].coords.tobytes() == own.coords.tobytes()
+
+    def test_bundles_are_writable_and_private(self):
+        economy = many_agent_economy("forbid", 1.0)
+        result = solve_tatonnement(economy)
+        p = result.prices.values
+        z = excess_demand(economy, p).copy()
+        before = {k: b.coords for k, b in result.allocations.items()}
+        first, second = economy.agents[0].id, economy.agents[1].id
+        result.allocations[first].x[0] *= 2.0
+        assert result.allocations[first].x[0] == 2.0 * before[first][0]
+        assert excess_demand(economy, p).tobytes() == z.tobytes()
+        assert result.allocations[second].coords.tobytes() == before[second].tobytes()
+        again = economy.demands(p)
+        assert all(again[k].coords.tobytes() == before[k].tobytes() for k in before)
+        assert not economy.demand_at(p).flags.writeable
+
+
 class TestTatonnement:
     def test_symmetric_equilibrium(self):
         result = solve_tatonnement(symmetric_economy(), p0=np.array([1.0, 1.6]),

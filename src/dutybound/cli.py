@@ -111,13 +111,14 @@ def _emit(outdir, name: str, header, rows) -> tuple[Path, str]:
 
 
 def _svg(args, config: RunConfig, name: str, series, **labels) -> list[Path]:
-    """Chart ``series`` into ``--svg``, or into ``name`` in the output
-    directory when the config lists svg among its formats; the written path,
-    if any, as a list."""
+    """Chart the list that ``series()`` builds into ``--svg``, or into
+    ``name`` in the output directory when the config lists svg among its
+    formats; the written path, if any, as a list. ``series`` is called only
+    when a chart is written."""
     if not (args.svg or "svg" in config.output_formats):
         return []
     path = Path(args.svg) if args.svg else Path(config.output_dir) / name
-    output.write_svg(path, output.svg_line_chart(series, **labels))
+    output.write_svg(path, output.svg_line_chart(series(), **labels))
     return [path]
 
 
@@ -241,12 +242,16 @@ def _cmd_trace(args, config: RunConfig, started: float, command: str) -> int:
                          ["t", "y_id", "residual", "converged", "duty_share", "volumes"],
                          summary)
     print(stext, end="")
-    # one series per agent and dimension, at 0 on steps whose fiber lacks it
-    dims = [rec.result.prices.dims for rec in records]
-    series = [(f"{a}:{d}", [rec.t for rec in records],
-               [float(rec.result.allocations[a].coords[ds.index(d)]) if d in ds else 0.0
-                for rec, ds in zip(records, dims)])
-              for a in sorted(records[0].result.allocations) for d in sorted(set().union(*dims))]
+
+    def series():
+        # one series per agent and dimension, at 0 on steps whose fiber lacks it
+        dims = [rec.result.prices.dims for rec in records]
+        return [(f"{a}:{d}", [rec.t for rec in records],
+                 [float(rec.result.allocations[a].coords[ds.index(d)]) if d in ds else 0.0
+                  for rec, ds in zip(records, dims)])
+                for a in sorted(records[0].result.allocations)
+                for d in sorted(set().union(*dims))]
+
     outputs = [path, spath, *_svg(args, config, "trace.svg", series,
                                   title="allocations along the path",
                                   xlabel="t", ylabel="quantity")]
@@ -276,7 +281,7 @@ def _cmd_sugar(args, config: RunConfig, started: float) -> int:
     print(stext, end="")
     outputs = [path, spath, *_svg(
         args, config, "sugar.svg",
-        [("ethical share", list(range(len(report.shares))), report.shares)],
+        lambda: [("ethical share", list(range(len(report.shares))), report.shares)],
         title="ethical market share", xlabel="period", ylabel="share")]
     _finish(config, "scenario sugar", outputs, started)
     return EXIT_OK
@@ -301,7 +306,7 @@ def _cmd_veblen(args, config: RunConfig, started: float) -> int:
     print(text, end="")
     print(stext, end="")
     outputs = [path, spath, *_svg(args, config, "veblen.svg",
-                                  [(probe.duty_id, curve.prices, curve.quantities)],
+                                  lambda: [(probe.duty_id, curve.prices, curve.quantities)],
                                   title="duty demand vs own price",
                                   xlabel="price", ylabel="quantity")]
     _finish(config, "scenario veblen", outputs, started)

@@ -94,7 +94,12 @@ class UtilitySpec:
 
 @dataclass(frozen=True)
 class ExtendedBundle:
-    """A point (x, e) of the extended space: goods quantities plus duty levels."""
+    """A point (x, e) of the extended space: goods quantities plus duty levels.
+
+    The constructor converts and checks outside input. Bundles built from the
+    demand kernel's rows (``_of_rows``) are float views into one array that
+    was checked once, by the same rule, as a whole.
+    """
 
     x: np.ndarray
     e: np.ndarray
@@ -106,6 +111,22 @@ class ExtendedBundle:
         object.__setattr__(self, "e", e)
         if not ((x >= 0).all() and (e >= 0).all()):  # NaN fails too
             raise NegativeInput("bundle coordinates")
+
+    @classmethod
+    def _of_rows(cls, coords: np.ndarray, n: int) -> list[ExtendedBundle]:
+        """One bundle per row of a float ``(agents, d)`` kernel answer, goods
+        in its first ``n`` columns. The array is checked once, as a whole;
+        each bundle's ``x`` and ``e`` are views into it, not copies."""
+        if not (coords >= 0).all():  # NaN fails too
+            raise NegativeInput("bundle coordinates")
+        new, assign = object.__new__, object.__setattr__
+        bundles = []
+        for row in coords:
+            bundle = new(cls)
+            assign(bundle, "x", row[:n])
+            assign(bundle, "e", row[n:])
+            bundles.append(bundle)
+        return bundles
 
     @property
     def coords(self) -> np.ndarray:
@@ -350,8 +371,8 @@ class AgentRows:
 def demand(agent: Agent, prices, fiber: Fiber) -> ExtendedBundle:
     """Utility-maximizing bundle on the agent's duty-feasible budget set:
     one row of ``demand_rows``."""
-    coords = demand_rows(AgentRows.pack(fiber, (agent,)), prices)[0]
-    return ExtendedBundle(x=coords[: fiber.n], e=coords[fiber.n:])
+    return ExtendedBundle._of_rows(demand_rows(AgentRows.pack(fiber, (agent,)), prices),
+                                   fiber.n)[0]
 
 
 def demand_rows(rows: AgentRows, prices) -> np.ndarray:
@@ -774,6 +795,12 @@ class FiberEconomy:
         self.agents = tuple(self.agents)
         if not self.agents:
             raise ValueError("an economy needs at least one agent")
+        # allocations are keyed by id: a repeated id would drop an agent
+        seen: set[str] = set()
+        for a in self.agents:
+            if a.id in seen:
+                raise ValueError(f"duplicate agent id {a.id!r}")
+            seen.add(a.id)
         _check_prices(self.initial_prices(), self.dims)
         if not self.fiber.tradable_goods():
             raise ValueError(f"fiber {self.fiber.y_id!r} has no tradable good to serve "
@@ -808,14 +835,14 @@ class FiberEconomy:
 
     def demands(self, prices) -> dict[str, ExtendedBundle]:
         """Every agent's bundle at one price vector, by agent id: the rows of
-        the kernel pass at ``prices`` (``demand_at``), copied, so the bundles
-        are writable and share nothing with the remembered answer. After a
-        converged solve that pass is the one at the returned prices, and no
-        further pass is made. Each row equals the one-agent ``demand`` bit
-        for bit."""
+        the kernel pass at ``prices`` (``demand_at``), copied once and checked
+        once as a whole. Each bundle's ``x`` and ``e`` are views into that
+        copy, so the bundles are writable and share nothing with the
+        remembered answer. After a converged solve that pass is the one at
+        the returned prices, and no further pass is made. Each row equals the
+        one-agent ``demand`` bit for bit."""
         coords = self.demand_at(_as_price_array(prices, self.fiber)).copy()
-        n = self.fiber.n
-        return {a: ExtendedBundle(x=row[:n], e=row[n:]) for a, row in zip(self.rows.ids, coords)}
+        return dict(zip(self.rows.ids, ExtendedBundle._of_rows(coords, self.fiber.n)))
 
     @cached_property
     def rows(self) -> AgentRows:

@@ -16,6 +16,7 @@ from dutybound.config import (
     validate_tree,
 )
 from dutybound.duty import compile_constraints
+from dutybound.economy import ExtendedBundle
 from dutybound.errors import ParseError, ValidationErrors
 
 
@@ -408,6 +409,29 @@ class TestCliExitCodes:
                      "--out", str(tmp_path), "--svg", str(svg_path)])
         assert code == 0
         assert svg_path.read_text().startswith("<svg")
+
+    def test_trace_builds_chart_series_only_for_a_chart(self, tmp_path, capsys, monkeypatch):
+        """Without a chart the trace reads each bundle's coordinates once, for
+        its CSV rows; with ``--svg`` it also reads them per dimension for the
+        series. The CSVs and stdout are the same either way."""
+        calls = []
+        coords = ExtendedBundle.coords
+        monkeypatch.setattr(ExtendedBundle, "coords",
+                            property(lambda bundle: calls.append(1) or coords.fget(bundle)))
+        written = {}
+        for name, extra in (("plain", []), ("chart", ["--svg", str(tmp_path / "t.svg")])):
+            calls.clear()
+            out = tmp_path / name
+            code = main(["trace", "--config", str(packaged_config_path("slavery")),
+                         "--out", str(out), *extra])
+            assert code == 0
+            written[name] = (len(calls), capsys.readouterr().out,
+                             [(out / f).read_bytes() for f in ("trace.csv", "trace_summary.csv")])
+        steps_times_agents = 3 * 2
+        assert written["plain"][0] == steps_times_agents
+        assert written["chart"][0] == steps_times_agents + 3 * 2 * 3
+        assert written["plain"][1:] == written["chart"][1:]
+        assert (tmp_path / "t.svg").read_text().startswith("<svg")
 
     def test_sweep_lattice(self, tmp_path):
         code = main(["sweep", "--config", str(packaged_config_path("sugar")),

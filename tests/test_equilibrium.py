@@ -32,6 +32,7 @@ from dutybound.equilibrium import (
 from dutybound.errors import (
     DimensionTooLarge,
     InfeasibleDutySet,
+    NegativeInput,
     NonPositivePrice,
     SingularJacobian,
 )
@@ -486,6 +487,55 @@ class TestAllocations:
         again = economy.demands(p)
         assert all(again[k].coords.tobytes() == before[k].tobytes() for k in before)
         assert not economy.demand_at(p).flags.writeable
+
+    @pytest.mark.parametrize("bad", [-1e-300, np.nan])
+    def test_a_bad_kernel_row_is_refused(self, monkeypatch, bad):
+        """The one check over the copied rows applies the constructor's rule:
+        a negative or NaN coordinate anywhere raises ``NegativeInput``."""
+        economy = many_agent_economy("free", 1.0)
+        p = economy.initial_prices()
+        coords = economy.demand_at(p).copy()
+        coords[7, 3] = bad
+        monkeypatch.setattr(economy, "demand_at", lambda prices: coords)
+        with pytest.raises(NegativeInput, match="bundle coordinates"):
+            economy.demands(p)
+
+    @pytest.mark.parametrize("regime", MANY_AGENT_REGIMES)
+    def test_bundles_are_float_vectors_apart_from_the_memo(self, regime):
+        economy = many_agent_economy(regime, 1.0)
+        result = solve_tatonnement(economy)
+        memo = economy.demand_at(result.prices.values)
+        n, l = economy.fiber.n, economy.fiber.l
+        for bundle in result.allocations.values():
+            for part, size in ((bundle.x, n), (bundle.e, l)):
+                assert part.flags.writeable and part.dtype == np.float64
+                assert part.shape == (size,)
+                assert not np.shares_memory(part, memo)
+
+    def test_no_bundle_is_validated_one_by_one(self, monkeypatch):
+        """Neither a solve's allocations nor the one-agent ``demand`` run the
+        constructor's per-bundle conversion and check."""
+        calls = []
+        post_init = ExtendedBundle.__post_init__
+
+        def counting(bundle):
+            calls.append(bundle)
+            post_init(bundle)
+
+        monkeypatch.setattr(ExtendedBundle, "__post_init__", counting)
+        ExtendedBundle(x=np.ones(2), e=np.zeros(0))
+        assert len(calls) == 1
+        economy = many_agent_economy("prior_claim", 1.0)
+        result = solve_tatonnement(economy)
+        assert result.converged and len(result.allocations) == len(economy.agents)
+        demand(economy.agents[0], result.prices, economy.fiber)
+        assert len(calls) == 1
+
+    def test_duplicate_agent_ids_are_refused(self):
+        """Allocations are keyed by id: two agents "A" used to converge with
+        one allocation for two agents and wrong trade volumes."""
+        with pytest.raises(ValueError, match="duplicate agent id 'A'"):
+            two_good_economy([cd_agent("A", 0.8, 1.5, 0.6), cd_agent("A", 0.3, 0.6, 1.5)])
 
 
 class TestTatonnement:

@@ -37,7 +37,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -338,6 +338,12 @@ class AgentRows:
     order and empty when no row can. The kernel solves the tilted rows'
     quadratic on those rows only. The per-dimension arrays live on the fiber
     (``Fiber.columns``).
+
+    A solver moves only goods prices, so what the kernel needs of the tilted
+    rows at given duty prices (``_TiltPlan``) is built once per block of duty
+    prices and remembered for the last one (``tilt_plan``): a whole solve,
+    its index and its allocations build it once. ``free_weight`` is the
+    kernel's first-round free weight, a constant of the pack.
     """
 
     fiber: Fiber
@@ -347,6 +353,9 @@ class AgentRows:
     theta: np.ndarray
     p_bar: np.ndarray
     tilted: np.ndarray
+    # (duty-price bytes, plan) of the last ``tilt_plan`` call
+    _last_plan: tuple[bytes, _TiltPlan] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def pack(cls, fiber: Fiber, agents: Sequence[Agent]) -> "AgentRows":
@@ -366,6 +375,89 @@ class AgentRows:
                             for a in agents], dtype=float).reshape(count, fiber.l),
             tilted=np.nonzero((theta > 0) & (fiber.l > 0))[0],
         )
+
+    @cached_property
+    def free_weight(self) -> np.ndarray:
+        """Each row's weight on the dimensions the fiber does not forbid,
+        read-only: the free weight of the kernel's first round, before any
+        coordinate has clipped."""
+        _, forbidden, _, _ = self.fiber.columns
+        free = np.where(forbidden, 0.0, self.weight).sum(axis=-1)
+        free.flags.writeable = False
+        return free
+
+    def tilt_plan(self, p: np.ndarray) -> _TiltPlan | None:
+        """``_tilt_plan`` at the ``(m, 1, d)`` prices ``p``, or None for a
+        pack in which no row can tilt. The plan for the last block of duty
+        prices asked for is remembered, keyed on its bytes; these fix the
+        batch length too, since a pack with a row that can tilt has a duty."""
+        if not self.tilted.size:
+            return None
+        key = p[..., self.fiber.n:].tobytes()
+        if self._last_plan is None or self._last_plan[0] != key:
+            object.__setattr__(self, "_last_plan", (key, _tilt_plan(self, p)))
+        return self._last_plan[1]
+
+
+class _TiltPlan(NamedTuple):
+    """The rows of a pack that can tilt, at one ``(m, 1, d)`` block of
+    prices, from its duty prices alone (``_tilt_plan``); every array is
+    read-only.
+
+    The rows the closed form of ``_active_set_rows`` solves: their vector and
+    agent indices ``at``, the mask ``hot`` of each one's tilted coordinate c
+    and its index ``c``, p_d, B = p_d weight_d, the tilt t, the weight row,
+    and the untilted weight A of the first round.
+    The rows left to ``_multiplier_rows``: their indices ``left_at``, their
+    weight rows, and their tilt over every dimension.
+    """
+
+    at: tuple[np.ndarray, np.ndarray]
+    hot: np.ndarray
+    c: np.ndarray
+    price: np.ndarray
+    b_weight: np.ndarray
+    t: np.ndarray
+    weight_at: np.ndarray
+    a_weight: np.ndarray
+    left_at: tuple[np.ndarray, np.ndarray]
+    left_weight: np.ndarray
+    left_tilt: np.ndarray
+
+
+def _tilt_plan(rows: AgentRows, p) -> _TiltPlan:
+    """The ``_TiltPlan`` of a pack with rows that can tilt, at the
+    ``(m, 1, d)`` prices ``p``, of which it reads only the duty prices."""
+    fiber, tilted, weight = rows.fiber, rows.tilted, rows.weight
+    _, forbidden, _, _ = fiber.columns
+    n = fiber.n
+    # the status-premium tilt on the duty prices, (m, len(tilted), l)
+    tilt = rows.theta[tilted, None] * (p[..., n:] - rows.p_bar[tilted])
+    weight_t = weight[tilted]
+    on = np.zeros(tilt.shape[:-1] + forbidden.shape, dtype=bool)  # the tilted coordinates
+    on[..., n:] = tilt != 0
+    count = on.sum(axis=-1)
+    # the weight on free untilted coordinates, A of the first round
+    a_weight = np.where(on | forbidden, 0.0, weight_t).sum(axis=-1)
+    # the closed form solves the rows with one tilted coordinate c, some
+    # untilted weight and no pure-status coordinate
+    closed = ((count == 1) & (a_weight > 0)
+              & ~((tilt > 0) & (weight_t[:, n:] == 0)).any(axis=-1))
+    sel = np.nonzero(closed)
+    at = (sel[0], tilted[sel[1]])
+    hot = on[sel]
+    c = hot.argmax(axis=-1)
+    price = p[sel[0], 0, c]
+    left = np.nonzero((count > 0) & ~closed)
+    left_at = (left[0], tilted[left[1]])
+    left_tilt = np.zeros((left[1].size, n + fiber.l))
+    left_tilt[:, n:] = tilt[left]
+    plan = _TiltPlan(at, hot, c, price, price * weight[at[1], c], tilt[(*sel, c - n)],
+                     weight[at[1]], a_weight[sel], left_at, weight[left_at[1]], left_tilt)
+    for value in plan:
+        for array in value if isinstance(value, tuple) else (value,):
+            array.flags.writeable = False
+    return plan
 
 
 def demand(agent: Agent, prices, fiber: Fiber) -> ExtendedBundle:
@@ -401,6 +493,12 @@ def demand_rows(rows: AgentRows, prices) -> np.ndarray:
     broadcasts against the agents' arrays; the error raised is the one a
     loop over the vectors would raise first.
     """
+    return _demand_pass(rows, prices)[0]
+
+
+def _demand_pass(rows: AgentRows, prices) -> tuple[np.ndarray, np.ndarray]:
+    """``demand_rows``, and the disposable budgets it computed on the way,
+    ``(m, agents)``: one row per price vector, a batch of one for one vector."""
     fiber = rows.fiber
     n = fiber.n
     lb, _, _, conflict = fiber.columns
@@ -419,26 +517,19 @@ def demand_rows(rows: AgentRows, prices) -> np.ndarray:
     if not priced or conflict is not None or empty.any():
         raise _first_error(rows, p, income, w, fixed_cost, empty | (conflict is not None))
 
-    # the status-premium tilt on the duty prices of the rows that can tilt,
-    # ``(m, len(tilted), l)``; none at all for a pack in which no row can
-    tilted, tilt = rows.tilted, None
-    if tilted.size:
-        tilt = rows.theta[tilted, None] * (p[..., n:] - rows.p_bar[tilted])
     # The closed form runs on every row and is kept for all but the rows
-    # only the multiplier solve handles (``_active_set_rows`` flags them).
-    # Rows with no weight left divide zero by zero in the closed form (and
-    # are set to their bounds); the multiplier solve's outer probes at
-    # mu = 1e300 and 1e-300 overflow on purpose.
+    # only the multiplier solve handles (the plan's ``left_at``). Rows with
+    # no weight left divide zero by zero in the closed form (and are set to
+    # their bounds); the multiplier solve's outer probes at mu = 1e300 and
+    # 1e-300 overflow on purpose.
+    plan = rows.tilt_plan(p)
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        coords, left = _active_set_rows(fiber, p, w, rows.weight, tilted, tilt)
-        if left is not None and left.any():
-            sel = np.nonzero(left)
-            at = (sel[0], tilted[sel[1]])  # the rows' vector and agent indices
-            tilt_at = np.zeros((sel[1].size, n + fiber.l))
-            tilt_at[:, n:] = tilt[sel]
-            coords[at] = _multiplier_rows(fiber, p[sel[0], 0], w[at], rows.weight[at[1]],
-                                          tilt_at)
-    return coords[0] if prices.ndim == 1 else coords
+        coords = _active_set_rows(rows, p, w, plan)
+        if plan is not None and plan.left_at[0].size:
+            at = plan.left_at
+            coords[at] = _multiplier_rows(fiber, p[at[0], 0], w[at], plan.left_weight,
+                                          plan.left_tilt)
+    return (coords[0] if prices.ndim == 1 else coords), w
 
 
 def _first_error(rows: AgentRows, p, income, w, fixed_cost, empty) -> DutyModelError:
@@ -464,11 +555,10 @@ def _first_error(rows: AgentRows, p, income, w, fixed_cost, empty) -> DutyModelE
     return InfeasibleDutySet(rows.ids[k % count], reason)
 
 
-def _active_set_rows(fiber: Fiber, p, w, weight, tilted, tilt):
-    """Exact KKT solution per row with at most one status-tilted coordinate,
-    and the mask of the rows that can tilt (``tilted``, with their duty
-    tilts ``tilt``) that the closed form does not cover, or None if no row
-    can tilt.
+def _active_set_rows(rows: AgentRows, p, w, plan: _TiltPlan | None):
+    """Exact KKT solution per row with at most one status-tilted coordinate;
+    ``plan`` (``AgentRows.tilt_plan``, None for a pack in which no row can
+    tilt) names the rows that can tilt and says which of them it covers.
 
     With spending s_k = p_k (q_k + offset_k) the interior condition is
     s_k = p_k weight_k / (mu p_k - tilt_k), so mu has a closed form on any
@@ -499,56 +589,37 @@ def _active_set_rows(fiber: Fiber, p, w, weight, tilted, tilt):
     Cost. Each round computes mu = A / P, the denominators and the wanted
     coordinates for every row. The clipped mask starts as the fiber's
     forbidden mask, one entry per dimension, and broadcasts: the first round
-    sums A once per agent and the pool once per price vector, and a mask of
-    the full ``w.shape + (d,)`` appears only once some coordinate clips. The
-    tilted rows are taken by agent index, and everything about their one
-    tilted coordinate that does not move with the active set (where it is,
-    p_d, B and t) is found once per call; rows whose tilt is zero at these
-    prices, or that are left to ``_multiplier_rows``, drop out there. The
+    takes its free weight from the pack (``AgentRows.free_weight``) and sums
+    the pool once per price vector, and a mask of the full
+    ``w.shape + (d,)`` appears only once some coordinate clips. Everything
+    about the tilted rows that the duty prices fix (the tilt, which rows the
+    closed form takes, and each one's tilted coordinate, p_d, B, t and
+    first-round A) comes from the plan, built once per block of duty prices
+    and so once per solve; rows whose tilt is zero at these prices, and rows
+    left to ``_multiplier_rows``, are not among the rows it solves. The
     quadratic is solved on the rows whose tilted coordinate is free, in the
     first round and again only in a round after one of those rows clipped a
     coordinate; otherwise its roots stand, and a round writes them into mu
-    and the tilted coordinate's denominator. ``tilt`` is None for a pack in
-    which no row can tilt, and such a pack runs none of the tilted-row code.
+    and the tilted coordinate's denominator.
 
     A row whose tilted coordinate stays free puts its last rounding into its
     steepest coordinate (``_settle_budget``), as ``_multiplier_rows`` does;
     one whose tilted coordinate is clipped has solved the untilted form.
-    Three kinds of tilted row are left to ``_multiplier_rows``, and flagged
-    in the mask with a meaningless answer: two or more tilted coordinates,
-    a pure-status coordinate (zero log weight, positive tilt, whose spending
-    jumps where its premium starts to pay), and no positive untilted weight
-    (which may leave budget unspent).
+    Three kinds of tilted row are left to ``_multiplier_rows`` and hold a
+    meaningless answer here: two or more tilted coordinates, a pure-status
+    coordinate (zero log weight, positive tilt, whose spending jumps where
+    its premium starts to pay), and no positive untilted weight (which may
+    leave budget unspent).
     """
-    lb, forbidden, offset, _ = fiber.columns
-    n = fiber.n
+    lb, forbidden, offset, _ = rows.fiber.columns
+    weight = rows.weight
     # what a clipped coordinate takes out of the pool, and a free one adds
     bound_cost, offset_cost = -p * lb, p * offset
-    left = at = None
-    if tilt is not None:
-        weight_t = weight[tilted]
-        on = np.zeros(tilt.shape[:-1] + lb.shape, dtype=bool)  # the tilted coordinates
-        on[..., n:] = tilt != 0
-        count = on.sum(axis=-1)
-        # the weight on free untilted coordinates, A of the first round
-        a_weight = np.where(on | forbidden, 0.0, weight_t).sum(axis=-1)
-        # the closed form solves the rows with one tilted coordinate c, some
-        # untilted weight and no pure-status coordinate
-        closed = ((count == 1) & (a_weight > 0)
-                  & ~((tilt > 0) & (weight_t[:, n:] == 0)).any(axis=-1))
-        left = (count > 0) & ~closed
-        # their vector and agent indices, and p_d, B and t of c
-        sel = np.nonzero(closed)
-        if sel[1].size:
-            at = (sel[0], tilted[sel[1]])
-            hot, a_weight = on[sel], a_weight[sel]
-            c = hot.argmax(axis=-1)
-            price = p[sel[0], 0, c]
-            b_weight, t = price * weight[at[1], c], tilt[(*sel, c - n)]
-            weight_at = weight[at[1]]
-    clipped, solve = forbidden, True
+    at = None
+    if plan is not None and plan.at[0].size:
+        at, hot, c, price, b_weight, t, weight_at, a_weight = plan[:8]
+    clipped, total_weight, solve = forbidden, rows.free_weight, True
     while True:
-        total_weight = np.where(clipped, 0.0, weight).sum(axis=-1)
         pool = w + np.where(clipped, bound_cost, offset_cost).sum(axis=-1)
         mu = total_weight / pool
         if at is not None:
@@ -563,6 +634,7 @@ def _active_set_rows(fiber: Fiber, p, w, weight, tilted, tilt):
         if not violating.any():
             break
         clipped = clipped | violating
+        total_weight = np.where(clipped, 0.0, weight).sum(axis=-1)
         solve = at is not None and violating[at].any()
         if solve:
             # a row whose tilted coordinate clipped has the untilted form
@@ -577,12 +649,12 @@ def _active_set_rows(fiber: Fiber, p, w, weight, tilted, tilt):
     at_bound = clipped | (total_weight <= 0.0)[..., None]
     coords = np.where(at_bound, lb, wanted)
     if at is not None:
-        # ``at_bound`` lacks the vector axis while nothing has clipped
+        # ``at_bound`` has the vector axis once some coordinate has clipped
+        bound_at = at_bound[at] if at_bound.ndim == 3 else at_bound[at[1]]
         p_at, denom_at = p[at[0], 0], denom[at]
-        rate = np.where(np.broadcast_to(at_bound, w.shape + lb.shape)[at], 0.0,
-                        weight_at / denom_at / denom_at * p_at * p_at)
+        rate = np.where(bound_at, 0.0, weight_at / denom_at / denom_at * p_at * p_at)
         coords[at] = _settle_budget(coords[at], p_at, w[at], rate, lb)
-    return coords, left
+    return coords
 
 
 def _larger_root(a_weight, pool, price, b_weight, t):
@@ -787,8 +859,9 @@ class FiberEconomy:
     agents: tuple[Agent, ...]
     duty_prices: Mapping[str, float] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list, compare=False)
-    # (price bytes, read-only coordinates) of the last ``demand_at`` call
-    _last_demand: tuple[bytes, np.ndarray] | None = field(
+    # (price bytes, read-only coordinates, total disposable income) of the
+    # last ``demand_at`` call
+    _last_demand: tuple[bytes, np.ndarray, float] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -852,12 +925,13 @@ class FiberEconomy:
     def demand_at(self, p: np.ndarray) -> np.ndarray:
         """``demand_rows`` of the agents at one price vector, read-only. The
         answer for the last vector asked for is remembered, so excess demand
-        and its Jacobian at one point share one kernel pass."""
+        and its Jacobian at one point share one kernel pass, and so does the
+        total income there (``total_income``)."""
         key = p.tobytes()
         if self._last_demand is None or self._last_demand[0] != key:
-            coords = demand_rows(self.rows, p)
+            coords, w = _demand_pass(self.rows, p)
             coords.flags.writeable = False
-            self._last_demand = (key, coords)
+            self._last_demand = (key, coords, float(w.sum()))
         return self._last_demand[1]
 
     @cached_property
@@ -913,5 +987,9 @@ class FiberEconomy:
 
     def total_income(self, p: np.ndarray) -> float:
         """Total disposable income at ``p``: the value of every agent's
-        tradable endowment less the regime's prior claims."""
+        tradable endowment less the regime's prior claims. At the last
+        vector ``demand_at`` solved it is the sum of the budgets of that
+        kernel pass, which the solver's Walras gap reads at each iterate."""
+        if self._last_demand is not None and self._last_demand[0] == p.tobytes():
+            return self._last_demand[2]
         return float(_income(self.fiber, self.rows.endowment, p)[1].sum())

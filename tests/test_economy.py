@@ -505,11 +505,12 @@ class TestUntiltedPacks:
 
 class TestTiltedRowsByIndex:
     """The kernel takes the rows that can tilt by agent index, finds each
-    one's tilted coordinate, p_d, B and t once per call, and solves the
-    quadratic again only in a round after one of its rows clipped a
-    coordinate. ``gathered_demand_rows`` keeps the form that gathered the
-    tilted rows by mask and solved the quadratic every round; both do the
-    same arithmetic on every row."""
+    one's tilted coordinate, p_d, B and t once per block of duty prices (the
+    pack's remembered ``tilt_plan``), and solves the quadratic again only in
+    a round after one of its rows clipped a coordinate.
+    ``gathered_demand_rows`` keeps the form that gathered the tilted rows by
+    mask and solved the quadratic every round; both do the same arithmetic
+    on every row."""
 
     @staticmethod
     def mixed_pack(rng, regime, duties, scale):
@@ -529,10 +530,11 @@ class TestTiltedRowsByIndex:
     def test_byte_for_byte_against_the_gathered_form(self):
         """Random mixed packs under each of ``KKT_REGIMES`` at scales 1e-6 to
         1e7, one vector and a 6-vector batch each, with d1 priced exactly at
-        its reference in some vectors. Every case the kernel tells apart
-        occurs on the way: rows with two tilted duties (left to Newton),
-        pure-status rows, and a tilted row whose REQUIRE_MIN floor on its
-        tilted duty clips it after the first round."""
+        its reference in some vectors; each call is made twice, the second
+        from the remembered plan. Every case the kernel tells apart occurs
+        on the way: rows with two tilted duties (left to Newton), pure-status
+        rows, and a tilted row whose REQUIRE_MIN floor on its tilted duty
+        clips it after the first round."""
         rng = np.random.default_rng(2024)
         seen = dict.fromkeys(["two_tilted", "pure_status", "at_reference", "floor_clips"], 0)
         for k in range(160):
@@ -544,8 +546,10 @@ class TestTiltedRowsByIndex:
             prices = np.array([random_prices(rng, duties=len(duties)) for _ in range(6)])
             prices[::3, 3] = 1.0
             for p in (prices[0], prices[1], prices):
-                got = demand_rows(rows, p)
-                assert got.tobytes() == gathered_demand_rows(rows, p).tobytes(), (k, p)
+                want = gathered_demand_rows(rows, p).tobytes()
+                for _ in range(2):
+                    got = demand_rows(rows, p)
+                    assert got.tobytes() == want, (k, p)
             tilt = rows.theta[:, None, None] * (prices[None, :, 3:] - rows.p_bar[:, None, :])
             tilted = (tilt != 0).sum(axis=-1)  # (agents, vectors)
             seen["two_tilted"] += int((tilted == 2).sum())
@@ -591,6 +595,67 @@ class TestTiltedRowsByIndex:
         assert len(solved) == calls
         assert got[1, 3] == 0.4 and got[0, 3] > 0.4
         assert got.tobytes() == gathered_demand_rows(rows, p).tobytes()
+
+
+class TestTiltPlan:
+    """A pack remembers what the kernel needs of its rows that can tilt at
+    the last block of duty prices it met (``AgentRows.tilt_plan``): passes
+    that move only goods prices reuse it, and a pass at other duty prices
+    builds it again."""
+
+    @staticmethod
+    def mixed_agents():
+        """Under a REQUIRE_MIN floor on d1: Cobb-Douglas agents, VEBLEN ones
+        that the closed form solves, and a pure-status one (no log weight on
+        d1) that it leaves to Newton above the reference price."""
+        fiber = fiber_with(*KKT_REGIMES["require_min"], goods=GOODS3, duties=("d1",))
+        rng = np.random.default_rng(43)
+        agents = [random_agent(rng, name=f"a{k}", veblen=k % 2 == 0) for k in range(7)]
+        agents[2] = replace(agents[2], utility=replace(agents[2].utility, beta={"d1": 0.0}))
+        return fiber, agents
+
+    def test_other_duty_prices_build_it_again(self, monkeypatch):
+        """Each pass on one pack equals a fresh pack's bit for bit, and only
+        a pass at new duty prices builds the plan."""
+        fiber, agents = self.mixed_agents()
+        p1 = np.array([1.0, 1.3, 0.8, 1.4])
+        passes = [(p1, 1), (p1 * [1.0, 1.1, 0.9, 1.0], 1), (p1 * [1.0, 1.0, 1.0, 0.5], 2),
+                  (p1, 3)]
+        fresh = [demand_rows(AgentRows.pack(fiber, agents), p).tobytes() for p, _ in passes]
+        rows = AgentRows.pack(fiber, agents)
+        builds = counted(monkeypatch, "_tilt_plan")
+        for (p, built), want in zip(passes, fresh):
+            assert demand_rows(rows, p).tobytes() == want
+            assert len(builds) == built
+
+    def test_a_batch_over_several_duty_prices_equals_its_rows(self):
+        """Batch and one-vector calls alternate on one pack, each replacing
+        the plan the other left; every row equals a fresh pack's."""
+        fiber, agents = self.mixed_agents()
+        rng = np.random.default_rng(44)
+        prices = np.array([random_prices(rng) for _ in range(6)])
+        prices[1::2, 3] = 1.4  # above the reference, where the pure-status row buys d1
+        assert len(set(prices[:, 3])) == 4
+        rows = AgentRows.pack(fiber, agents)
+        batch = demand_rows(rows, prices)
+        for p, got in list(zip(prices, batch)) + list(zip(prices[::-1], batch[::-1])):
+            assert demand_rows(rows, p).tobytes() == got.tobytes()
+            assert got.tobytes() == demand_rows(AgentRows.pack(fiber, agents), p).tobytes()
+        assert demand_rows(rows, prices).tobytes() == batch.tobytes()
+
+    def test_plan_is_read_only_and_kept_while_duty_prices_stay(self):
+        fiber, agents = self.mixed_agents()
+        rows = AgentRows.pack(fiber, agents)
+        p = np.array([1.0, 1.3, 0.8, 1.4]).reshape(1, 1, 4)
+        plan = rows.tilt_plan(p)
+        arrays = [a for v in plan for a in (v if isinstance(v, tuple) else (v,))]
+        assert len(arrays) == 13 and all(a.size for a in arrays)  # both kinds of row
+        for a in arrays + [rows.free_weight]:
+            with pytest.raises(ValueError):
+                a[...] = 0
+        assert rows.tilt_plan(p * [1.0, 2.0, 0.5, 1.0]) is plan
+        assert rows.tilt_plan(p * [1.0, 1.0, 1.0, 0.9]) is not plan
+        assert AgentRows.pack(fiber, [agents[1]]).tilt_plan(p) is None  # no row can tilt
 
 
 def scaled_regime(regime, scale):

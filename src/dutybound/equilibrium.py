@@ -22,15 +22,17 @@ over all equilibria of a regular economy sum to +1.
 The solvers work on price arrays and call only these operations of the
 economy, all provided by ``FiberEconomy``: ``dims``, ``numeraire_index``,
 ``free_indices()`` (the prices that move), ``initial_prices()`` (with the
-numeraire at 1, and the duty prices, which never move), ``units``
-(W_i per good, 1 for duties and for goods nobody holds), ``excess_demand(p)``
-(one vector or an ``(m, d)`` batch, sink included, reached through this
-module's ``excess_demand``), ``jacobian(p, free)`` (exact; the one Jacobian
-of all three solvers), ``total_income(p)`` and ``demands(p)`` (each agent's
-bundle, copied from the kernel pass at ``p``; after a converged solve that is
-the pass of its last iterate, so building the allocations solves no agent
-again). A ``PriceVector`` reads as its array, so the public functions take
-either.
+numeraire at 1, and the economy's own duty prices, which never move),
+``units`` (W_i per good, 1 for duties and for goods nobody holds),
+``excess_demand(p)`` (one vector or an ``(m, d)`` batch, sink included,
+reached through this module's ``excess_demand``), ``jacobian(p, free)``
+(exact; the one Jacobian of all three solvers), ``total_income(p)`` and
+``demands(p)`` (each agent's bundle, copied from the kernel pass at ``p``;
+after a converged solve that is the pass of its last iterate, so building
+the allocations solves no agent again). A ``FiberEconomy`` evaluates
+excess demand, its Jacobian and the allocations only at its own duty
+prices, and raises ValueError at others. A ``PriceVector`` reads as its
+array, so the public functions take either.
 """
 
 from __future__ import annotations
@@ -151,6 +153,12 @@ def solve_tatonnement(economy, p0=None, tol: float = DEFAULT_TOL,
     neither the steps nor the tolerance depend on the unit the endowments
     are in.
 
+    The run starts from ``p0``, or from ``initial_prices()`` when it is
+    None. Only the prices it moves and the numeraire are taken relative to
+    the numeraire's, which is 1 from then on: every other price stays as
+    given, and a ``FiberEconomy`` evaluates only at its own duty prices, so
+    a ``p0`` with other duty prices raises ValueError.
+
     Each iteration first tries a Newton step: it solves J dp = -z on the free
     prices, J the exact Jacobian (``economy.jacobian``), and clamps the
     update to the band [p/2, 2p], positivity plus a trust region. The step is
@@ -174,10 +182,13 @@ def solve_tatonnement(economy, p0=None, tol: float = DEFAULT_TOL,
     if tol <= 0:
         raise ValueError("tol must be positive")
     p = (economy.initial_prices() if p0 is None
-         else _check_prices(np.asarray(p0, dtype=float), economy.dims))
+         else _check_prices(np.array(p0, dtype=float), economy.dims))
     num = economy.numeraire_index
-    p = p / p[num]  # and stays 1 there: ``_clamped`` moves the free prices only
     free = economy.free_indices()
+    # the numeraire is 1 from here on (``_clamped`` moves the free prices
+    # only); the prices the solver does not move keep their value
+    traded = [num, *free]
+    p[traded] = p[traded] / p[num]
     units = economy.units
     step = FALLBACK_STEP
 

@@ -211,16 +211,13 @@ def test_criterion_6_walras_law_and_homogeneity(monkeypatch):
             assert max(result.walras_gaps()) <= 1e-10
             assert len(absolute) == len(result.diagnostics)
             assert max(absolute) <= 1e-10
-        duty_economy = list(_walras_test_economies())[2]
         claim_free = two_good_economy([cd_agent("A", 0.35, 1.2, 0.4),
                                        cd_agent("B", 0.65, 0.4, 1.6)])
-        for economy in (claim_free,):
-            p = economy.initial_prices()
-            p[1] = 1.37
-            z = db.excess_demand(economy, p)
-            for k in (0.5, 2.0, 10.0):
-                assert np.allclose(db.excess_demand(economy, k * p), z,
-                                   rtol=1e-9, atol=1e-12)
+        p = claim_free.initial_prices()
+        p[1] = 1.37
+        z = db.excess_demand(claim_free, p)
+        for k in (0.5, 2.0, 10.0):
+            assert np.allclose(db.excess_demand(claim_free, k * p), z, rtol=1e-9, atol=1e-12)
 
 
 def test_criterion_7_duty_constraint_suite():

@@ -1,6 +1,6 @@
 """Feasibility, utility families, and duty-constrained demand."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -31,6 +31,7 @@ from dutybound.errors import (
     NegativeInput,
     NoConvergence,
     NonPositivePrice,
+    UnknownReference,
 )
 from dutybound.equilibrium import PriceVector, solve_tatonnement
 from dutybound.preferences import EPSILON
@@ -505,9 +506,9 @@ class TestUntiltedPacks:
 
 class TestTiltedRowsByIndex:
     """The kernel takes the rows that can tilt by agent index, finds each
-    one's tilted coordinate, p_d, B and t once per block of duty prices (the
-    pack's remembered ``tilt_plan``), and solves the quadratic again only in
-    a round after one of its rows clipped a coordinate.
+    one's tilted coordinate, p_d, B and t once per call (``_tilt_plan``),
+    and solves the quadratic again only in a round after one of its rows
+    clipped a coordinate.
     ``gathered_demand_rows`` keeps the form that gathered the tilted rows by
     mask and solved the quadratic every round; both do the same arithmetic
     on every row."""
@@ -530,8 +531,8 @@ class TestTiltedRowsByIndex:
     def test_byte_for_byte_against_the_gathered_form(self):
         """Random mixed packs under each of ``KKT_REGIMES`` at scales 1e-6 to
         1e7, one vector and a 6-vector batch each, with d1 priced exactly at
-        its reference in some vectors; each call is made twice, the second
-        from the remembered plan. Every case the kernel tells apart occurs
+        its reference in some vectors; each call is made twice, on the same
+        pack. Every case the kernel tells apart occurs
         on the way: rows with two tilted duties (left to Newton), pure-status
         rows, and a tilted row whose REQUIRE_MIN floor on its tilted duty
         clips it after the first round."""
@@ -598,10 +599,9 @@ class TestTiltedRowsByIndex:
 
 
 class TestTiltPlan:
-    """A pack remembers what the kernel needs of its rows that can tilt at
-    the last block of duty prices it met (``AgentRows.tilt_plan``): passes
-    that move only goods prices reuse it, and a pass at other duty prices
-    builds it again."""
+    """What the kernel needs of a pack's rows that can tilt at given duty
+    prices (``_tilt_plan``) is built on every ``demand_rows`` call, and
+    nothing on the pack remembers it."""
 
     @staticmethod
     def mixed_agents():
@@ -614,23 +614,26 @@ class TestTiltPlan:
         agents[2] = replace(agents[2], utility=replace(agents[2].utility, beta={"d1": 0.0}))
         return fiber, agents
 
-    def test_other_duty_prices_build_it_again(self, monkeypatch):
-        """Each pass on one pack equals a fresh pack's bit for bit, and only
-        a pass at new duty prices builds the plan."""
+    def test_every_call_builds_its_plan(self, monkeypatch):
+        """Each pass on one pack builds the plan once, whether or not the
+        duty prices moved since the last, and equals a fresh pack's bit for
+        bit."""
         fiber, agents = self.mixed_agents()
         p1 = np.array([1.0, 1.3, 0.8, 1.4])
-        passes = [(p1, 1), (p1 * [1.0, 1.1, 0.9, 1.0], 1), (p1 * [1.0, 1.0, 1.0, 0.5], 2),
-                  (p1, 3)]
-        fresh = [demand_rows(AgentRows.pack(fiber, agents), p).tobytes() for p, _ in passes]
+        passes = [p1, p1 * [1.0, 1.1, 0.9, 1.0], p1 * [1.0, 1.0, 1.0, 0.5], p1,
+                  np.array([p1, p1 * [1.0, 1.0, 1.0, 0.5]])]
+        fresh = [demand_rows(AgentRows.pack(fiber, agents), p).tobytes() for p in passes]
         rows = AgentRows.pack(fiber, agents)
         builds = counted(monkeypatch, "_tilt_plan")
-        for (p, built), want in zip(passes, fresh):
+        for built, (p, want) in enumerate(zip(passes, fresh), start=1):
             assert demand_rows(rows, p).tobytes() == want
             assert len(builds) == built
+        # the pack holds its fields and its free weight, and nothing else
+        assert set(vars(rows)) == {f.name for f in fields(AgentRows)} | {"free_weight"}
 
     def test_a_batch_over_several_duty_prices_equals_its_rows(self):
-        """Batch and one-vector calls alternate on one pack, each replacing
-        the plan the other left; every row equals a fresh pack's."""
+        """Batch and one-vector calls alternate on one pack; every row
+        equals a fresh pack's."""
         fiber, agents = self.mixed_agents()
         rng = np.random.default_rng(44)
         prices = np.array([random_prices(rng) for _ in range(6)])
@@ -643,19 +646,20 @@ class TestTiltPlan:
             assert got.tobytes() == demand_rows(AgentRows.pack(fiber, agents), p).tobytes()
         assert demand_rows(rows, prices).tobytes() == batch.tobytes()
 
-    def test_plan_is_read_only_and_kept_while_duty_prices_stay(self):
+    def test_plan_is_read_only(self):
         fiber, agents = self.mixed_agents()
         rows = AgentRows.pack(fiber, agents)
-        p = np.array([1.0, 1.3, 0.8, 1.4]).reshape(1, 1, 4)
-        plan = rows.tilt_plan(p)
-        arrays = [a for v in plan for a in (v if isinstance(v, tuple) else (v,))]
-        assert len(arrays) == 13 and all(a.size for a in arrays)  # both kinds of row
-        for a in arrays + [rows.free_weight]:
-            with pytest.raises(ValueError):
-                a[...] = 0
-        assert rows.tilt_plan(p * [1.0, 2.0, 0.5, 1.0]) is plan
-        assert rows.tilt_plan(p * [1.0, 1.0, 1.0, 0.9]) is not plan
-        assert AgentRows.pack(fiber, [agents[1]]).tilt_plan(p) is None  # no row can tilt
+        economy_plan = FiberEconomy(fiber=fiber, agents=tuple(agents),
+                                    duty_prices={"d1": 1.4}).tilt_plan
+        for plan in (economy._tilt_plan(rows, np.array([1.0, 1.3, 0.8, 1.4]).reshape(1, 1, 4)),
+                     economy_plan):
+            arrays = [a for v in plan for a in (v if isinstance(v, tuple) else (v,))]
+            assert len(arrays) == 13 and all(a.size for a in arrays)  # both kinds of row
+            for a in arrays + [rows.free_weight]:
+                with pytest.raises(ValueError):
+                    a[...] = 0
+        untilted = AgentRows.pack(fiber, [agents[1]])
+        assert economy._tilt_plan(untilted, np.ones((1, 1, 4))) is None  # no row can tilt
 
 
 def scaled_regime(regime, scale):
@@ -1181,6 +1185,15 @@ class TestFiberEconomy:
         assert economy.warnings == ["no agent values 'g3': every alpha on it is zero"]
         valued = replace(agents[1], utility=cd_spec({"g1": 1.0, "g3": 0.1}))
         assert FiberEconomy(fiber=fiber, agents=(agents[0], valued)).warnings == []
+
+    @pytest.mark.parametrize("key", ["d_typo", "g1"])
+    def test_a_duty_price_for_no_duty_of_the_fiber_is_refused(self, key):
+        """Such a key used to be ignored, and the duty kept the price 1.0."""
+        agent = Agent(id="a", endowment={"g1": 1.0, "g2": 1.0},
+                      utility=cd_spec({"g1": 1.0, "g2": 1.0}))
+        with pytest.raises(UnknownReference, match=f"'{key}' in duty prices of fiber 'y'"):
+            FiberEconomy(fiber=plain_fiber(duties=("d1",)), agents=(agent,),
+                         duty_prices={"d1": 2.0, key: 5.0})
 
     def test_varying_fiber_dimensions(self):
         f1 = Fiber(y_id="y1", goods=("g1",), duties=("d1", "d2"))

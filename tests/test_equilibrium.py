@@ -10,12 +10,14 @@ from dutybound import equilibrium
 from dutybound.duty import compile_constraints, load_registry
 from dutybound.economy import (
     Agent,
+    AgentRows,
     ExtendedBundle,
     Fiber,
     FiberEconomy,
     UtilityFamily,
     UtilitySpec,
     demand,
+    demand_rows,
     disposable_income,
 )
 from dutybound.equilibrium import (
@@ -301,10 +303,12 @@ def many_agent_economy(regime: str, scale: float) -> FiberEconomy:
 
 
 class TestExcessDemandBatch:
-    """A batch of price vectors against one call per vector, bit for bit."""
+    """A batch of price vectors against one call per vector, bit for bit, at
+    the economy's own duty price, the only one it evaluates at."""
 
     @staticmethod
     def check_rows(economy, prices):
+        prices[:, economy.fiber.n:] = economy.initial_prices()[economy.fiber.n:]
         batch = excess_demand(economy, prices)
         assert batch.shape == prices.shape
         for p, z in zip(prices, batch):
@@ -315,7 +319,7 @@ class TestExcessDemandBatch:
         rng = np.random.default_rng(9)
         self.check_rows(claim_and_duty_economy(),
                         np.column_stack([np.ones(12), rng.uniform(0.3, 3.0, 12),
-                                         rng.uniform(0.5, 2.0, 12)]))
+                                         np.ones(12)]))
 
     @pytest.mark.parametrize("regime", MANY_AGENT_REGIMES)
     def test_many_agent_rows_are_the_single_vector_call(self, regime):
@@ -325,7 +329,7 @@ class TestExcessDemandBatch:
         rng = np.random.default_rng(9)
         self.check_rows(many_agent_economy(regime, 1.0),
                         np.column_stack([np.ones(12), rng.uniform(0.3, 3.0, (12, 2)),
-                                         rng.uniform(0.5, 2.0, 12)]))
+                                         np.ones(12)]))
 
 
 class TestJacobian:
@@ -384,10 +388,10 @@ class TestDemandMemo:
         passes, evaluated = [], []
         kernel = economy_module._demand_pass
 
-        def counting(rows, prices):
+        def counting(rows, prices, plan=None):
             if rows is economy.rows:
                 passes.append(np.array(prices))
-            return kernel(rows, prices)
+            return kernel(rows, prices, plan)
 
         def recording(economy, prices):
             evaluated.append(np.array(prices))
@@ -403,32 +407,39 @@ class TestDemandMemo:
 
 
 class TestPerSolveState:
-    """What a solve computes once and reads at every iterate: the kernel's
-    plan for the rows that can tilt, fixed by the duty prices, and the total
-    income at the vector of the last kernel pass."""
+    """What an economy computes once and reads at every iterate: the kernel's
+    plan for the rows that can tilt, fixed by its own duty prices, and the
+    total income at the vector of the last kernel pass."""
 
     @pytest.mark.parametrize("regime", MANY_AGENT_REGIMES)
     def test_one_tilt_plan_per_economy(self, monkeypatch, regime):
-        """A solve and the index at its prices build the plan once. A solve
-        of the same economy from other duty prices builds it once more, and
-        equals the solve of a fresh economy at those duty prices bit for
-        bit."""
+        """A solve, the index and the allocations at its prices, and a
+        second solve build the plan once, and every kernel pass of theirs
+        reads it. Solving from other duty prices raises ValueError; the
+        economy at those duty prices builds its own plan once."""
         economy = many_agent_economy(regime, 1.0)
         moved = FiberEconomy(fiber=economy.fiber, agents=economy.agents,
                              duty_prices={"d1": 1.5})
-        want = solve_tatonnement(moved)
-        builds = []
-        build = economy_module._tilt_plan
+        builds, plans = [], []
+        build, kernel = economy_module._tilt_plan, economy_module._demand_pass
         monkeypatch.setattr(economy_module, "_tilt_plan",
                             lambda rows, p: builds.append(1) or build(rows, p))
+        monkeypatch.setattr(economy_module, "_demand_pass",
+                            lambda rows, p, plan=None: plans.append(plan) or kernel(rows, p, plan))
         result = solve_tatonnement(economy)
         equilibrium_index(economy, result.prices)
+        economy.demands(result.prices)
+        again = solve_tatonnement(economy)
         assert result.converged and result.iterations >= 2 and len(builds) == 1
-        got = solve_tatonnement(economy, moved.initial_prices())
-        assert got.converged and len(builds) == 2
-        assert got.prices.values.tobytes() == want.prices.values.tobytes()
-        assert all(got.allocations[k].coords.tobytes() == b.coords.tobytes()
-                   for k, b in want.allocations.items())
+        assert again.prices.values.tobytes() == result.prices.values.tobytes()
+        assert plans and all(plan is economy.tilt_plan for plan in plans)
+        with pytest.raises(ValueError, match="'d1' priced at 1.5"):
+            solve_tatonnement(economy, moved.initial_prices())
+        assert len(builds) == 1
+        assert solve_tatonnement(moved).converged and len(builds) == 2
+        # the plan is the one a fresh pack's kernel pass builds at these prices
+        fresh = demand_rows(AgentRows.pack(economy.fiber, economy.agents), result.prices)
+        assert economy.demand_at(result.prices.values).tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("regime", MANY_AGENT_REGIMES)
     def test_total_income_from_the_last_pass(self, monkeypatch, regime):
@@ -458,6 +469,64 @@ class TestPerSolveState:
                     assert len(computed) == 1
 
 
+class TestOwnDutyPrices:
+    """A fiber economy evaluates only at its own duty prices: every call
+    that evaluates demand refuses a vector with another duty price, and
+    names the first such duty, after checking that every price is one."""
+
+    @staticmethod
+    def two_duty_economy():
+        spec = UtilitySpec(family=UtilityFamily.VEBLEN_PRICE_DEPENDENT,
+                           alpha={"g1": 0.5, "g2": 0.5}, beta={"d1": 0.5, "d2": 0.8})
+        agents = (Agent(id="A", endowment={"g1": 2.0, "g2": 1.0}, utility=spec,
+                        lam=1.0, theta=1.0),
+                  cd_agent("B", 0.4, 1.0, 2.0))
+        return FiberEconomy(fiber=Fiber(y_id="y", goods=("g1", "g2"), duties=("d1", "d2")),
+                            agents=agents, duty_prices={"d1": 1.2, "d2": 0.8})
+
+    CALLS = {
+        "excess_demand": lambda economy, p: excess_demand(economy, p),
+        "demand_at": lambda economy, p: economy.demand_at(p),
+        "jacobian": lambda economy, p: economy.jacobian(p, economy.free_indices()),
+        "demands": lambda economy, p: economy.demands(p),
+        "batch": lambda economy, p: excess_demand(economy, np.array(
+            [economy.initial_prices(), p, p])),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_another_duty_price_is_refused(self, call):
+        economy = self.two_duty_economy()
+        p = np.array([1.0, 1.3, 1.2, 0.9])
+        with pytest.raises(ValueError, match="duty 'd2' priced at 0.9: this economy "
+                                             "evaluates only at its own duty price 0.8"):
+            self.CALLS[call](economy, p)
+        # a vector with the economy's own duty prices evaluates
+        p[3] = 0.8
+        self.CALLS[call](economy, p)
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("dim,value", [("d1", np.nan), ("d2", 0.0), ("g2", np.nan)])
+    def test_a_bad_price_is_refused_first(self, call, dim, value):
+        """A price that is not positive and finite raises NonPositivePrice,
+        also in a vector whose duty prices are not the economy's."""
+        economy = self.two_duty_economy()
+        p = np.array([1.0, 1.3, 1.5, 0.9])
+        p[economy.dims.index(dim)] = value
+        with pytest.raises(NonPositivePrice, match=f"'{dim}'"):
+            self.CALLS[call](economy, p)
+
+    def test_a_batch_names_its_first_vector_at_another_duty_price(self):
+        economy = self.two_duty_economy()
+        prices = np.array([[1.0, 1.3, 1.2, 0.8], [1.0, 1.1, 0.7, 0.8], [1.0, 1.0, 1.2, 0.9]])
+        with pytest.raises(ValueError, match="duty 'd1' priced at 0.7"):
+            excess_demand(economy, prices)
+
+    def test_total_income_reads_no_duty_price(self):
+        economy = self.two_duty_economy()
+        p = np.array([1.0, 1.3, 1.2, 0.8])
+        assert economy.total_income(p) == economy.total_income(p * [1.0, 1.0, 3.0, 0.5])
+
+
 class TestAllocations:
     """A solve's allocations are the rows of the kernel pass at its returned
     prices, copied, with no agent solved on its own again."""
@@ -483,9 +552,9 @@ class TestAllocations:
         passes, evaluated, one_agent = [], [], []
         kernel, single = economy_module._demand_pass, economy_module.demand
 
-        def counting(rows, prices):
+        def counting(rows, prices, plan=None):
             passes.append(np.array(prices))
-            return kernel(rows, prices)
+            return kernel(rows, prices, plan)
 
         def recording(economy, prices):
             evaluated.append(np.array(prices))
@@ -708,6 +777,20 @@ class TestTatonnement:
     def test_bad_settings_rejected(self):
         with pytest.raises(ValueError):
             solve_tatonnement(symmetric_economy(), tol=-1.0)
+
+    def test_a_start_off_the_numeraire_keeps_the_duty_prices(self):
+        """Goods prices at twice the default start are the same start: only
+        the goods prices are taken relative to the numeraire's. Dividing the
+        whole vector used to halve the duty price to 0.6 and solve another
+        economy, which converged to (1, 0.8136, 0.5660, 0.6)."""
+        economy = many_agent_economy("free", 1.0)
+        want = solve_tatonnement(economy)
+        p0 = economy.initial_prices()
+        p0[: economy.fiber.n] *= 2.0
+        got = solve_tatonnement(economy, p0=p0)
+        assert got.converged and got.prices.values[3] == 1.2
+        assert got.prices.values.tobytes() == want.prices.values.tobytes()
+        assert p0[0] == 2.0  # the caller's start is not changed
 
     def test_scale_sweep_converges_to_each_closed_form(self):
         """Scaling every endowment by s leaves the steps and the tolerance

@@ -258,11 +258,15 @@ def _spend(q: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def _income(fiber: Fiber, endowment: np.ndarray, p: np.ndarray):
     """Income from tradable endowments and what is left of it after the
-    regime's prior claims, per endowment row (forbidden goods are
-    demonetized). A negative remainder means the claims cannot be met;
-    ``_unmet_claims`` says so."""
+    regime's prior claims, per row of the ``(agents, n)`` ``endowment``:
+    ``(agents,)`` at one price vector, ``(agents, m)`` at an ``(m, d)`` batch
+    (forbidden goods are demonetized). The goods are contiguous in both
+    operands, so each agent's income rounds the same at every batch length.
+    A negative remainder means the claims cannot be met; ``_unmet_claims``
+    says so."""
     _, forbidden, _, _ = fiber.columns
-    income = _spend(endowment, np.where(forbidden[: fiber.n], 0.0, p[..., : fiber.n]))
+    goods = np.where(forbidden[: fiber.n], 0.0, p[..., : fiber.n])
+    income = np.einsum("aj,...j->a...", endowment, goods)
     return income, income - fiber.constraints.prior_claim_total
 
 
@@ -282,10 +286,10 @@ def disposable_income(agent: Agent, prices, fiber: Fiber) -> float:
     through the package root.
     """
     p = _as_price_array(prices, fiber)
-    income, w = _income(fiber, agent.endowment_for(fiber.goods), p)
+    income, w = (float(v[0]) for v in _income(fiber, agent.endowment_for(fiber.goods)[None], p))
     if w < 0:
         raise InfeasibleDutySet(agent.id, _unmet_claims(fiber, income))
-    return float(w)
+    return w
 
 
 def feasible(agent: Agent, prices, fiber: Fiber, candidate: ExtendedBundle) -> bool:
@@ -332,13 +336,15 @@ def agent_utility(agent: Agent, bundle: ExtendedBundle, prices, fiber: Fiber) ->
 @dataclass(frozen=True)
 class AgentRows:
     """A fiber's agents packed as arrays, one row per agent, for ``demand_rows``:
-    goods endowments, the log weights (alpha on goods, then lam * beta on
-    duties), the status weight (zero unless VEBLEN) and the reference duty
-    prices, and ``tilted``, the indices of the rows that can carry a status
-    tilt (a positive status weight, in a fiber with a duty), in ascending
-    order and empty when no row can. The kernel solves the tilted rows'
-    quadratic on those rows only. The per-dimension arrays live on the fiber
-    (``Fiber.columns``).
+    goods endowments ``(agents, n)``, the log weights ``(agents, d)`` (alpha
+    on goods, then lam * beta on duties), the status weight ``(agents,)``
+    (zero unless VEBLEN) and the reference duty prices ``(agents, l)``, and
+    ``tilted``, the indices of the rows that can carry a status tilt (a
+    positive status weight, in a fiber with a duty), in ascending order and
+    empty when no row can. The kernel solves the tilted rows' quadratic on
+    those rows only. Its arrays are ``(agents, d, m)``, the m price vectors
+    last, against which the weights broadcast as ``(agents, d, 1)``. The
+    per-dimension arrays live on the fiber (``Fiber.columns``).
 
     The pack holds no prices: what the kernel needs of the tilted rows at
     given duty prices is a ``_TiltPlan``, which ``demand_rows`` builds on
@@ -376,26 +382,29 @@ class AgentRows:
 
     @cached_property
     def free_weight(self) -> np.ndarray:
-        """Each row's weight on the dimensions the fiber does not forbid,
-        read-only: the free weight of the kernel's first round, before any
-        coordinate has clipped."""
+        """Each row's weight on the dimensions the fiber does not forbid, an
+        ``(agents, 1)`` column, read-only: the free weight of the kernel's
+        first round, before any coordinate has clipped, summed in the order
+        of a later round's (``_dim_sum``)."""
         _, forbidden, _, _ = self.fiber.columns
-        free = np.where(forbidden, 0.0, self.weight).sum(axis=-1)
+        free = _dim_sum(np.where(forbidden[:, None], 0.0, self.weight[..., None]))
         free.flags.writeable = False
         return free
 
 
 class _TiltPlan(NamedTuple):
-    """The rows of a pack that can tilt, at one ``(m, 1, d)`` block of
-    prices, from its duty prices alone (``_tilt_plan``); every array is
-    read-only.
+    """The rows of a pack that can tilt, at a ``(d, m)`` block of prices,
+    from its duty prices alone (``_tilt_plan``); every array is read-only.
+    A row is an (agent, vector) pair: index pairs hold the agent indices
+    first and the vector indices second, in agent order, and the arrays
+    hold one row per pair, its dimensions contiguous.
 
-    The rows the closed form of ``_active_set_rows`` solves: their vector and
-    agent indices ``at``, the mask ``hot`` of each one's tilted coordinate c
-    and its index ``c``, p_d, B = p_d weight_d, the tilt t, the weight row,
-    and the untilted weight A of the first round.
-    The rows left to ``_multiplier_rows``: their indices ``left_at``, their
-    weight rows, and their tilt over every dimension.
+    The rows the closed form of ``_active_set_rows`` solves: their index
+    pairs ``at``, the mask ``hot`` of each one's tilted coordinate c and its
+    index ``c``, p_d, B = p_d weight_d, the tilt t, the weight row, and the
+    untilted weight A of the first round.
+    The rows left to ``_multiplier_rows``: their index pairs ``left_at``,
+    their weight rows, and their tilt over every dimension.
     """
 
     at: tuple[np.ndarray, np.ndarray]
@@ -412,27 +421,29 @@ class _TiltPlan(NamedTuple):
 
 
 def _tilt_plan(rows: AgentRows, p) -> _TiltPlan | None:
-    """The ``_TiltPlan`` of a pack at the ``(m, 1, d)`` prices ``p``, of which
+    """The ``_TiltPlan`` of a pack at the ``(d, m)`` prices ``p``, of which
     it reads only the duty prices, or None for a pack in which no row can
     tilt. It is the one builder of a plan, and nothing remembers what it
     built: ``demand_rows`` calls it once per call, and a ``FiberEconomy``
     once, at its own duty prices (``FiberEconomy.tilt_plan``).
 
-    The plan indexes (vector, agent) pairs, so it fits one batch length.
+    The plan indexes (agent, vector) pairs, so it fits one batch length.
     Its rows could index agents alone for a batch that shares its duty
     prices, but that would be a second form: a ``demand_rows`` batch may
     vary the duty prices from one vector to the next (the Veblen sweep
     does), and a ``FiberEconomy`` makes its batch calls only from the grid
     oracle, one per oracle, so building a plan for each costs nothing that
-    shows."""
+    shows. Its work arrays are ``(tilted agents, m, d)``, one contiguous row
+    per pair, so the first-round A sums each row as the closed form does
+    when it sums A again on the gathered rows."""
     fiber, tilted, weight = rows.fiber, rows.tilted, rows.weight
     if not tilted.size:
         return None
     _, forbidden, _, _ = fiber.columns
     n = fiber.n
-    # the status-premium tilt on the duty prices, (m, len(tilted), l)
-    tilt = rows.theta[tilted, None] * (p[..., n:] - rows.p_bar[tilted])
-    weight_t = weight[tilted]
+    # the status-premium tilt on the duty prices, (len(tilted), m, l)
+    tilt = rows.theta[tilted, None, None] * (p[n:].T - rows.p_bar[tilted, None])
+    weight_t = weight[tilted, None]
     on = np.zeros(tilt.shape[:-1] + forbidden.shape, dtype=bool)  # the tilted coordinates
     on[..., n:] = tilt != 0
     count = on.sum(axis=-1)
@@ -441,18 +452,18 @@ def _tilt_plan(rows: AgentRows, p) -> _TiltPlan | None:
     # the closed form solves the rows with one tilted coordinate c, some
     # untilted weight and no pure-status coordinate
     closed = ((count == 1) & (a_weight > 0)
-              & ~((tilt > 0) & (weight_t[:, n:] == 0)).any(axis=-1))
+              & ~((tilt > 0) & (weight_t[..., n:] == 0)).any(axis=-1))
     sel = np.nonzero(closed)
-    at = (sel[0], tilted[sel[1]])
+    at = (tilted[sel[0]], sel[1])
     hot = on[sel]
     c = hot.argmax(axis=-1)
-    price = p[sel[0], 0, c]
+    price = p[c, sel[1]]
     left = np.nonzero((count > 0) & ~closed)
-    left_at = (left[0], tilted[left[1]])
-    left_tilt = np.zeros((left[1].size, n + fiber.l))
+    left_at = (tilted[left[0]], left[1])
+    left_tilt = np.zeros((left[0].size, n + fiber.l))
     left_tilt[:, n:] = tilt[left]
-    plan = _TiltPlan(at, hot, c, price, price * weight[at[1], c], tilt[(*sel, c - n)],
-                     weight[at[1]], a_weight[sel], left_at, weight[left_at[1]], left_tilt)
+    plan = _TiltPlan(at, hot, c, price, price * weight[at[0], c], tilt[(*sel, c - n)],
+                     weight[at[0]], a_weight[sel], left_at, weight[left_at[0]], left_tilt)
     for value in plan:
         for array in value if isinstance(value, tuple) else (value,):
             array.flags.writeable = False
@@ -470,7 +481,8 @@ def demand_rows(rows: AgentRows, prices) -> np.ndarray:
     """Demand of every packed agent, one row per agent: ``(agents, d)`` at one
     price vector of length d, ``(m, agents, d)`` at an ``(m, d)`` batch of them.
     A single vector is a batch of one, so each row of a batch equals the
-    one-vector call at its prices bit for bit.
+    one-vector call at its prices bit for bit. A batch's answer is a view of
+    the kernel's ``(agents, d, m)`` array (``_demand_pass``), not a copy.
 
     First-order conditions per coordinate, given the income multiplier mu:
 
@@ -488,85 +500,122 @@ def demand_rows(rows: AgentRows, prices) -> np.ndarray:
     settle on the lexicographically smallest vector, i.e. every coordinate
     at its bound.
 
-    The prices take one shape below this point, ``(m, 1, d)``, which
-    broadcasts against the agents' arrays; the error raised is the one a
-    loop over the vectors would raise first. What the kernel needs of the
-    rows that can tilt (``_tilt_plan``) is built on every call, once the
-    prices have passed their checks, and nothing is remembered between
-    calls: each vector of a batch may carry its own duty prices.
+    The error raised is the one a loop over the vectors would raise first.
+    What the kernel needs of the rows that can tilt (``_tilt_plan``) is
+    built on every call, once the prices have passed their checks, and
+    nothing is remembered between calls: each vector of a batch may carry
+    its own duty prices.
     """
-    return _demand_pass(rows, prices)[0]
+    coords = _demand_pass(rows, prices)[0]
+    return coords if coords.ndim == 2 else coords.transpose(2, 0, 1)
 
 
 def _demand_pass(rows: AgentRows, prices,
                  plan: _TiltPlan | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``demand_rows``, and the disposable budgets it computed on the way,
-    ``(m, agents)``: one row per price vector, a batch of one for one vector.
-    ``plan`` is the pack's ``_tilt_plan`` at the duty prices of ``prices``,
-    as a batch of their length; when it is not given (or None, as for a
-    pack in which no row can tilt) the pass builds it, once the prices have
-    passed their checks."""
+    """The kernel behind ``demand_rows``: the coordinates, ``(agents, d)`` at
+    one price vector and ``(agents, d, m)`` at an ``(m, d)`` batch, and the
+    disposable budgets computed on the way, ``(agents, m)`` (m = 1 for one
+    vector). ``plan`` is the pack's ``_tilt_plan`` at the duty prices of
+    ``prices``, as a batch of their length; when it is not given (or None,
+    as for a pack in which no row can tilt) the pass builds it, once the
+    prices have passed their checks.
+
+    Below the checks the prices take one shape, ``(d, m)``, and every
+    array of the kernel puts the vector axis last: one vector is a batch of
+    one, and a long batch runs numpy's loops over its vectors rather than
+    over the d dimensions. The rows it gathers for ``_larger_root``,
+    ``_settle_budget`` and ``_multiplier_rows`` are C-contiguous ``(k, d)``
+    arrays, one per (agent, vector) pair, as they are at any batch length."""
     fiber = rows.fiber
-    n = fiber.n
     lb, _, _, conflict = fiber.columns
     prices = _as_price_array(prices, fiber, batch=True)
-    p = prices.reshape(-1, 1, n + fiber.l)
+    batch = prices.reshape(-1, lb.size)
 
     # a loop over the vectors stops at the first with a price failing
     # ``_is_price``, so budgets go up to it; all pass if the smallest and the
     # largest do (NaN passes neither), two reductions cheaper than the mask,
     # with a valid price as their initial value, for an empty batch
     priced = _is_price(prices.min(initial=1.0)) and _is_price(prices.max(initial=1.0))
-    p_ok = p if priced else p[: np.argmin(_is_price(p).all(axis=-1))]
-    income, w = _income(fiber, rows.endowment, p_ok)
-    fixed_cost = p_ok @ lb
+    ok = batch if priced else batch[: np.argmin(_is_price(batch).all(axis=-1))]
+    income, w = _income(fiber, rows.endowment, ok)
+    fixed_cost = ok @ lb
     empty = (w < 0) | (fixed_cost > w * (1 + 1e-12) + 1e-12)
     if not priced or conflict is not None or empty.any():
-        raise _first_error(rows, p, income, w, fixed_cost, empty | (conflict is not None))
+        raise _first_error(rows, batch, income, w, fixed_cost, empty | (conflict is not None))
 
     # The closed form runs on every row and is kept for all but the rows
     # only the multiplier solve handles (the plan's ``left_at``). Rows with
     # no weight left divide zero by zero in the closed form (and are set to
     # their bounds); the multiplier solve's outer probes at mu = 1e300 and
     # 1e-300 overflow on purpose.
+    p = np.ascontiguousarray(batch.T)
     if plan is None:
         plan = _tilt_plan(rows, p)
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
         coords = _active_set_rows(rows, p, w, plan)
         if plan is not None and plan.left_at[0].size:
-            at = plan.left_at
-            coords[at] = _multiplier_rows(fiber, p[at[0], 0], w[at], plan.left_weight,
-                                          plan.left_tilt)
-    return (coords[0] if prices.ndim == 1 else coords), w
+            agent, vector = plan.left_at
+            coords[agent, :, vector] = _multiplier_rows(fiber, batch[vector], w[agent, vector],
+                                                        plan.left_weight, plan.left_tilt)
+    return (coords[..., 0] if prices.ndim == 1 else coords), w
 
 
-def _first_error(rows: AgentRows, p, income, w, fixed_cost, empty) -> DutyModelError:
-    """What a loop over the price vectors would raise first, from the budgets
-    up to the first vector with a price that fails ``_is_price`` (all of
-    them if none does): the first agent in row order whose feasible set is
-    empty at the first vector where one is, or else that bad price, the
-    first of its vector."""
+def _first_error(rows: AgentRows, batch, income, w, fixed_cost, empty) -> DutyModelError:
+    """What a loop over the ``(m, d)`` price vectors of ``batch`` would
+    raise first, from the ``(agents, m)`` budgets up to the first vector
+    with a price that fails ``_is_price`` (all of them if none does): the
+    first agent in row order whose feasible set is empty at the first vector
+    where one is, or else that bad price, the first of its vector."""
     fiber, count = rows.fiber, len(rows.ids)
     _, _, _, conflict = fiber.columns
     if not empty.any():
-        v = p[len(w), 0]
+        v = batch[w.shape[1]]
         bad = int(np.argmin(_is_price(v)))
         return NonPositivePrice(fiber.dims[bad], float(v[bad]))
-    k = int(np.argmax(empty))
-    if w.flat[k] < 0:
-        reason = _unmet_claims(fiber, income.flat[k])
+    # the vector-major order of a loop: the flat index into the transpose
+    vector, agent = divmod(int(np.argmax(empty.T)), count)
+    if w[agent, vector] < 0:
+        reason = _unmet_claims(fiber, income[agent, vector])
     elif conflict is not None:
         reason = f"{conflict!r} is both forbidden and required"
     else:
-        cost = np.broadcast_to(fixed_cost, w.shape).flat[k]
-        reason = f"required minima cost {cost:g} but disposable income is {w.flat[k]:g}"
-    return InfeasibleDutySet(rows.ids[k % count], reason)
+        reason = (f"required minima cost {fixed_cost[vector]:g} but disposable income "
+                  f"is {w[agent, vector]:g}")
+    return InfeasibleDutySet(rows.ids[agent], reason)
+
+
+def _dim_sum(x: np.ndarray) -> np.ndarray:
+    """The sum of a kernel array over its dimension axis, the second to last
+    of ``(d, m)`` or ``(agents, d, m)``, adding the dimensions in order at
+    every batch length m. numpy adds them in order when the vector axis is
+    its inner loop (m > 1), but pairwise when 8 or more of them are
+    contiguous, as they are at m = 1; below 8 the two orders are one."""
+    if x.shape[-2] < 8:
+        return x.sum(axis=-2)
+    total = x[..., 0, :].copy()
+    for j in range(1, x.shape[-2]):
+        total += x[..., j, :]
+    return total
+
+
+def _agent_sum(x: np.ndarray) -> np.ndarray:
+    """The sum of an ``(agents, ..., m)`` kernel array over its agents,
+    adding them in order at every batch length m. einsum does so while
+    another axis has more than one element, for its inner loop runs there;
+    over the agents alone (one good at one vector, or one vector's duty
+    spending) it would add them in SIMD lanes, and a cumulative sum adds
+    them in order."""
+    if x[0].size > 1:
+        return np.einsum("a...->...", x)
+    return np.cumsum(x, axis=0)[-1]
 
 
 def _active_set_rows(rows: AgentRows, p, w, plan: _TiltPlan | None):
-    """Exact KKT solution per row with at most one status-tilted coordinate;
-    ``plan`` (``_tilt_plan``, None for a pack in which no row can tilt)
-    names the rows that can tilt and says which of them it covers.
+    """Exact KKT solution per row with at most one status-tilted coordinate,
+    at the ``(d, m)`` prices ``p`` with the ``(agents, m)`` budgets ``w``, as
+    an ``(agents, d, m)`` array; ``plan`` (``_tilt_plan``, None for a pack in
+    which no row can tilt) names the rows that can tilt and says which of
+    them it covers.
 
     With spending s_k = p_k (q_k + offset_k) the interior condition is
     s_k = p_k weight_k / (mu p_k - tilt_k), so mu has a closed form on any
@@ -595,21 +644,23 @@ def _active_set_rows(rows: AgentRows, p, w, plan: _TiltPlan | None):
     its bounds, which then spend the whole budget.
 
     Cost. Each round computes mu = A / P, the denominators and the wanted
-    coordinates for every row. The clipped mask starts as the fiber's
-    forbidden mask, one entry per dimension, and broadcasts: the first round
-    takes its free weight from the pack (``AgentRows.free_weight``) and sums
-    the pool once per price vector, and a mask of the full
-    ``w.shape + (d,)`` appears only once some coordinate clips. Everything
-    about the tilted rows that the duty prices fix (the tilt, which rows the
-    closed form takes, and each one's tilted coordinate, p_d, B, t and
-    first-round A) comes from the plan: a ``FiberEconomy`` builds it once, at
-    its own duty prices, for all its single-vector passes, and
-    ``demand_rows`` once per call. Rows whose tilt is zero at these prices,
-    and rows left to ``_multiplier_rows``, are not among the rows it solves. The
-    quadratic is solved on the rows whose tilted coordinate is free, in the
-    first round and again only in a round after one of those rows clipped a
-    coordinate; otherwise its roots stand, and a round writes them into mu
-    and the tilted coordinate's denominator.
+    coordinates for every row, with the vector axis last, so each numpy loop
+    runs over the m vectors of a batch. The clipped mask starts as the
+    fiber's forbidden mask, ``(d, 1)``, and broadcasts: the first round takes
+    its free weight from the pack (``AgentRows.free_weight``) and sums the
+    pool once per price vector, and a mask of the full ``(agents, d, m)``
+    appears only once some coordinate clips. Everything about the tilted
+    rows that the duty prices fix (the tilt, which rows the closed form
+    takes, and each one's tilted coordinate, p_d, B, t and first-round A)
+    comes from the plan: a ``FiberEconomy`` builds it once, at its own duty
+    prices, for all its single-vector passes, and ``demand_rows`` once per
+    call. Rows whose tilt is zero at these prices, and rows left to
+    ``_multiplier_rows``, are not among the rows it solves. The quadratic is
+    solved on the rows whose tilted coordinate is free in the first round,
+    and again only in a round after one of the rows still solved clipped a
+    coordinate (a row whose tilted coordinate clipped leaves, and its pool
+    and A are the only ones that moved); otherwise its roots stand, and a
+    round writes them into mu and the tilted coordinate's denominator.
 
     A row whose tilted coordinate stays free puts its last rounding into its
     steepest coordinate (``_settle_budget``), as ``_multiplier_rows`` does;
@@ -621,48 +672,60 @@ def _active_set_rows(rows: AgentRows, p, w, plan: _TiltPlan | None):
     leave budget unspent).
     """
     lb, forbidden, offset, _ = rows.fiber.columns
-    weight = rows.weight
+    # the per-dimension columns as (d, 1), the weights as (agents, d, 1)
+    lb_d, offset_d, weight = lb[:, None], offset[:, None], rows.weight[..., None]
     # what a clipped coordinate takes out of the pool, and a free one adds
-    bound_cost, offset_cost = -p * lb, p * offset
+    bound_cost, offset_cost = -p * lb_d, p * offset_d
     at = None
     if plan is not None and plan.at[0].size:
         at, hot, c, price, b_weight, t, weight_at, a_weight = plan[:8]
-    clipped, total_weight, solve = forbidden, rows.free_weight, True
+    clipped, total_weight, solve = forbidden[:, None], rows.free_weight, True
     while True:
-        pool = w + np.where(clipped, bound_cost, offset_cost).sum(axis=-1)
+        pool = w + _dim_sum(np.where(clipped, bound_cost, offset_cost))
         mu = total_weight / pool
         if at is not None:
             if solve:
                 root, net = _larger_root(a_weight, pool[at], price, b_weight, t)
             mu[at] = root
-        denom = mu[..., None] * p
+        denom = mu[:, None] * p
         if at is not None:
-            denom[(*at, c)] = net
-        wanted = weight / denom - offset
-        violating = ~clipped & (wanted < lb)
+            denom[at[0], c, at[1]] = net
+        # in place where the round allows: a fresh array of a long batch
+        # costs more to map than to fill
+        wanted = weight / denom
+        wanted -= offset_d
+        violating = wanted < lb_d
+        violating &= ~clipped
         if not violating.any():
             break
         clipped = clipped | violating
-        total_weight = np.where(clipped, 0.0, weight).sum(axis=-1)
-        solve = at is not None and violating[at].any()
-        if solve:
-            # a row whose tilted coordinate clipped has the untilted form
-            free = ~clipped[(*at, c)]
-            if not free.all():
-                at = tuple(i[free] for i in at) if free.any() else None
-                hot, c, price, b_weight, t, weight_at = (
-                    v[free] for v in (hot, c, price, b_weight, t, weight_at))
-            if at is not None:
-                a_weight = np.where(clipped[at] | hot, 0.0, weight_at).sum(axis=-1)
+        total_weight = _dim_sum(np.where(clipped, 0.0, weight))
+        solve = False
+        if at is not None:
+            moved = violating[at[0], :, at[1]].any(axis=-1)
+            if moved.any():
+                # a row whose tilted coordinate clipped has the untilted form
+                free = ~clipped[at[0], c, at[1]]
+                if not free.all():
+                    at = tuple(i[free] for i in at) if free.any() else None
+                    hot, c, price, b_weight, t, weight_at, root, net, moved = (
+                        v[free] for v in (hot, c, price, b_weight, t, weight_at, root, net,
+                                          moved))
+                solve = at is not None and moved.any()
+                if solve:
+                    a_weight = np.where(clipped[at[0], :, at[1]] | hot, 0.0,
+                                        weight_at).sum(axis=-1)
     # rows with no weight left sit at their bounds
-    at_bound = clipped | (total_weight <= 0.0)[..., None]
-    coords = np.where(at_bound, lb, wanted)
+    at_bound = clipped | (total_weight <= 0.0)[:, None]
+    coords = wanted
+    np.copyto(coords, lb_d, where=at_bound)
     if at is not None:
+        pair = (at[0], slice(None), at[1])
         # ``at_bound`` has the vector axis once some coordinate has clipped
-        bound_at = at_bound[at] if at_bound.ndim == 3 else at_bound[at[1]]
-        p_at, denom_at = p[at[0], 0], denom[at]
+        bound_at = at_bound[at[0], :, at[1] if at_bound.shape[-1] > 1 else 0]
+        p_at, denom_at = p.T[at[1]], denom[pair]
         rate = np.where(bound_at, 0.0, weight_at / denom_at / denom_at * p_at * p_at)
-        coords[at] = _settle_budget(coords[at], p_at, w[at], rate, lb)
+        coords[pair] = _settle_budget(coords[pair], p_at, w[at], rate, lb)
     return coords
 
 
@@ -943,7 +1006,7 @@ class FiberEconomy:
         the economy's own duty prices, as a batch of one, or None when no
         row can tilt: built once, on first use, for every single-vector
         pass."""
-        return _tilt_plan(self.rows, self.initial_prices().reshape(1, 1, -1))
+        return _tilt_plan(self.rows, self.initial_prices()[:, None])
 
     @cached_property
     def _duty_block(self) -> np.ndarray:
@@ -1004,7 +1067,8 @@ class FiberEconomy:
         """Aggregate excess demand, sink included: a length-d vector at one
         price vector, an ``(m, d)`` array at an ``(m, d)`` batch, one row per
         vector. A single vector is a batch of one, so each row of a batch
-        equals the one-vector call at its prices bit for bit.
+        equals the one-vector call at its prices bit for bit. A batch's
+        answer is an ``(m, d)`` view of a ``(d, m)`` array.
 
         Per good: total demand minus total endowment. Duty coordinates are
         zero by construction (elastic supply), demonetized goods have no
@@ -1012,27 +1076,28 @@ class FiberEconomy:
         that p.z = 0 holds identically whenever every agent exhausts its
         budget. At one price vector the kernel's answer is the remembered one
         (``demand_at``), which ``jacobian`` reads at the same point; a batch
-        is one ``demand_rows`` call, which builds its own tilt plan. Every
-        vector must carry the economy's own duty prices (``_own_duty_prices``).
+        is one kernel pass (``_demand_pass``), which builds its own tilt
+        plan. Every vector must carry the economy's own duty prices
+        (``_own_duty_prices``).
         """
         n = self.fiber.n
         _, forbidden, _, _ = self.fiber.columns
-        coords = (self.demand_at(p)[None] if p.ndim == 1
-                  else demand_rows(self.rows, self._own_duty_prices(p)))
-        prices = p.reshape(coords.shape[0], -1)
+        if p.ndim == 1:
+            coords, prices = self.demand_at(p)[..., None], p[:, None]
+        else:
+            coords, prices = _demand_pass(self.rows, self._own_duty_prices(p))[0], p.T
 
-        # the sums over agents: einsum adds them in the same order as
-        # ``sum(axis=1)``, several times faster
         z = np.zeros(prices.shape)
-        z[:, :n] = np.where(forbidden[:n], 0.0,
-                            np.einsum("kaj->kj", coords[..., :n]) - self.total_endowment)
+        z[:n] = np.where(forbidden[:n, None], 0.0,
+                         _agent_sum(coords[:, :n]) - self.total_endowment[:, None])
         duty_spend = 0.0  # a fiber without duties spends nothing on them
         if self.fiber.l:
-            duty_spend = np.einsum("kaj,kj->k", coords[..., n:], prices[:, n:])
+            # each agent's spending on its duties, then the agents'
+            duty_spend = _agent_sum(_dim_sum(coords[:, n:] * prices[n:]))
         sink = self.fiber.constraints.prior_claim_total * len(self.agents) + duty_spend
         num = self.numeraire_index
-        z[:, num] += sink / prices[:, num]
-        return z.reshape(p.shape)
+        z[num] += sink / prices[num]
+        return z[:, 0] if p.ndim == 1 else z.T
 
     def jacobian(self, p: np.ndarray, free: Sequence[int]) -> np.ndarray:
         """Jacobian of excess demand in the free prices (rows and columns

@@ -198,9 +198,10 @@ def solve_tatonnement(economy, p0=None, tol: float = DEFAULT_TOL,
     iterations = 0
     converged = False
     z = excess_demand(economy, p)
+    # the residual at p, taken once per evaluated point and carried with p and z
+    r = relative_residual(z, units)
 
     for it in range(max_iter + 1):
-        r = relative_residual(z, units)
         diagnostics.append(IterateRecord(it, r, walras_gap(p, z, economy.total_income(p)),
                                          step))
         iterations = it
@@ -228,13 +229,15 @@ def solve_tatonnement(economy, p0=None, tol: float = DEFAULT_TOL,
                 z_trial = None if trial is None else excess_demand(economy, trial)
             except InfeasibleDutySet:  # an emptied duty set does not improve
                 z_trial = None
-            if z_trial is not None and relative_residual(z_trial, units) < r:
-                p, z = trial, z_trial
+            r_trial = math.inf if z_trial is None else relative_residual(z_trial, units)
+            if r_trial < r:
+                p, z, r = trial, z_trial, r_trial
                 continue
             moved = _fallback_step(economy, p, z, free, units, step)
             if moved is None:
                 break
             p, z, step = moved
+            r = relative_residual(z, units)
 
     prices = PriceVector(best_p, economy.dims, num)
     allocations = economy.demands(best_p)
@@ -291,8 +294,11 @@ def solve_grid_oracle(economy, resolution: int = 200) -> list[PriceVector]:
     # the whole grid in one batch, row-major over the free prices
     points = np.tile(base, (resolution ** k, 1))
     points[:, free] = np.stack(np.meshgrid(*[grid] * k, indexing="ij"), axis=-1).reshape(-1, k)
-    # each point's relative residual, a max over the coordinates of a
-    # contiguous transpose: numpy reduces over leading axes several times faster
+    # each point's relative residual, a max over the coordinates of the
+    # (d, m) transpose, whose long vector axis numpy's loops run along. A
+    # ``FiberEconomy`` answers a batch with a view of that very array, so the
+    # transpose copies nothing; an economy answering with a C-contiguous
+    # (m, d) array pays one copy
     z = np.ascontiguousarray(excess_demand(economy, points).T)
     rs = np.max(np.abs(z) / units[:, None], axis=0).reshape((resolution,) * k)
     # the best residual over each point's 3^k neighbourhood; on a coarse grid

@@ -429,11 +429,13 @@ def gathered_demand_rows(rows, prices) -> np.ndarray:
     closed form leaves go to the library's multiplier solve, as they did."""
     fiber = rows.fiber
     n = fiber.n
-    lb = fiber.columns[0]
+    lb, forbidden = fiber.columns[:2]
     p = np.asarray(prices, dtype=float)
     if p.ndim == 2:
         p = p[:, None, :]
-    _, w = economy._income(fiber, rows.endowment, p)
+    # disposable income per (vector, agent), forbidden goods demonetized
+    w = (np.einsum("...j,...j->...", rows.endowment, np.where(forbidden[:n], 0.0, p[..., :n]))
+         - fiber.constraints.prior_claim_total)
     tilt = None
     if rows.tilted.size:
         tilt = np.zeros(w.shape + lb.shape)

@@ -285,23 +285,23 @@ KKT_REGIMES = {
 }
 
 
-def random_agent(rng, name="a", veblen=False, duties=("d1",)):
-    """3 goods and ``duties``; a VEBLEN agent has a positive status weight."""
+def random_agent(rng, name="a", veblen=False, duties=("d1",), goods=GOODS3):
+    """``goods`` and ``duties``; a VEBLEN agent has a positive status weight."""
     family = (UtilityFamily.VEBLEN_PRICE_DEPENDENT if veblen
               else UtilityFamily.COBB_DOUGLAS_EXTENDED)
     spec = UtilitySpec(family=family,
-                       alpha=dict(zip(GOODS3, rng.uniform(0.1, 1.0, 3).tolist())),
+                       alpha=dict(zip(goods, rng.uniform(0.1, 1.0, len(goods)).tolist())),
                        beta={d: float(rng.uniform(0.2, 1.5)) for d in duties},
                        reference_premium=dict.fromkeys(duties, 1.0))
     return Agent(id=name, utility=spec,
-                 endowment=dict(zip(GOODS3, rng.uniform(1.0, 3.0, 3).tolist())),
+                 endowment=dict(zip(goods, rng.uniform(1.0, 3.0, len(goods)).tolist())),
                  lam=float(rng.uniform(0.2, 2.0)),
                  theta=float(rng.uniform(0.5, 2.0)) if veblen else 0.0)
 
 
-def random_prices(rng, duties=1):
+def random_prices(rng, duties=1, goods=3):
     """Goods prices, then duty prices on either side of the reference 1.0."""
-    return np.concatenate([rng.uniform(0.3, 3.0, 3), rng.uniform(0.5, 2.0, duties)])
+    return np.concatenate([rng.uniform(0.3, 3.0, goods), rng.uniform(0.5, 2.0, duties)])
 
 
 class TestDemandKKT:
@@ -376,33 +376,45 @@ def first_error(solve, vectors):
 class TestDemandRowsBatch:
     """A batch of price vectors against one call per vector."""
 
-    CASES = list(KKT_REGIMES) + ["goods_only", "floor_binds_at_some_vectors"]
+    CASES = list(KKT_REGIMES) + ["goods_only", "floor_binds_at_some_vectors", "wide_fiber"]
+    GOODS9 = tuple(f"g{i}" for i in range(1, 10))
 
     @pytest.mark.parametrize("case", CASES)
     def test_each_row_is_the_single_vector_call(self, case):
         """Each of ``KKT_REGIMES`` with one duty; a goods-only fiber, where
-        no row can tilt; and a REQUIRE_MIN floor on the duty that binds at
-        the vectors with a dear duty only, so the kernel's clipped mask
-        grows from one entry per dimension to one per row partway through
-        the call."""
+        no row can tilt; a REQUIRE_MIN floor on the duty that binds at the
+        vectors with a dear duty only, so the kernel's clipped mask grows
+        from one entry per dimension to one per row partway through the
+        call; and the same floor in a wide fiber, 24 agents with 9 goods and
+        2 duties, where numpy would add the 11 dimensions of one vector
+        pairwise and those of a batch in order (a kernel that left the
+        order to numpy fails here). Each row is also that agent's
+        ``demand`` at its vector."""
         rng = np.random.default_rng(11 + self.CASES.index(case))
-        duties = () if case == "goods_only" else ("d1",)
-        regime = {"goods_only": "free", "floor_binds_at_some_vectors": "require_min"}.get(case, case)
-        fiber = fiber_with(*KKT_REGIMES[regime], goods=GOODS3, duties=duties)
-        agents = [random_agent(rng, name=f"a{k}", veblen=k % 3 == 0, duties=duties)
-                  for k in range(9)]
+        goods = self.GOODS9 if case == "wide_fiber" else GOODS3
+        duties = {"goods_only": (), "wide_fiber": ("d1", "d2")}.get(case, ("d1",))
+        floor = case in ("floor_binds_at_some_vectors", "wide_fiber")
+        regime = "require_min" if floor else "free" if case == "goods_only" else case
+        fiber = fiber_with(*KKT_REGIMES[regime], goods=goods, duties=duties)
+        agents = [random_agent(rng, name=f"a{k}", veblen=k % 3 == 0, duties=duties, goods=goods)
+                  for k in range(24 if case == "wide_fiber" else 9)]
         rows = AgentRows.pack(fiber, agents)
-        prices = np.array([random_prices(rng, duties=len(duties)) for _ in range(16)])
-        if case == "floor_binds_at_some_vectors":
-            prices[:, :3] += 1.0
-            prices[::2, 3] *= 4.0
+        n = len(goods)
+        prices = np.array([random_prices(rng, duties=len(duties), goods=n) for _ in range(16)])
+        if floor:
+            prices[:, :n] += 1.0
+            prices[::2, n] *= 4.0
         batch = demand_rows(rows, prices)
-        assert batch.shape == (16, 9, 3 + len(duties))
-        if case == "floor_binds_at_some_vectors":
-            binds = (batch[..., 3] == 0.4).any(axis=1)
+        assert batch.shape == (16, len(agents), n + len(duties))
+        if floor:
+            # (vector, agent) pairs at the floor; by vector in the narrow case
+            binds = batch[..., n] == 0.4
+            binds = binds if case == "wide_fiber" else binds.any(axis=1)
             assert binds.any() and not binds.all()
         for p, got in zip(prices, batch):
             np.testing.assert_array_equal(got, demand_rows(rows, p))
+            for row, agent in zip(got, agents):
+                np.testing.assert_array_equal(row, demand(agent, p, fiber).coords)
 
     def test_rows_idle_at_their_bounds_mix_with_bisected_rows(self):
         """A status-only agent (all log weight on a forbidden good) buys
@@ -507,8 +519,8 @@ class TestUntiltedPacks:
 class TestTiltedRowsByIndex:
     """The kernel takes the rows that can tilt by agent index, finds each
     one's tilted coordinate, p_d, B and t once per call (``_tilt_plan``),
-    and solves the quadratic again only in a round after one of its rows
-    clipped a coordinate.
+    and solves the quadratic again only in a round after one of the rows it
+    still solves clipped a coordinate.
     ``gathered_demand_rows`` keeps the form that gathered the tilted rows by
     mask and solved the quadratic every round; both do the same arithmetic
     on every row."""
@@ -581,14 +593,14 @@ class TestTiltedRowsByIndex:
                                            for k, flag in enumerate(veblen)]
         return AgentRows.pack(fiber, agents)
 
-    @pytest.mark.parametrize("veblen,calls", [(False, 1), (True, 2)],
+    @pytest.mark.parametrize("veblen,calls", [(False, 1), (True, 1)],
                              ids=["cobb_douglas_row_clips", "tilted_row_clips"])
     def test_quadratic_solves(self, veblen, calls, monkeypatch):
         """One vector, two rounds: the first clips the low-weight agent's
         duty to its floor. When that agent is Cobb-Douglas no tilted row
-        moved, and the first round's roots stand; when it is VEBLEN its
-        tilted duty clipped, so the quadratic is solved again for the row
-        still free."""
+        moved; when it is VEBLEN its tilted duty clipped and its row left
+        the closed form, which leaves the pool and A of the row still solved
+        as they were. Either way the first round's roots stand."""
         rows = self.floor_pack(veblen)
         p = np.array([1.0, 1.0, 1.0, 0.8])
         solved = counted(monkeypatch, "_larger_root")
@@ -596,6 +608,33 @@ class TestTiltedRowsByIndex:
         assert len(solved) == calls
         assert got[1, 3] == 0.4 and got[0, 3] > 0.4
         assert got.tobytes() == gathered_demand_rows(rows, p).tobytes()
+
+    def test_quadratic_solved_again_only_after_a_solved_row_moved(self, monkeypatch):
+        """A 4-vector batch on a pack whose three low-weight VEBLEN rows clip
+        their tilted duty to its floor in round 1 at every vector: those
+        rows leave the closed form, and the quadratic is solved once. A
+        VEBLEN row with no weight on g3
+        clips that good in round 1 while its duty stays free, so its
+        quadratic is solved again in round 2."""
+        prices = np.array([[1.0, 1.0, 1.0, 0.8], [1.2, 0.9, 1.0, 0.7],
+                           [0.8, 1.1, 1.3, 0.85], [1.0, 1.4, 0.9, 0.9]])
+        rows = self.floor_pack(True, True, True)
+        solved = counted(monkeypatch, "_larger_root")
+        got = demand_rows(rows, prices)
+        assert len(solved) == 1
+        assert np.all(got[:, 1:, 3] == 0.4) and np.all(got[:, 0, 3] > 0.4)
+        assert got.tobytes() == gathered_demand_rows(rows, prices).tobytes()
+
+        no_g3 = Agent(id="z", endowment=dict.fromkeys(GOODS3, 3.0), lam=1.0, theta=1.0,
+                      utility=UtilitySpec(family=UtilityFamily.VEBLEN_PRICE_DEPENDENT,
+                                          alpha={"g1": 1.0, "g2": 1.0, "g3": 0.0},
+                                          beta={"d1": 3.0}, reference_premium={"d1": 1.0}))
+        rows = AgentRows.pack(rows.fiber, [no_g3])
+        solved.clear()
+        got = demand_rows(rows, prices)
+        assert len(solved) == 2
+        assert np.all(got[:, 0, 2] == 0.0) and np.all(got[:, 0, 3] > 0.4)
+        assert got.tobytes() == gathered_demand_rows(rows, prices).tobytes()
 
 
 class TestTiltPlan:
@@ -651,7 +690,7 @@ class TestTiltPlan:
         rows = AgentRows.pack(fiber, agents)
         economy_plan = FiberEconomy(fiber=fiber, agents=tuple(agents),
                                     duty_prices={"d1": 1.4}).tilt_plan
-        for plan in (economy._tilt_plan(rows, np.array([1.0, 1.3, 0.8, 1.4]).reshape(1, 1, 4)),
+        for plan in (economy._tilt_plan(rows, np.array([1.0, 1.3, 0.8, 1.4])[:, None]),
                      economy_plan):
             arrays = [a for v in plan for a in (v if isinstance(v, tuple) else (v,))]
             assert len(arrays) == 13 and all(a.size for a in arrays)  # both kinds of row
@@ -659,7 +698,7 @@ class TestTiltPlan:
                 with pytest.raises(ValueError):
                     a[...] = 0
         untilted = AgentRows.pack(fiber, [agents[1]])
-        assert economy._tilt_plan(untilted, np.ones((1, 1, 4))) is None  # no row can tilt
+        assert economy._tilt_plan(untilted, np.ones((4, 1))) is None  # no row can tilt
 
 
 def scaled_regime(regime, scale):

@@ -689,6 +689,27 @@ class TestTatonnement:
             assert np.allclose(result.allocations["A"].x, alloc[0], atol=1e-6)
             assert np.allclose(result.allocations["B"].x, alloc[1], atol=1e-6)
 
+    @pytest.mark.parametrize("regime", MANY_AGENT_REGIMES)
+    def test_one_residual_per_evaluated_point(self, monkeypatch, regime):
+        """The solve takes the relative residual of each price vector it
+        evaluates once: an accepted Newton trial's is carried to the next
+        iterate instead of being taken again there."""
+        evaluated, residuals = [], []
+
+        def recording(economy, prices):
+            evaluated.append(1)
+            return excess_demand(economy, prices)
+
+        def counting(z, units):
+            residuals.append(1)
+            return relative_residual(z, units)
+
+        monkeypatch.setattr(equilibrium, "excess_demand", recording)
+        monkeypatch.setattr(equilibrium, "relative_residual", counting)
+        result = solve_tatonnement(many_agent_economy(regime, 1.0))
+        assert result.converged and result.iterations >= 2
+        assert len(residuals) == len(evaluated)
+
     def test_walras_law_at_every_iterate(self):
         result = solve_tatonnement(symmetric_economy(), p0=np.array([1.0, 3.0]))
         assert result.diagnostics

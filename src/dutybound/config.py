@@ -11,6 +11,8 @@ all its problems at once.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -61,6 +63,7 @@ class RunConfig:
     output_dir: str = "out"
     output_formats: tuple[str, ...] = ("csv",)
     source_path: str | None = None
+    source_sha256: str | None = None  # of the bytes that were parsed
 
 
 def _numbers(section, key: str) -> tuple[float, ...]:
@@ -96,9 +99,11 @@ def parse_and_validate(path: str | Path) -> RunConfig:
     """
     path = Path(path)
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise ParseError(str(path), str(exc)) from None
+    # decoded as ``Path.read_text`` decodes, universal newlines included
+    text = io.TextIOWrapper(io.BytesIO(data)).read()
     try:
         tree = json.loads(text, object_pairs_hook=_reject_duplicate_keys,
                           parse_constant=_reject_non_finite)
@@ -108,6 +113,7 @@ def parse_and_validate(path: str | Path) -> RunConfig:
         raise ParseError(str(path), "top level must be an object")
     config = validate_tree(tree)
     config.source_path = str(path)
+    config.source_sha256 = hashlib.sha256(data).hexdigest()
     return config
 
 

@@ -60,11 +60,11 @@ SINGULAR_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class PriceVector:
-    """Positive, finite prices over a fiber's dimensions, numeraire pinned at 1."""
+    """One price per dimension of a fiber, each positive and finite, checked
+    on construction."""
 
     values: np.ndarray
     dims: tuple[str, ...]
-    numeraire_index: int = 0
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -239,7 +239,7 @@ def solve_tatonnement(economy, p0=None, tol: float = DEFAULT_TOL,
             p, z, step = moved
             r = relative_residual(z, units)
 
-    prices = PriceVector(best_p, economy.dims, num)
+    prices = PriceVector(best_p, economy.dims)
     allocations = economy.demands(best_p)
     return EquilibriumResult(prices=prices, allocations=allocations, residual=best_r,
                              iterations=iterations, converged=converged,
@@ -282,11 +282,10 @@ def solve_grid_oracle(economy, resolution: int = 200) -> list[PriceVector]:
     if priced > 3:
         raise DimensionTooLarge(priced, 3)
 
-    num = economy.numeraire_index
     base = economy.initial_prices()
     units = economy.units
     if not free:
-        return [PriceVector(base, economy.dims, num)] \
+        return [PriceVector(base, economy.dims)] \
             if relative_residual(excess_demand(economy, base), units) <= POLISH_TOL else []
 
     k = len(free)
@@ -320,7 +319,7 @@ def solve_grid_oracle(economy, resolution: int = 200) -> list[PriceVector]:
             continue
         unique.append(cand)
 
-    return [PriceVector(u, economy.dims, num) for u in sorted(unique, key=tuple)]
+    return [PriceVector(u, economy.dims) for u in sorted(unique, key=tuple)]
 
 
 def _newton_polish(economy, p: np.ndarray, free: Sequence[int],

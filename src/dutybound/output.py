@@ -3,15 +3,17 @@
 CSV is the canonical output: RFC 4180 (CRLF line endings, quoted where
 needed), floats printed with a fixed shortest-of-12-significant-digits rule
 so identical runs produce byte-identical files. SVG charts are a convenience
-layer written by hand to keep the output deterministic text.
+layer written by hand to keep the output deterministic text. ``write_text``
+puts every artifact on disk, rewriting an existing file in place rather than
+truncating it first.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
+import os
 import platform
 import time
 from pathlib import Path
@@ -105,28 +107,30 @@ def svg_line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[float]]
     return "\n".join(parts) + "\n"
 
 
-def write_svg(path: str | Path, svg: str) -> Path:
+def write_text(path: str | Path, text: str) -> Path:
+    """Write ``text`` to ``path``, making its directory, with no newline
+    translation; the one writer of every artifact."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(svg)
+    # no O_TRUNC: cutting a file to zero length before rewriting it makes
+    # ext4 (auto_da_alloc) write back the old contents first, tens of ms per
+    # artifact a rerun overwrites. The new text goes over the old bytes and
+    # the file is then cut to the new length.
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as f:
+        f.write(text)
+        f.truncate()
     return path
 
 
-def sha256_file(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def write_manifest(outdir: str | Path, command: str, config_path: str | None,
-                   seed: int, outputs: Sequence[str], started: float) -> Path:
-    """Record what produced a run's artifacts (not itself a determinism target:
-    wall time varies)."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+def write_manifest(config, command: str, outputs: Sequence[str], started: float) -> Path:
+    """Record what produced a run's artifacts in the output directory of
+    ``config``, a ``RunConfig`` (not itself a determinism target: wall time
+    varies)."""
     manifest = {
         "command": command,
-        "config": config_path,
-        "config_sha256": sha256_file(config_path) if config_path else None,
-        "seed": seed,
+        "config": config.source_path,
+        "config_sha256": config.source_sha256,
+        "seed": config.seed,
         "versions": {
             "dutybound": __version__,
             "python": platform.python_version(),
@@ -135,7 +139,5 @@ def write_manifest(outdir: str | Path, command: str, config_path: str | None,
         "wall_time_s": round(time.perf_counter() - started, 6),
         "outputs": list(outputs),
     }
-    path = outdir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
-    return path
-
+    return write_text(Path(config.output_dir) / "manifest.json",
+                      json.dumps(manifest, indent=2) + "\n")

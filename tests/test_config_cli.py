@@ -1,13 +1,14 @@
 """Configuration parsing/validation and the command-line surface."""
 
 import copy
+import hashlib
 import json
 import math
 
 import pytest
 
 import dutybound
-from dutybound import transition
+from dutybound import cli, output, transition
 from dutybound.cli import main
 from dutybound.config import (
     load_packaged_config,
@@ -140,6 +141,37 @@ BOOL_OR_FRACTION = [
     ("veblen", ("scenarios", "veblen", "sweep", "count"), 2.7),
     ("slavery", ("path", 0, 0), 0.7),
 ]
+
+
+# (command, config, the line it exits 4 with): each command on a config
+# that lacks the section it needs
+MISSING_SECTION = [
+    (["check-topology", "--config"],
+     {k: v for k, v in minimal_tree().items() if k != "base_space"},
+     "check-topology needs a base_space section"),
+    (["check-preferences", "--relation"], minimal_tree(),
+     "check-preferences needs points plus pairs or utility"),
+    (["scenario", "sugar", "--config"], minimal_tree(),
+     "scenario sugar needs a scenarios.sugar section"),
+    (["scenario", "veblen", "--config"], minimal_tree(),
+     "scenario veblen needs registry/scenarios.veblen"),
+    (["sweep", "--config"], minimal_tree(),
+     "sweep needs scenarios.sugar and scenarios.sweep sections"),
+]
+
+# (command on a packaged config, the CSVs it writes): criterion 12's commands
+CRITERION_12 = [
+    (["solve", "--config", "CONFIG_exchange"], ["solve_y1.csv"]),
+    (["trace", "--config", "CONFIG_slavery"], ["trace.csv", "trace_summary.csv"]),
+    (["scenario", "sugar", "--config", "CONFIG_sugar"],
+     ["sugar_shares.csv", "sugar_summary.csv"]),
+]
+
+
+def packaged_argv(argv):
+    """``argv`` with each ``CONFIG_<name>`` replaced by that packaged config's path."""
+    return [str(packaged_config_path(a.removeprefix("CONFIG_")))
+            if a.startswith("CONFIG_") else a for a in argv]
 
 
 def sugar_with_premiums(premiums):
@@ -342,6 +374,40 @@ class TestCliExitCodes:
         report = (tmp_path / "topology_report.csv").read_text().splitlines()
         assert f'projection-continuity,true,5,"{expected}"' in report
 
+    @pytest.mark.parametrize("argv,tree,line", MISSING_SECTION,
+                             ids=[argv[-2] for argv, _, _ in MISSING_SECTION])
+    def test_missing_section_exit_4(self, tmp_path, capsys, write_config, argv, tree, line):
+        out = tmp_path / "out"
+        code = main(argv + [str(write_config(tree)), "--out", str(out)])
+        assert code == 4
+        assert capsys.readouterr() == ("", f"config error: {line}\n")
+        assert not out.exists()
+
+    def test_solve_warnings_go_to_stderr_and_leave_the_table(self, tmp_path, write_config,
+                                                            capsys):
+        """A good that no agent holds or values draws two warnings on stderr.
+        Stdout holds the table as the CSV holds it, and the prices and
+        allocations of the other goods are those of the economy without it."""
+        unvalued = minimal_tree()
+        unvalued["registry"]["goods"].append("g3")
+        unvalued["fibers"]["y1"]["goods"].append("g3")
+        unvalued["agents"][0]["utility"]["alpha"]["g3"] = 0.0
+        runs = {}
+        for name, tree in (("plain", minimal_tree()), ("unvalued", unvalued)):
+            out = tmp_path / name
+            code = main(["solve", "--config", str(write_config(tree, f"{name}.json")),
+                         "--out", str(out)])
+            assert code == 0
+            stdout, stderr = capsys.readouterr()
+            assert stdout == (out / "solve_y1.csv").read_bytes().decode()
+            runs[name] = stderr, [row for row in stdout.splitlines()
+                                  if row.split(",")[0] in ("price", "allocation")
+                                  and ",g3," not in row]
+        assert runs["plain"][0] == ""
+        assert runs["unvalued"][0] == ("warning: no agent holds a positive endowment of 'g3'\n"
+                                       "warning: no agent values 'g3': every alpha on it is zero\n")
+        assert runs["unvalued"][1] == runs["plain"][1]
+
     def test_solver_non_convergence_exit_3(self, tmp_path, write_config):
         tree = minimal_tree()
         tree["agents"][0]["utility"]["alpha"] = {"g1": 0.2, "g2": 0.8}
@@ -518,21 +584,31 @@ class TestCliExitCodes:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("argv,files", [
-        (["solve", "--config", "CONFIG_exchange"], ["solve_y1.csv"]),
-        (["trace", "--config", "CONFIG_slavery"], ["trace.csv", "trace_summary.csv"]),
-        (["scenario", "sugar", "--config", "CONFIG_sugar"],
-         ["sugar_shares.csv", "sugar_summary.csv"]),
-    ])
+    @pytest.mark.parametrize("argv,files", CRITERION_12)
     def test_repeated_runs_byte_identical(self, tmp_path, argv, files):
         outputs = {}
         for run in ("first", "second"):
             outdir = tmp_path / run
-            resolved = [str(packaged_config_path(a.removeprefix("CONFIG_")))
-                        if a.startswith("CONFIG_") else a for a in argv]
-            assert main(resolved + ["--out", str(outdir)]) == 0
+            assert main(packaged_argv(argv) + ["--out", str(outdir)]) == 0
             outputs[run] = {f: (outdir / f).read_bytes() for f in files}
         assert outputs["first"] == outputs["second"]
+
+    @pytest.mark.parametrize("argv,files", CRITERION_12)
+    def test_rerun_into_one_directory_matches_a_fresh_one(self, tmp_path, argv, files):
+        """A rerun rewrites each artifact in place and leaves no byte of the
+        old file past the new text. Between the two runs each file is made
+        longer, as the output of a larger earlier run would be."""
+        def run(outdir):
+            assert main(packaged_argv(argv) + ["--out", str(outdir)]) == 0
+            return {f: (outdir / f).read_bytes() for f in files}
+
+        fresh, reused = run(tmp_path / "fresh"), tmp_path / "reused"
+        run(reused)
+        for name in [*files, "manifest.json"]:
+            with open(reused / name, "ab") as stale:
+                stale.write(b"stale tail\r\n" * 50)
+        assert run(reused) == fresh
+        assert json.loads((reused / "manifest.json").read_text())["outputs"] == files
 
     def test_csv_uses_crlf(self, tmp_path):
         main(["solve", "--config", str(packaged_config_path("exchange")),
@@ -541,11 +617,29 @@ class TestDeterminism:
         assert b"\r\n" in raw
 
     def test_manifest_records_config_hash(self, tmp_path):
-        main(["solve", "--config", str(packaged_config_path("exchange")),
-              "--out", str(tmp_path)])
+        config = packaged_config_path("exchange")
+        main(["solve", "--config", str(config), "--out", str(tmp_path)])
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert len(manifest["config_sha256"]) == 64
+        assert manifest["config_sha256"] == hashlib.sha256(config.read_bytes()).hexdigest()
         assert manifest["seed"] == 1
+
+    def test_manifest_hashes_the_bytes_that_were_parsed(self, tmp_path, write_config,
+                                                       monkeypatch):
+        """A config edited while the command runs is recorded by the hash of
+        the text the run used, not of the file as the run ends."""
+        path = write_config(packaged_tree("exchange"))
+        parsed = path.read_bytes()
+
+        def parse_then_edit(source):
+            config = parse_and_validate(source)
+            path.write_bytes(parsed + b"\n")
+            return config
+
+        monkeypatch.setattr(cli, "parse_and_validate", parse_then_edit)
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["config_sha256"] == hashlib.sha256(parsed).hexdigest()
+        assert path.read_bytes() != parsed
 
     def test_manifest_records_package_version(self, tmp_path):
         # the package need not be installed: the version comes from the source
@@ -553,3 +647,11 @@ class TestDeterminism:
               "--out", str(tmp_path)])
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["versions"]["dutybound"] == dutybound.__version__
+
+
+class TestWriteText:
+    def test_a_shorter_text_leaves_exactly_its_bytes(self, tmp_path):
+        path = tmp_path / "new" / "artifact.csv"
+        output.write_text(path, "a,b\r\n" * 100)
+        output.write_text(path, "short\r\nlines\n")
+        assert path.read_bytes() == b"short\r\nlines\n"

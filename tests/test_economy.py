@@ -252,6 +252,15 @@ class TestDemand:
         with pytest.raises(InfeasibleDutySet):
             demand(agent, np.array([1.0, 1.0]), fiber)
 
+    def test_required_minima_beyond_income_reported(self):
+        fiber = fiber_with(
+            {"min": {"class": "perfect", "kind": "REQUIRE_MIN", "target": "d1", "level": 5.0}},
+            ["min"], goods=("g1",), duties=("d1",))
+        agent = Agent(id="a", endowment={"g1": 1.0}, utility=cd_spec({"g1": 1.0}))
+        with pytest.raises(InfeasibleDutySet) as exc:
+            demand(agent, np.array([1.0, 1.0]), fiber)
+        assert exc.value.reason == "required minima cost 5 but disposable income is 1"
+
     def test_nonpositive_price_rejected(self):
         fiber = plain_fiber()
         agent = Agent(id="a", endowment={"g1": 1.0}, utility=cd_spec({"g1": 1.0, "g2": 1.0}))

@@ -2,7 +2,8 @@
 
 Subcommands: check-topology, check-preferences, solve, trace,
 scenario {sugar|slavery|veblen}, sweep. Exit codes: 0 success,
-2 verification failure, 3 solver non-convergence, 4 configuration error.
+2 verification failure, 3 solver non-convergence, 4 configuration error or
+an artifact that cannot be written (one ``error:`` line naming its path).
 
 Every command reads its input file, check-preferences' relation file too,
 through ``config.parse_and_validate``: one reader and one number rule.

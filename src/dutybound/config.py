@@ -94,19 +94,21 @@ def _reject_non_finite(literal: str):
 def parse_and_validate(path: str | Path) -> RunConfig:
     """Load a config file, resolving every cross-reference.
 
-    Raises ParseError for unreadable/invalid JSON and ValidationErrors with
-    the complete list of problems for a well-formed but inconsistent tree.
+    Raises ParseError for unreadable/undecodable/invalid JSON, and
+    ValidationErrors listing every problem of a well-formed inconsistent tree.
     """
     path = Path(path)
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise ParseError(str(path), str(exc)) from None
-    # decoded as ``Path.read_text`` decodes, universal newlines included
-    text = io.TextIOWrapper(io.BytesIO(data)).read()
     try:
-        tree = json.loads(text, object_pairs_hook=_reject_duplicate_keys,
+        # decoded as ``Path.read_text`` decodes, universal newlines included
+        tree = json.loads(io.TextIOWrapper(io.BytesIO(data)).read(),
+                          object_pairs_hook=_reject_duplicate_keys,
                           parse_constant=_reject_non_finite)
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(path), str(exc)) from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from None
     if not isinstance(tree, Mapping):

@@ -385,9 +385,9 @@ class AgentRows:
         """Each row's weight on the dimensions the fiber does not forbid, an
         ``(agents, 1)`` column, read-only: the free weight of the kernel's
         first round, before any coordinate has clipped, summed in the order
-        of a later round's (``_dim_sum``)."""
+        of a later round's (``_sum_in_order``)."""
         _, forbidden, _, _ = self.fiber.columns
-        free = _dim_sum(np.where(forbidden[:, None], 0.0, self.weight[..., None]))
+        free = _sum_in_order(np.where(forbidden[:, None], 0.0, self.weight[..., None]), -2)
         free.flags.writeable = False
         return free
 
@@ -584,30 +584,14 @@ def _first_error(rows: AgentRows, batch, income, w, fixed_cost, empty) -> DutyMo
     return InfeasibleDutySet(rows.ids[agent], reason)
 
 
-def _dim_sum(x: np.ndarray) -> np.ndarray:
-    """The sum of a kernel array over its dimension axis, the second to last
-    of ``(d, m)`` or ``(agents, d, m)``, adding the dimensions in order at
-    every batch length m. numpy adds them in order when the vector axis is
-    its inner loop (m > 1), but pairwise when 8 or more of them are
-    contiguous, as they are at m = 1; below 8 the two orders are one."""
-    if x.shape[-2] < 8:
-        return x.sum(axis=-2)
-    total = x[..., 0, :].copy()
-    for j in range(1, x.shape[-2]):
-        total += x[..., j, :]
-    return total
-
-
-def _agent_sum(x: np.ndarray) -> np.ndarray:
-    """The sum of an ``(agents, ..., m)`` kernel array over its agents,
-    adding them in order at every batch length m. einsum does so while
-    another axis has more than one element, for its inner loop runs there;
-    over the agents alone (one good at one vector, or one vector's duty
-    spending) it would add them in SIMD lanes, and a cumulative sum adds
-    them in order."""
-    if x[0].size > 1:
-        return np.einsum("a...->...", x)
-    return np.cumsum(x, axis=0)[-1]
+def _sum_in_order(x: np.ndarray, axis: int) -> np.ndarray:
+    """The sum of ``x`` over ``axis`` in index order, as a loop adds it, so a
+    kernel row rounds alike at every batch length. numpy's sum adds in order
+    below 8 terms and while a later axis, inside ``axis`` in memory, has more
+    than one element (its inner loop runs there); else np.cumsum does."""
+    if x.shape[axis] < 8 or any(k > 1 for k in x.shape[axis:][1:]):
+        return x.sum(axis)
+    return np.cumsum(x, axis).take(-1, axis)
 
 
 def _active_set_rows(rows: AgentRows, p, w, plan: _TiltPlan | None):
@@ -645,22 +629,23 @@ def _active_set_rows(rows: AgentRows, p, w, plan: _TiltPlan | None):
 
     Cost. Each round computes mu = A / P, the denominators and the wanted
     coordinates for every row, with the vector axis last, so each numpy loop
-    runs over the m vectors of a batch. The clipped mask starts as the
-    fiber's forbidden mask, ``(d, 1)``, and broadcasts: the first round takes
-    its free weight from the pack (``AgentRows.free_weight``) and sums the
-    pool once per price vector, and a mask of the full ``(agents, d, m)``
-    appears only once some coordinate clips. Everything about the tilted
-    rows that the duty prices fix (the tilt, which rows the closed form
-    takes, and each one's tilted coordinate, p_d, B, t and first-round A)
-    comes from the plan: a ``FiberEconomy`` builds it once, at its own duty
-    prices, for all its single-vector passes, and ``demand_rows`` once per
-    call. Rows whose tilt is zero at these prices, and rows left to
-    ``_multiplier_rows``, are not among the rows it solves. The quadratic is
-    solved on the rows whose tilted coordinate is free in the first round,
-    and again only in a round after one of the rows still solved clipped a
-    coordinate (a row whose tilted coordinate clipped leaves, and its pool
-    and A are the only ones that moved); otherwise its roots stand, and a
-    round writes them into mu and the tilted coordinate's denominator.
+    runs over the m vectors of a batch, and A and P add the dimensions in
+    order (``_sum_in_order``). The clipped mask starts as the fiber's
+    forbidden mask, ``(d, 1)``, and broadcasts: the first round takes its free
+    weight from the pack (``AgentRows.free_weight``) and sums the pool once
+    per price vector, and a mask of the full ``(agents, d, m)`` appears only
+    once some coordinate clips. Everything about the tilted rows that the duty
+    prices fix (the tilt, which rows the closed form takes, and each one's
+    tilted coordinate, p_d, B, t and first-round A) comes from the plan: a
+    ``FiberEconomy`` builds it once, at its own duty prices, for all its
+    single-vector passes, and ``demand_rows`` once per call. Rows whose tilt
+    is zero at these prices, and rows left to ``_multiplier_rows``, are not
+    among the rows it solves. The quadratic is solved on the rows whose tilted
+    coordinate is free in the first round, and again only in a round after one
+    of the rows still solved clipped a coordinate (a row whose tilted
+    coordinate clipped leaves, and its pool and A are the only ones that
+    moved); otherwise its roots stand, and a round writes them into mu and the
+    tilted coordinate's denominator.
 
     A row whose tilted coordinate stays free puts its last rounding into its
     steepest coordinate (``_settle_budget``), as ``_multiplier_rows`` does;
@@ -681,7 +666,7 @@ def _active_set_rows(rows: AgentRows, p, w, plan: _TiltPlan | None):
         at, hot, c, price, b_weight, t, weight_at, a_weight = plan[:8]
     clipped, total_weight, solve = forbidden[:, None], rows.free_weight, True
     while True:
-        pool = w + _dim_sum(np.where(clipped, bound_cost, offset_cost))
+        pool = w + _sum_in_order(np.where(clipped, bound_cost, offset_cost), -2)
         mu = total_weight / pool
         if at is not None:
             if solve:
@@ -699,7 +684,7 @@ def _active_set_rows(rows: AgentRows, p, w, plan: _TiltPlan | None):
         if not violating.any():
             break
         clipped = clipped | violating
-        total_weight = _dim_sum(np.where(clipped, 0.0, weight))
+        total_weight = _sum_in_order(np.where(clipped, 0.0, weight), -2)
         solve = False
         if at is not None:
             moved = violating[at[0], :, at[1]].any(axis=-1)
@@ -1089,11 +1074,11 @@ class FiberEconomy:
 
         z = np.zeros(prices.shape)
         z[:n] = np.where(forbidden[:n, None], 0.0,
-                         _agent_sum(coords[:, :n]) - self.total_endowment[:, None])
+                         _sum_in_order(coords[:, :n], 0) - self.total_endowment[:, None])
         duty_spend = 0.0  # a fiber without duties spends nothing on them
         if self.fiber.l:
             # each agent's spending on its duties, then the agents'
-            duty_spend = _agent_sum(_dim_sum(coords[:, n:] * prices[n:]))
+            duty_spend = _sum_in_order(_sum_in_order(coords[:, n:] * prices[n:], -2), 0)
         sink = self.fiber.constraints.prior_claim_total * len(self.agents) + duty_spend
         num = self.numeraire_index
         z[num] += sink / prices[num]
@@ -1114,4 +1099,5 @@ class FiberEconomy:
         kernel pass, which the solver's Walras gap reads at each iterate."""
         if self._last_demand is not None and self._last_demand[0] == p.tobytes():
             return self._last_demand[2]
+        p = _as_price_array(p, self.fiber)
         return float(_income(self.fiber, self.rows.endowment, p)[1].sum())

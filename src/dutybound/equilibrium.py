@@ -43,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .economy import ExtendedBundle, FiberEconomy, _check_prices
+from .economy import ExtendedBundle, FiberEconomy, _check_prices, _sum_in_order
 from .errors import DimensionTooLarge, InfeasibleDutySet, SingularJacobian
 
 FALLBACK_STEP = 0.1  # first step of the tatonnement fallback
@@ -375,18 +375,16 @@ def trade_volumes(economy: FiberEconomy, allocations: dict[str, ExtendedBundle])
     """Units of each good changing hands: the gross purchases across agents."""
     x = np.array([allocations[a.id].x for a in economy.agents])
     bought = np.maximum(x - economy.rows.endowment, 0.0)
-    # cumsum adds the agents in order, as a loop would; sum may add pairwise
-    return dict(zip(economy.fiber.goods, np.cumsum(bought, axis=0)[-1]))
+    return dict(zip(economy.fiber.goods, _sum_in_order(bought, 0)))
 
 
 def duty_expenditure_share(economy: FiberEconomy, prices,
                            allocations: dict[str, ExtendedBundle]) -> float:
     """Fraction of aggregate disposable income spent on imperfect duties."""
     p = np.asarray(prices, dtype=float)
+    income = economy.total_income(p)  # checks the prices first
     n = economy.fiber.n
     e = np.array([allocations[a.id].e for a in economy.agents])
-    # one vector-vector product per agent, rounded as ``p @ e`` rounds it,
-    # added in agent order
-    spend = float(np.cumsum((e[:, None, :] @ p[n:])[:, 0])[-1])
-    income = economy.total_income(p)
+    # one vector-vector product per agent, rounded as ``p @ e`` rounds it
+    spend = float(_sum_in_order((e[:, None, :] @ p[n:])[:, 0], 0))
     return spend / income if income > 0 else 0.0

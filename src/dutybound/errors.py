@@ -146,6 +146,13 @@ class ParseError(DutyModelError):
         self.reason = reason
 
 
+class UnwritableOutput(DutyModelError):
+    def __init__(self, location: str, reason: str):
+        super().__init__(f"cannot write {location}: {reason}")
+        self.location = location
+        self.reason = reason
+
+
 class ValidationErrors(DutyModelError):
     """Aggregate of every validation failure found in a run configuration."""
 

@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__
+from .errors import UnwritableOutput
 
 
 def fmt(value) -> str:
@@ -109,16 +110,20 @@ def svg_line_chart(series: Sequence[tuple[str, Sequence[float], Sequence[float]]
 
 def write_text(path: str | Path, text: str) -> Path:
     """Write ``text`` to ``path``, making its directory, with no newline
-    translation; the one writer of every artifact."""
+    translation; the one writer of every artifact. An OSError becomes
+    UnwritableOutput, naming the file or directory that failed."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # no O_TRUNC: cutting a file to zero length before rewriting it makes
-    # ext4 (auto_da_alloc) write back the old contents first, tens of ms per
-    # artifact a rerun overwrites. The new text goes over the old bytes and
-    # the file is then cut to the new length.
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as f:
-        f.write(text)
-        f.truncate()
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        # no O_TRUNC: cutting a file to zero length before rewriting it makes
+        # ext4 (auto_da_alloc) write back the old contents first, tens of ms
+        # per artifact a rerun overwrites. The new text goes over the old
+        # bytes and the file is then cut to the new length.
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as f:
+            f.write(text)
+            f.truncate()
+    except OSError as exc:
+        raise UnwritableOutput(str(exc.filename or path), exc.strerror or str(exc)) from exc
     return path
 
 

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +19,7 @@ from dutybound.config import (
 )
 from dutybound.duty import compile_constraints
 from dutybound.economy import ExtendedBundle
-from dutybound.errors import ParseError, ValidationErrors
+from dutybound.errors import DutyModelError, ParseError, ValidationErrors
 
 
 @pytest.fixture
@@ -383,6 +384,32 @@ class TestCliExitCodes:
         assert capsys.readouterr() == ("", f"config error: {line}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("option", ["--config", "--relation"])
+    def test_a_file_not_in_the_locale_encoding_exits_4(self, tmp_path, capsys, option):
+        """Bytes that are no UTF-8 text (in a locale that decodes them, no
+        JSON either): one ``config error:`` line naming the file."""
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff{}")
+        out = tmp_path / "out"
+        command = "solve" if option == "--config" else "check-preferences"
+        code = main([command, option, str(bad), "--out", str(out)])
+        assert code == 4
+        stdout, stderr = capsys.readouterr()
+        assert stdout == "" and stderr.startswith(f"config error: cannot parse {bad}")
+        assert stderr.count("\n") == 1
+        assert not out.exists()
+
+    def test_an_out_that_names_a_plain_file_exits_4(self, tmp_path, capsys):
+        plain = tmp_path / "afile"
+        plain.write_text("kept")
+        code = main(["solve", "--config", str(packaged_config_path("exchange")),
+                     "--out", str(plain)])
+        assert code == 4
+        stdout, stderr = capsys.readouterr()
+        assert stdout == "" and stderr.startswith(f"error: cannot write {plain}: ")
+        assert stderr.count("\n") == 1
+        assert plain.read_text() == "kept"
+
     def test_solve_warnings_go_to_stderr_and_leave_the_table(self, tmp_path, write_config,
                                                             capsys):
         """A good that no agent holds or values draws two warnings on stderr.
@@ -655,3 +682,11 @@ class TestWriteText:
         output.write_text(path, "a,b\r\n" * 100)
         output.write_text(path, "short\r\nlines\n")
         assert path.read_bytes() == b"short\r\nlines\n"
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+    def test_a_failed_write_names_its_file(self):
+        """A write that fails after the open raises an OSError that names
+        no file; the writer's error (``UnwritableOutput``, which ``cli.main``
+        prints as one ``error:`` line) names its own."""
+        with pytest.raises(DutyModelError, match="^cannot write /dev/full: "):
+            output.write_text("/dev/full", "x")

@@ -33,7 +33,7 @@ from dutybound.errors import (
     NonPositivePrice,
     UnknownReference,
 )
-from dutybound.equilibrium import PriceVector, solve_tatonnement
+from dutybound.equilibrium import PriceVector, duty_expenditure_share, solve_tatonnement
 from dutybound.preferences import EPSILON
 from dutybound.scenarios import veblen_demand_curve
 
@@ -477,6 +477,60 @@ class TestDemandRowsBatch:
         """The price check reduces over the batch, which must not fail on none."""
         rows = self.claim_rows()
         assert demand_rows(rows, np.ones((0, 4))).shape == (0, 3, 4)
+
+
+def sum_by_loop(x: np.ndarray, axis: int) -> np.ndarray:
+    """The sum of ``x`` over ``axis``, adding its elements left to right."""
+    terms = np.moveaxis(x, axis, 0)
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+class TestSumInOrder:
+    """``_sum_in_order`` adds as a left-to-right loop adds, bit for bit,
+    where numpy alone would add 8 or more contiguous terms pairwise."""
+
+    @staticmethod
+    def terms(rng, shape):
+        # magnitudes over ten decades, so the orders of addition round apart
+        return rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 6, shape)
+
+    @pytest.mark.parametrize("axis", [0, -2])
+    @pytest.mark.parametrize("trailing", [1, 2, 7])
+    def test_matches_a_loop(self, axis, trailing):
+        rng = np.random.default_rng(3 + trailing)
+        for length in range(1, 21):
+            for other in (1, 3, 9):
+                shape = (length, other, trailing) if axis == 0 else (other, length, trailing)
+                x = self.terms(rng, shape)
+                assert economy._sum_in_order(x, axis).tobytes() == \
+                    sum_by_loop(x, axis).tobytes()
+
+    def test_matches_a_loop_on_one_axis(self):
+        rng = np.random.default_rng(5)
+        for length in range(1, 21):
+            x = self.terms(rng, (length,))
+            assert economy._sum_in_order(x, 0).tobytes() == sum_by_loop(x, 0).tobytes()
+
+    @pytest.mark.parametrize("goods", [1, 3])
+    def test_matches_a_loop_on_the_kernels_goods_view(self, goods):
+        """The goods block of one vector's answer as ``excess_demand`` sums
+        it, ``demand_at(p)[..., None][:, :n]``: a strided view of 8 to 20
+        agents, random or the kernel's own."""
+        rng = np.random.default_rng(7 + goods)
+        for count in range(8, 21):
+            coords = self.terms(rng, (count, goods + 2))[..., None][:, :goods]
+            assert economy._sum_in_order(coords, 0).tobytes() == \
+                sum_by_loop(coords, 0).tobytes()
+        fiber = plain_fiber(goods=GOODS3[:goods], duties=("d1",))
+        agents = [random_agent(rng, name=f"a{k}", veblen=k % 3 == 0, goods=GOODS3[:goods])
+                  for k in range(12)]
+        fiber_economy = FiberEconomy(fiber=fiber, agents=tuple(agents))
+        coords = fiber_economy.demand_at(fiber_economy.initial_prices())[..., None][:, :goods]
+        assert not coords.flags.c_contiguous
+        assert economy._sum_in_order(coords, 0).tobytes() == sum_by_loop(coords, 0).tobytes()
 
 
 class TestUntiltedPacks:
@@ -1173,6 +1227,12 @@ PRICED_FIBER = plain_fiber(goods=("g1", "g2"), duties=("d1",))
 PRICED_AGENT = Agent(id="a", endowment={"g1": 1.0, "g2": 1.0}, lam=1.0, theta=1.0,
                      utility=UtilitySpec(family=UtilityFamily.VEBLEN_PRICE_DEPENDENT,
                                          alpha={"g1": 0.5, "g2": 0.5}, beta={"d1": 1.0}))
+
+
+def priced_economy():
+    return FiberEconomy(fiber=PRICED_FIBER, agents=(PRICED_AGENT,))
+
+
 # each entry point of the package that takes prices, at the vector ``p``
 PRICE_ENTRY_POINTS = {
     "disposable_income": lambda p: disposable_income(PRICED_AGENT, p, PRICED_FIBER),
@@ -1187,11 +1247,13 @@ PRICE_ENTRY_POINTS = {
     "fiber_economy": lambda p: FiberEconomy(fiber=PRICED_FIBER, agents=(PRICED_AGENT,),
                                             duty_prices={"d1": p[2]}),
     "price_vector": lambda p: PriceVector(p, PRICED_FIBER.dims),
-    "solve_tatonnement_p0": lambda p: solve_tatonnement(
-        FiberEconomy(fiber=PRICED_FIBER, agents=(PRICED_AGENT,)), p0=p),
+    "solve_tatonnement_p0": lambda p: solve_tatonnement(priced_economy(), p0=p),
     # the duty's swept price, or a good's in the base vector
     "veblen_sweep": lambda p: veblen_demand_curve(PRICED_AGENT, PRICED_FIBER, "d1",
                                                   [1.5, p[2]], base_prices=p),
+    "total_income": lambda p: priced_economy().total_income(p),
+    "duty_expenditure_share": lambda p: duty_expenditure_share(
+        priced_economy(), p, {"a": ExtendedBundle(x=[0.5, 0.5], e=[0.2])}),
 }
 
 
@@ -1210,6 +1272,12 @@ class TestEveryPriceEntryPoint:
         p[PRICED_FIBER.dims.index(dim)] = value
         with pytest.raises(NonPositivePrice, match=f"'{dim}'.*positive and finite"):
             PRICE_ENTRY_POINTS[entry](p)
+
+    @pytest.mark.parametrize("entry", ["total_income", "duty_expenditure_share"])
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_a_vector_of_another_width_is_refused(self, entry, width):
+        with pytest.raises(DimensionMismatch):
+            PRICE_ENTRY_POINTS[entry](np.ones(width))
 
     def test_the_first_bad_dimension_is_named(self):
         for entry in ("demand_rows", "demand_rows_batch", "price_vector", "utility_value"):
